@@ -1,45 +1,31 @@
-"""Hot numeric kernels: monomial evaluation and gradients.
-
-Every kernel has a pure-numpy implementation; when numba is importable and
-the environment variable RANKONE_NO_NUMBA is unset (or "0"), an @njit
-version is used instead.  The numpy path is the reference implementation,
-the numba path must agree with it bit-for-bit up to float rounding.
-"""
-
-import os
+"""Hot numeric kernels: monomial evaluation and gradients in numpy."""
 
 import numpy as np
 
-_env = os.environ.get("RANKONE_NO_NUMBA", "0")
-NUMBA_REQUESTED = _env in ("", "0")
 
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------- numpy path
-
-
-def _eval_np(coeffs, expo, x):
+def evaluate_poly(coeffs, expo, x):
+    """Sum of coeffs[a] * prod_i x[i]**expo[a, i]."""
+    dt = np.result_type(coeffs, x)
+    coeffs = np.ascontiguousarray(coeffs, dtype=dt)
+    x = np.ascontiguousarray(x, dtype=dt)
     return np.dot(coeffs, np.prod(x[np.newaxis, :] ** expo, axis=1))
 
 
-def _eval_many_np(coeffs, expo, xs):
-    # xs has shape (m, n); result (m,)
+def evaluate_poly_many(coeffs, expo, xs):
+    """Evaluate one polynomial at many points; xs has shape (m, n)."""
+    dt = np.result_type(coeffs, xs)
+    coeffs = np.ascontiguousarray(coeffs, dtype=dt)
+    xs = np.ascontiguousarray(xs, dtype=dt)
     return np.prod(xs[:, np.newaxis, :] ** expo[np.newaxis, :, :], axis=2) @ coeffs
 
 
-def _grad_np(coeffs, expo, x):
+def gradient_poly(coeffs, expo, x):
+    """Gradient of the monomial sum; holomorphic derivative for complex."""
+    dt = np.result_type(coeffs, x)
+    coeffs = np.ascontiguousarray(coeffs, dtype=dt)
+    x = np.ascontiguousarray(x, dtype=dt)
     n = expo.shape[1]
-    grad = np.zeros(n, dtype=np.result_type(coeffs, x))
-    powers = x[np.newaxis, :] ** expo  # (N, n)
+    grad = np.zeros(n, dtype=dt)
     for i in range(n):
         mask = expo[:, i] > 0
         if not np.any(mask):
@@ -49,82 +35,3 @@ def _grad_np(coeffs, expo, x):
         mono = np.prod(x[np.newaxis, :] ** e, axis=1)
         grad[i] = np.dot(coeffs[mask] * expo[mask, i], mono)
     return grad
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _eval_nb(coeffs, expo, x):
-        total = coeffs[0] * 0.0
-        for a in range(expo.shape[0]):
-            term = coeffs[a]
-            for i in range(expo.shape[1]):
-                e = expo[a, i]
-                if e > 0:
-                    term = term * x[i] ** e
-            total += term
-        return total
-
-    @njit(cache=True)
-    def _eval_many_nb(coeffs, expo, xs):
-        out = np.empty(xs.shape[0], dtype=coeffs.dtype)
-        for p in range(xs.shape[0]):
-            out[p] = _eval_nb(coeffs, expo, xs[p])
-        return out
-
-    @njit(cache=True)
-    def _grad_nb(coeffs, expo, x):
-        n = expo.shape[1]
-        grad = np.zeros(n, dtype=coeffs.dtype)
-        for a in range(expo.shape[0]):
-            for i in range(n):
-                e = expo[a, i]
-                if e == 0:
-                    continue
-                term = coeffs[a] * e
-                for j in range(n):
-                    ej = expo[a, j]
-                    if j == i:
-                        ej -= 1
-                    if ej > 0:
-                        term = term * x[j] ** ej
-                grad[i] += term
-        return grad
-
-
-def _use_numba(coeffs, x):
-    # Mixed real/complex dtypes are promoted by the callers; the jitted
-    # kernels only accept matching dtypes.
-    return HAVE_NUMBA and coeffs.dtype == x.dtype
-
-
-def evaluate_poly(coeffs, expo, x):
-    """Sum of coeffs[a] * prod_i x[i]**expo[a, i]."""
-    dt = np.result_type(coeffs, x)
-    coeffs = np.ascontiguousarray(coeffs, dtype=dt)
-    x = np.ascontiguousarray(x, dtype=dt)
-    if _use_numba(coeffs, x):
-        return _eval_nb(coeffs, expo, x)
-    return _eval_np(coeffs, expo, x)
-
-
-def evaluate_poly_many(coeffs, expo, xs):
-    """Evaluate one polynomial at many points; xs has shape (m, n)."""
-    dt = np.result_type(coeffs, xs)
-    coeffs = np.ascontiguousarray(coeffs, dtype=dt)
-    xs = np.ascontiguousarray(xs, dtype=dt)
-    if HAVE_NUMBA and coeffs.dtype == xs.dtype:
-        return _eval_many_nb(coeffs, expo, xs)
-    return _eval_many_np(coeffs, expo, xs)
-
-
-def gradient_poly(coeffs, expo, x):
-    """Gradient of the monomial sum; holomorphic derivative for complex."""
-    dt = np.result_type(coeffs, x)
-    coeffs = np.ascontiguousarray(coeffs, dtype=dt)
-    x = np.ascontiguousarray(x, dtype=dt)
-    if _use_numba(coeffs, x):
-        return _grad_nb(coeffs, expo, x)
-    return _grad_np(coeffs, expo, x)

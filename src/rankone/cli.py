@@ -17,6 +17,8 @@ from .bounds import (
 )
 from .experiments import (
     UsageError,
+    _bound_dict,
+    _fmt,
     estimate_ratio_distribution,
     export_report,
     render_report,
@@ -47,20 +49,8 @@ def _floats(s):
     return tuple(float(x) for x in s.split(","))
 
 
-def _fmt_obj(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return "%.12e" % obj
-    if isinstance(obj, dict):
-        return {k: _fmt_obj(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_fmt_obj(x) for x in obj]
-    return obj
-
-
 def _emit(data):
-    sys.stdout.write(json.dumps(_fmt_obj(data), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(_fmt(data), sort_keys=True, indent=2) + "\n")
 
 
 def _build_parser():
@@ -208,36 +198,34 @@ def _apply_config_file(subparsers, argv):
         sp.set_defaults(**{k: v for k, v in parsed.items() if k in dests})
 
 
+# flags each --model needs
+_MODEL_FLAGS = {
+    "gaussian_tensor": ("shape", "field"),
+    "kostlan": ("d", "n", "field"),
+    "harmonic": ("d", "n"),
+    "kostlan_multi": ("ds", "ns", "field"),
+    "projection": ("N", "k", "field"),
+    "rank_one": ("shape", "field"),
+    "identity": ("n",),
+}
+
+
+def _required(args, what, keys):
+    """{key: flag value} for keys; UsageError naming every missing flag."""
+    values = {k: getattr(args, k, None) for k in keys}
+    missing = ["--" + k.replace("_", "-") for k, v in values.items() if v is None]
+    if missing:
+        raise UsageError(f"{what} needs {', '.join(missing)}")
+    return values
+
+
 def _model_params(args):
+    if not args.model:
+        raise UsageError("--model required")
     name = args.model.replace("-", "_")
-    if name == "gaussian_tensor":
-        if not args.shape:
-            raise UsageError("--shape required for gaussian-tensor")
-        return name, {"shape": args.shape, "field": args.field}
-    if name == "kostlan":
-        return name, {"d": args.d, "n": args.n, "field": args.field}
-    if name == "harmonic":
-        return name, {"d": args.d, "n": args.n}
-    if name == "kostlan_multi":
-        return name, {"ds": args.ds, "ns": args.ns, "field": args.field}
-    if name == "projection":
-        return name, {"N": args.N, "k": args.k, "field": args.field}
-    if name == "rank_one":
-        return name, {"shape": args.shape, "field": args.field}
-    if name == "identity":
-        return name, {"n": args.n}
-    raise UsageError(f"unknown model {args.model!r}")
-
-
-def _bound_row(bset):
-    return {
-        "problem": bset.problem,
-        "field": bset.field,
-        "lower": bset.lower,
-        "upper": bset.upper,
-        "vacuous": bset.vacuous,
-        "extras": dict(bset.extras),
-    }
+    if name not in _MODEL_FLAGS:
+        raise UsageError(f"unknown model {args.model!r}")
+    return name, _required(args, f"--model {args.model}", _MODEL_FLAGS[name])
 
 
 def _cmd_bounds(args):
@@ -252,7 +240,7 @@ def _cmd_bounds(args):
         bset = bounds_general(args.shape, args.field)
     else:
         raise UsageError("pick one of --sym, --partial or --shape")
-    _emit(_bound_row(bset))
+    _emit(_bound_dict(bset))
     return 0
 
 
@@ -335,6 +323,7 @@ def _cmd_verify(args):
 
 def _cmd_experiment(args):
     if args.kind == "bw-l2":
+        _required(args, "bw-l2", ("d", "n"))
         report = verify_bw_l2_constant(args.d, args.n, args.seed or 0)
         return _finish_report(report, args)
     if args.seed is None:
@@ -346,8 +335,7 @@ def _cmd_experiment(args):
             name, params, args.samples, args.t_grid, args.seed, cfg, args.workers
         )
     else:
-        if not args.d_grid:
-            raise UsageError("trend needs --d-grid")
+        _required(args, "trend", ("n", "d_grid"))
         report = trend_large_d(args.n, args.d_grid, args.samples, args.seed, cfg, args.workers)
     return _finish_report(report, args)
 

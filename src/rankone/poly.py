@@ -22,6 +22,9 @@ from .tensor import (
     FieldError,
     Tensor,
     _dtype_for,
+    _field_array,
+    _parse_header,
+    _parse_scalar,
     is_symmetric,
 )
 
@@ -92,13 +95,12 @@ class HomogPoly:
     field: str
 
     def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=_dtype_for(self.field))
+        coeffs = _field_array(self.coeffs, self.field)
         if coeffs.shape != (num_monomials(self.d, self.n),):
             raise ShapeError(
                 f"expected {num_monomials(self.d, self.n)} coefficients, "
                 f"got {coeffs.shape}"
             )
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -235,11 +237,10 @@ class MultiHomogPoly:
         object.__setattr__(self, "ds", tuple(int(d) for d in self.ds))
         if len(self.ns) != len(self.ds) or not self.ns:
             raise ShapeError("block count mismatch")
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=_dtype_for(self.field))
+        coeffs = _field_array(self.coeffs, self.field)
         size = int(np.prod([num_monomials(d, n) for d, n in zip(self.ds, self.ns)]))
         if coeffs.shape != (size,):
             raise ShapeError(f"expected {size} coefficients, got {coeffs.shape}")
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -331,13 +332,6 @@ def _fmt_scalar(c, field):
     return "%.17e,%.17e" % (c.real, c.imag)
 
 
-def _parse_scalar(s, field):
-    parts = s.split(",")
-    if field == REAL:
-        return float(parts[0])
-    return complex(float(parts[0]), float(parts[1]))
-
-
 def dump_poly(f):
     lines = ["poly n=%d d=%d field=%s" % (f.n, f.d, f.field)]
     for alpha, c in zip(f.exponents, f.coeffs):
@@ -359,31 +353,33 @@ def dump_multi_poly(f):
     return "\n".join(lines) + "\n"
 
 
+def _parse_coeffs(lines, index, field):
+    """Dense coefficients from ``exponents: value`` lines (blocks split by |)."""
+    coeffs = np.zeros(len(index), dtype=_dtype_for(field))
+    for ln in lines:
+        key, _, val = ln.partition(":")
+        alpha = tuple(int(a) for part in key.split("|") for a in part.split(","))
+        if alpha not in index:
+            raise ValueError(f"monomial {key.strip()} does not fit the header")
+        coeffs[index[alpha]] = _parse_scalar(val.strip(), field)
+    return coeffs
+
+
 def load_poly(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    meta = dict(kv.split("=") for kv in head[1:])
+    kind, meta, body = _parse_header(
+        text, {"poly": ("n", "d", "field"), "multipoly": ("ns", "ds", "field")}
+    )
     field = meta["field"]
-    if head[0] == "poly":
+    if kind == "poly":
         n, d = int(meta["n"]), int(meta["d"])
-        coeffs = np.zeros(num_monomials(d, n), dtype=_dtype_for(field))
-        idx = monomial_index(d, n)
-        for ln in lines[1:]:
-            key, val = ln.split(":")
-            alpha = tuple(int(a) for a in key.split(","))
-            coeffs[idx[alpha]] = _parse_scalar(val.strip(), field)
+        if n < 1 or d < 0:
+            raise ValueError(f"bad poly header n={n} d={d}")
+        coeffs = _parse_coeffs(body, monomial_index(d, n), field)
         return HomogPoly(n, d, coeffs, field)
-    if head[0] == "multipoly":
-        ns = tuple(int(s) for s in meta["ns"].split(","))
-        ds = tuple(int(s) for s in meta["ds"].split(","))
-        expo = multi_monomial_exponents(ds, ns)
-        index = {tuple(row): i for i, row in enumerate(expo)}
-        coeffs = np.zeros(expo.shape[0], dtype=_dtype_for(field))
-        for ln in lines[1:]:
-            key, val = ln.split(":")
-            flat = tuple(
-                int(a) for part in key.split("|") for a in part.split(",")
-            )
-            coeffs[index[flat]] = _parse_scalar(val.strip(), field)
-        return MultiHomogPoly(ns, ds, coeffs, field)
-    raise ValueError("not a polynomial serialization")
+    ns = tuple(int(s) for s in meta["ns"].split(","))
+    ds = tuple(int(s) for s in meta["ds"].split(","))
+    if min(ns) < 1 or min(ds) < 0:
+        raise ValueError(f"bad multipoly header ns={ns} ds={ds}")
+    expo = multi_monomial_exponents(ds, ns)
+    index = {tuple(row): i for i, row in enumerate(expo)}
+    return MultiHomogPoly(ns, ds, _parse_coeffs(body, index, field), field)

@@ -1,8 +1,9 @@
 """Spectral / uniform norm estimation and the rank-one approximation ratio.
 
 General tensors use multi-start alternating maximization (closed-form,
-monotone block updates).  Symmetric forms use multi-start projected gradient
-ascent on the sphere with backtracking.  Both return certified LOWER bounds
+monotone block updates).  Forms and multi-homogeneous forms use one
+multi-start projected gradient ascent on a product of spheres with
+backtracking (a form is the one-sphere case).  Both return certified LOWER bounds
 on the true maximum.  A deterministic sphere-grid oracle is provided for
 certification at tiny sizes.
 """
@@ -19,7 +20,6 @@ from .poly import (
     MultiHomogPoly,
     bw_norm,
     multi_bw_norm,
-    num_monomials,
 )
 from .tensor import (
     COMPLEX,
@@ -127,8 +127,18 @@ def spectral_norm_general(t, cfg=MaximizerConfig()):
 # ------------------------------------------------ projected gradient ascent
 
 
-def _realified_objective(coeffs, expo, n, field):
-    """Return (dim, value_fn, grad_fn) for |f|^2 on the (realified) sphere."""
+def _realified_objective(coeffs, expo, ns, field):
+    """Return (blocks, value_fn, grad_fn, unpack) for |f|^2 on a product of
+    (realified) spheres.
+
+    The point y holds one contiguous block per variable block; a complex block
+    of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
+    the slices of y that each lie on a unit sphere, and ``unpack(y)`` returns
+    the per-block vectors over the field.
+    """
+    k = 2 if field == COMPLEX else 1
+    offsets = np.cumsum((0,) + tuple(k * n for n in ns))
+    blocks = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
     if field == REAL:
 
         def value(y):
@@ -139,26 +149,43 @@ def _realified_objective(coeffs, expo, n, field):
             v = evaluate_poly(coeffs, expo, y)
             return 2.0 * v * gradient_poly(coeffs, expo, y)
 
-        return n, value, grad
+        def unpack(y):
+            return tuple(y[b] for b in blocks)
+
+        return blocks, value, grad, unpack
 
     ccoeffs = coeffs.astype(np.complex128)
+    re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
+    im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
     def value(y):
-        z = y[:n] + 1j * y[n:]
+        z = y[re] + 1j * y[im]
         v = evaluate_poly(ccoeffs, expo, z)
         return (v * np.conj(v)).real
 
     def grad(y):
-        z = y[:n] + 1j * y[n:]
+        z = y[re] + 1j * y[im]
         v = evaluate_poly(ccoeffs, expo, z)
         gz = np.conj(v) * gradient_poly(ccoeffs, expo, z)
-        return np.concatenate([2.0 * gz.real, -2.0 * gz.imag])
+        g = np.empty(len(y))
+        g[re] = 2.0 * gz.real
+        g[im] = -2.0 * gz.imag
+        return g
 
-    return 2 * n, value, grad
+    def unpack(y):
+        z = y[re] + 1j * y[im]
+        return tuple(np.split(z, np.cumsum(ns)[:-1]))
+
+    return blocks, value, grad, unpack
 
 
-def _pga_sphere(dim, value, grad, x0, max_iters, tol):
-    """Ascend |f|^2 on the unit sphere with backtracking; monotone."""
+def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
+    """Ascend |f|^2 on a product of unit spheres with backtracking; monotone.
+
+    Every block (a slice of x) is kept on its own sphere: the gradient is
+    projected onto each block's tangent space and each probe is renormalised
+    block by block.  All blocks share one step and one line search.
+    """
     x = x0
     obj = value(x)
     step = 1.0
@@ -166,9 +193,17 @@ def _pga_sphere(dim, value, grad, x0, max_iters, tol):
     converged = False
     iters = 0
     stalls = 0
+
+    def probe(t):
+        y = x + t * r
+        for b in blocks:
+            y[b] /= np.linalg.norm(y[b])
+        return y, value(y)
+
     for iters in range(1, max_iters + 1):
-        g = grad(x)
-        r = g - np.dot(g, x) * x
+        r = grad(x)
+        for b in blocks:
+            r[b] -= np.dot(r[b], x[b]) * x[b]
         rn = np.linalg.norm(r)
         if rn <= 1e-15 * max(1.0, abs(obj)):
             converged = True
@@ -176,11 +211,6 @@ def _pga_sphere(dim, value, grad, x0, max_iters, tol):
         # geometric line search: shrink until the step improves at all, then
         # walk the step size toward the best value in either direction; this
         # avoids both overshoots past the peak and false stalls
-        def probe(t):
-            y = x + t * r
-            y /= np.linalg.norm(y)
-            return y, value(y)
-
         t = min(max(step, 1e-12), 1e6)
         y, oy = probe(t)
         while oy <= obj and t > 1e-18:
@@ -211,99 +241,30 @@ def _pga_sphere(dim, value, grad, x0, max_iters, tol):
     return x, obj, iters, converged, history
 
 
+def _sphere_product_max(coeffs, expo, ns, field, cfg):
+    """Multi-start ascent of |f| over the product of unit spheres in K^ns."""
+    blocks, value, grad, unpack = _realified_objective(coeffs, expo, ns, field)
+    results = []
+    for s in range(cfg.starts):
+        rng = _start_rng(cfg.seed, s)
+        x0 = np.concatenate([_random_unit(rng, b.stop - b.start, REAL) for b in blocks])
+        x, obj, iters, conv, hist = _pga_sphere(blocks, value, grad, x0, cfg.max_iters, cfg.tol)
+        results.append(SpectralResult(float(np.sqrt(obj)), unpack(x), iters, conv, tuple(hist)))
+    return _pick_best(results)
+
+
 def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None):
     """Maximize |f(x)| over the unit sphere (realified for complex)."""
     if bw_norm(f) == 0.0:
         raise ZeroInputError("zero polynomial")
-    fld = over_field or f.field
-    dim, value, grad = _realified_objective(f.coeffs, f.exponents, f.n, fld)
-    results = []
-    for s in range(cfg.starts):
-        rng = _start_rng(cfg.seed, s)
-        x0 = _random_unit(rng, dim, REAL)
-        x, obj, iters, conv, hist = _pga_sphere(dim, value, grad, x0, cfg.max_iters, cfg.tol)
-        if fld == COMPLEX:
-            maximizer = x[: f.n] + 1j * x[f.n :]
-        else:
-            maximizer = x
-        results.append(
-            SpectralResult(float(np.sqrt(obj)), (maximizer,), iters, conv, tuple(hist))
-        )
-    return _pick_best(results)
+    return _sphere_product_max(f.coeffs, f.exponents, (f.n,), over_field or f.field, cfg)
 
 
 def uniform_norm_multi(F, cfg=MaximizerConfig()):
-    """Block-cyclic ascent of |F| over the product of spheres."""
+    """Maximize |F(x^1, ..., x^m)| over the product of unit spheres."""
     if multi_bw_norm(F) == 0.0:
         raise ZeroInputError("zero polynomial")
-    m = F.m
-    ns = F.ns
-    cplx = F.field == COMPLEX
-    k = 2 if cplx else 1
-    dims = [k * n for n in ns]
-    offsets = np.cumsum([0] + dims)
-    expo = F.exponents
-    coeffs = F.coeffs.astype(np.complex128) if cplx else F.coeffs
-
-    def split(y):
-        blocks = []
-        for j in range(m):
-            b = y[offsets[j] : offsets[j + 1]]
-            blocks.append(b[: ns[j]] + 1j * b[ns[j] :] if cplx else b)
-        return blocks
-
-    def value(y):
-        z = np.concatenate(split(y))
-        v = evaluate_poly(coeffs, expo, z)
-        return (v * np.conj(v)).real if cplx else v * v
-
-    def block_grad(y, j):
-        z = np.concatenate(split(y))
-        v = evaluate_poly(coeffs, expo, z)
-        g = gradient_poly(coeffs, expo, z)
-        lo = sum(ns[:j])
-        gz = g[lo : lo + ns[j]]
-        if cplx:
-            gz = np.conj(v) * gz
-            return np.concatenate([2.0 * gz.real, -2.0 * gz.imag])
-        return 2.0 * v * gz
-
-    results = []
-    for s in range(cfg.starts):
-        rng = _start_rng(cfg.seed, s)
-        y = np.concatenate([_random_unit(rng, dim, REAL) for dim in dims])
-        obj = value(y)
-        history = [float(obj)]
-        converged = False
-        iters = 0
-        for iters in range(1, cfg.max_iters + 1):
-            for j in range(m):
-                g = block_grad(y, j)
-                xj = y[offsets[j] : offsets[j + 1]]
-                r = g - np.dot(g, xj) * xj
-                rn = np.linalg.norm(r)
-                if rn <= 1e-15 * max(1.0, abs(obj)):
-                    continue
-                t = 1.0
-                while t > 1e-18:
-                    cand = xj + t * r
-                    cand /= np.linalg.norm(cand)
-                    ynew = y.copy()
-                    ynew[offsets[j] : offsets[j + 1]] = cand
-                    onew = value(ynew)
-                    if onew > obj + 1e-4 * t * rn * rn:
-                        y, obj = ynew, onew
-                        break
-                    t *= 0.5
-            history.append(float(obj))
-            if history[-1] - history[-2] <= cfg.tol * max(1.0, obj):
-                converged = True
-                break
-        maximizer = tuple(split(y))
-        results.append(
-            SpectralResult(float(np.sqrt(obj)), maximizer, iters, converged, tuple(history))
-        )
-    return _pick_best(results)
+    return _sphere_product_max(F.coeffs, F.exponents, F.ns, F.field, cfg)
 
 
 # ----------------------------------------------------------------- grid oracle

@@ -28,6 +28,15 @@ def _dtype_for(field):
     raise FieldError(f"unknown field {field!r}")
 
 
+def _field_array(values, field):
+    """Values as a read-only contiguous array over the field; NaN/inf rejected."""
+    arr = np.ascontiguousarray(values, dtype=_dtype_for(field))
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries (NaN or inf)")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Tensor:
     """Dense tensor with an explicit scalar-field tag.
@@ -40,8 +49,7 @@ class Tensor:
     field: str
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=_dtype_for(self.field))
-        data.setflags(write=False)
+        data = _field_array(self.data, self.field)
         object.__setattr__(self, "data", data)
         if data.ndim < 1 or any(n < 1 for n in data.shape):
             raise DimensionError(f"invalid shape {data.shape}")
@@ -170,20 +178,36 @@ def dump_tensor(t):
     return "\n".join(lines) + "\n"
 
 
-def load_tensor(text):
+def _parse_header(text, kinds):
+    """Split a serialization into (kind, header fields, body lines).
+
+    The first non-blank line reads ``kind key=value ...``; ``kinds`` maps each
+    accepted kind to the keys its header must carry.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "tensor":
-        raise ValueError("not a tensor serialization")
-    meta = dict(kv.split("=") for kv in head[1:])
+    head = lines[0].split() if lines else []
+    if not head or head[0] not in kinds:
+        raise ValueError(f"not a {' or '.join(kinds)} serialization")
+    meta = dict(kv.partition("=")[::2] for kv in head[1:])
+    missing = [k for k in kinds[head[0]] if not meta.get(k)]
+    if missing:
+        raise ValueError(f"{head[0]} header lacks {', '.join(missing)}")
+    return head[0], meta, lines[1:]
+
+
+def _parse_scalar(s, field):
+    parts = s.split(",")
+    if len(parts) != (1 if field == REAL else 2):
+        raise ValueError(f"bad {field} entry {s!r}")
+    if field == REAL:
+        return float(parts[0])
+    return complex(float(parts[0]), float(parts[1]))
+
+
+def load_tensor(text):
+    _, meta, body = _parse_header(text, {"tensor": ("shape", "field")})
     shape = tuple(int(s) for s in meta["shape"].split(","))
     field = meta["field"]
-    vals = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if field == REAL:
-            vals.append(float(parts[0]))
-        else:
-            vals.append(complex(float(parts[0]), float(parts[1])))
+    vals = [_parse_scalar(ln.strip(), field) for ln in body]
     data = np.array(vals, dtype=_dtype_for(field)).reshape(shape)
     return Tensor(data, field)

@@ -142,3 +142,28 @@ def test_stdout_deterministic_across_processes():
     p2 = subprocess.run(args + ["--workers", "4"], capture_output=True, text=True)
     assert p1.returncode == 0
     assert p1.stdout == p2.stdout
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("tensor shape=2,2 field=real\n1.0\nnan\n0.5\n2.0\n", ()),
+        ("poly n=2 d=2 field=real\n2,0: 1.0\n3,0: 1.0\n", ()),
+        ("2,0:1.0\n0,2:1.0\n", ()),
+        ("poly n=0 d=2 field=real\n", ()),
+        ("", ("verify", "--model", "kostlan", "--n", "2", "--seed", "1")),
+        ("", ("verify", "--model", "harmonic", "--n", "2", "--seed", "1")),
+    ],
+    ids=["nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d", "harmonic-no-d"],
+)
+def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):
+    if not argv:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = ("ratio", "--in", str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -184,3 +184,14 @@ def test_dump_load_round_trip():
     F = multi_from_single(f)
     text = dump_multi_poly(F)
     assert "multipoly" in text.splitlines()[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_data_rejected(bad):
+    field = COMPLEX if isinstance(bad, complex) else REAL
+    with pytest.raises(ValueError, match="non-finite"):
+        Tensor(np.array([[1.0, bad], [0.0, 1.0]]), field)
+    with pytest.raises(ValueError, match="non-finite"):
+        HomogPoly(2, 1, np.array([bad, 1.0]), field)
+    with pytest.raises(ValueError, match="non-finite"):
+        MultiHomogPoly((2, 1), (1, 1), np.array([1.0, bad]), field)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankone.poly import multi_from_single, poly_from_coeff_dict
+from rankone.poly import MultiHomogPoly, multi_from_single, poly_from_coeff_dict
 from rankone.sampling import gaussian_tensor, kostlan_form, kostlan_multi, uniform_sphere
 from rankone.spectral import (
     BudgetError,
@@ -114,6 +114,17 @@ def test_multi_matches_brute_force():
     assert res.value <= grid + 1e-2
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 4)])
+def test_multi_matches_alternating_on_general_tensors(shape, field):
+    # a general tensor is the multilinear form with one degree-1 block per
+    # mode, so the sphere-product ascent must reach the alternating maximum
+    t = gaussian_tensor(shape, field, 12)
+    F = MultiHomogPoly(shape, (1,) * len(shape), t.data.ravel(), field)
+    expected = spectral_norm_general(t, CFG).value
+    assert uniform_norm_multi(F, CFG).value == pytest.approx(expected, rel=1e-7)
+
+
 def test_ratio_bounded_by_one():
     for seed in range(5):
         t = gaussian_tensor((3, 3, 3), REAL, seed)
@@ -150,17 +161,3 @@ def test_deterministic_given_seed():
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.maximizer[0], r2.maximizer[0])
 
-
-def test_kernels_numpy_fallback_matches(monkeypatch):
-    from rankone import _kernels
-    from rankone.poly import evaluate, gradient, num_monomials
-    from rankone.poly import HomogPoly
-
-    rng = np.random.default_rng(12)
-    f = HomogPoly(3, 4, rng.standard_normal(num_monomials(4, 3)), REAL)
-    x = rng.standard_normal(3)
-    v_fast = evaluate(f, x)
-    g_fast = gradient(f, x)
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    assert evaluate(f, x) == pytest.approx(v_fast, rel=1e-13)
-    np.testing.assert_allclose(gradient(f, x), g_fast, rtol=1e-13)
