@@ -202,23 +202,17 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
     checks = []
 
     # (a) per-sample hard lower bound; the optimizer under-approximates the
-    # true ratio, so apparent violations are re-certified with 4x starts
-    worst = stats.min
-    violators = [r for r in stats.records if r[1] < bset.lower - _HARD_TOL]
+    # true ratio, so apparent violations are re-certified with 4x starts and
+    # the recertified values stand in for the first ones
+    values = {idx: v for idx, v, _ in stats.records}
+    violators = [idx for idx, v in values.items() if v < bset.lower - _HARD_TOL]
     if violators:
         recheck = replace(cfg, starts=cfg.starts * 4)
-        still = []
-        for idx, _, _ in violators:
+        for idx in violators:
             obj = _draw(model, params, int(seed), idx)
-            v, _ = _ratio_with_flag(obj, replace(recheck, seed=_cfg_seed(seed, idx)))
-            worst = max(worst, v) if v > worst else worst
-            if v < bset.lower - _HARD_TOL:
-                still.append((idx, v))
-        passed = not still
-        lhs = min(v for _, v in still) if still else max(worst, bset.lower)
-    else:
-        passed = True
-        lhs = worst
+            values[idx], _ = _ratio_with_flag(obj, replace(recheck, seed=_cfg_seed(seed, idx)))
+    lhs = min(values.values())
+    passed = lhs >= bset.lower - _HARD_TOL
     checks.append(
         Check("per-sample-ratio-ge-lower [lower-bound]", ">=", lhs, bset.lower, passed)
     )
@@ -262,24 +256,22 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
     # (d) complex vs real uniform norm for real symmetric models
     if model in ("kostlan", "harmonic") and params.get("field", REAL) == REAL:
         factor = math.sqrt(2.0 ** params["d"])
-        sub = min(5, samples)
-        ok = True
-        worst_pair = (0.0, 0.0)
-        for idx in range(sub):
+        # report the measured pair with the smallest margin factor * vr - vc
+        pairs = []
+        for idx in range(min(5, samples)):
             f = _draw(model, params, int(seed), idx)
             scfg = replace(cfg, seed=_cfg_seed(seed, idx))
             vr = spectral_norm_symmetric(f, scfg).value
             vc = spectral_norm_symmetric(f, scfg, over_field=COMPLEX).value
-            if vc > factor * vr + 1e-6:
-                ok = False
-                worst_pair = (vc, factor * vr)
+            pairs.append((vc, factor * vr))
+        vc, bound = min(pairs, key=lambda p: p[1] - p[0])
         checks.append(
             Check(
                 "complex-le-sqrt2d-real [real-vs-complex-norm]",
                 "<=",
-                worst_pair[0],
-                worst_pair[1] if not ok else factor,
-                ok,
+                vc,
+                bound,
+                vc <= bound + 1e-6,
             )
         )
 

@@ -3,9 +3,10 @@
 General tensors use multi-start alternating maximization (closed-form,
 monotone block updates).  Forms and multi-homogeneous forms use one
 multi-start projected gradient ascent on a product of spheres with
-backtracking (a form is the one-sphere case).  Both return certified LOWER bounds
-on the true maximum.  A deterministic sphere-grid oracle is provided for
-certification at tiny sizes.
+backtracking (a form is the one-sphere case); its starts advance in lockstep
+as one batch of points, each with its own step and line search.  Both return
+certified LOWER bounds on the true maximum.  A deterministic sphere-grid
+oracle is provided for certification at tiny sizes.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -14,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from ._kernels import evaluate_poly, evaluate_poly_many, gradient_poly
+from ._kernels import evaluate_poly, evaluate_poly_many, gradient_poly_many
 from .poly import (
     HomogPoly,
     MultiHomogPoly,
@@ -131,23 +132,24 @@ def _realified_objective(coeffs, expo, ns, field):
     """Return (blocks, value_fn, grad_fn, unpack) for |f|^2 on a product of
     (realified) spheres.
 
-    The point y holds one contiguous block per variable block; a complex block
+    A point y holds one contiguous block per variable block; a complex block
     of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
-    the slices of y that each lie on a unit sphere, and ``unpack(y)`` returns
-    the per-block vectors over the field.
+    the slices of y that each lie on a unit sphere.  ``value`` and ``grad``
+    take a batch of points, one per row, and ``unpack(y)`` returns the
+    per-block vectors over the field of one point.
     """
     k = 2 if field == COMPLEX else 1
     offsets = np.cumsum((0,) + tuple(k * n for n in ns))
     blocks = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
     if field == REAL:
 
-        def value(y):
-            v = evaluate_poly(coeffs, expo, y)
+        def value(ys):
+            v = evaluate_poly_many(coeffs, expo, ys)
             return v * v
 
-        def grad(y):
-            v = evaluate_poly(coeffs, expo, y)
-            return 2.0 * v * gradient_poly(coeffs, expo, y)
+        def grad(ys):
+            v = evaluate_poly_many(coeffs, expo, ys)
+            return 2.0 * v[:, np.newaxis] * gradient_poly_many(coeffs, expo, ys)
 
         def unpack(y):
             return tuple(y[b] for b in blocks)
@@ -158,18 +160,18 @@ def _realified_objective(coeffs, expo, ns, field):
     re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
     im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
-    def value(y):
-        z = y[re] + 1j * y[im]
-        v = evaluate_poly(ccoeffs, expo, z)
+    def value(ys):
+        z = ys[:, re] + 1j * ys[:, im]
+        v = evaluate_poly_many(ccoeffs, expo, z)
         return (v * np.conj(v)).real
 
-    def grad(y):
-        z = y[re] + 1j * y[im]
-        v = evaluate_poly(ccoeffs, expo, z)
-        gz = np.conj(v) * gradient_poly(ccoeffs, expo, z)
-        g = np.empty(len(y))
-        g[re] = 2.0 * gz.real
-        g[im] = -2.0 * gz.imag
+    def grad(ys):
+        z = ys[:, re] + 1j * ys[:, im]
+        v = evaluate_poly_many(ccoeffs, expo, z)
+        gz = np.conj(v)[:, np.newaxis] * gradient_poly_many(ccoeffs, expo, z)
+        g = np.empty(ys.shape)
+        g[:, re] = 2.0 * gz.real
+        g[:, im] = -2.0 * gz.imag
         return g
 
     def unpack(y):
@@ -180,76 +182,102 @@ def _realified_objective(coeffs, expo, ns, field):
 
 
 def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
-    """Ascend |f|^2 on a product of unit spheres with backtracking; monotone.
+    """Ascend |f|^2 on a product of unit spheres from every row of x0; monotone.
 
-    Every block (a slice of x) is kept on its own sphere: the gradient is
+    Every block (a slice of a row) is kept on its own sphere: the gradient is
     projected onto each block's tangent space and each probe is renormalised
-    block by block.  All blocks share one step and one line search.
-    """
-    x = x0
-    obj = value(x)
-    step = 1.0
-    history = [float(obj)]
-    converged = False
-    iters = 0
-    stalls = 0
+    block by block.  All blocks of a start share one step and one line
+    search.  The starts advance in lockstep: each keeps its own step, line
+    search phase, stall count and history, each round of the line search
+    probes only the starts still in that phase in one batched call, and a
+    start drops out when it converges.  A row's arithmetic does not depend on
+    the other rows, so each start ends exactly where it would alone.
 
-    def probe(t):
-        y = x + t * r
+    Returns (x, obj, iterations, converged, histories), one entry per row.
+    """
+    x = np.array(x0, dtype=float)
+    starts = len(x)
+    obj = value(x)
+    step = np.ones(starts)
+    iters = np.full(starts, max_iters)
+    converged = np.zeros(starts, dtype=bool)
+    stalls = np.zeros(starts, dtype=int)
+    history = [[v] for v in obj.tolist()]
+    live = np.arange(starts)
+
+    def probe(rows, t):
+        y = xl[rows] + t[:, np.newaxis] * r[rows]
         for b in blocks:
-            y[b] /= np.linalg.norm(y[b])
+            y[:, b] /= np.sqrt(np.add.reduce(y[:, b] * y[:, b], axis=1))[:, np.newaxis]
         return y, value(y)
 
-    for iters in range(1, max_iters + 1):
-        r = grad(x)
-        for b in blocks:
-            r[b] -= np.dot(r[b], x[b]) * x[b]
-        rn = np.linalg.norm(r)
-        if rn <= 1e-15 * max(1.0, abs(obj)):
-            converged = True
+    for it in range(1, max_iters + 1):
+        if not len(live):
             break
+        xl, ol = x[live], obj[live]
+        r = grad(xl)
+        for b in blocks:
+            r[:, b] -= (r[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
+        flat = np.linalg.norm(r, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(ol))
+        if flat.any():
+            converged[live[flat]] = True
+            iters[live[flat]] = it
+            live, xl, ol, r = live[~flat], xl[~flat], ol[~flat], r[~flat]
+            if not len(live):
+                break
         # geometric line search: shrink until the step improves at all, then
         # walk the step size toward the best value in either direction; this
         # avoids both overshoots past the peak and false stalls
-        t = min(max(step, 1e-12), 1e6)
-        y, oy = probe(t)
-        while oy <= obj and t > 1e-18:
-            t *= 0.5
-            y, oy = probe(t)
-        improved = oy > obj
-        if improved:
-            for _ in range(200):
-                y2, o2 = probe(2.0 * t)
-                if o2 > oy and 2.0 * t <= 1e6:
-                    t, y, oy = 2.0 * t, y2, o2
-                    continue
-                yh, oh = probe(0.5 * t)
-                if oh > oy and 0.5 * t >= 1e-18:
-                    t, y, oy = 0.5 * t, yh, oh
-                    continue
+        t = np.clip(step[live], 1e-12, 1e6)
+        y, oy = probe(np.arange(len(live)), t)
+        back = np.flatnonzero((oy <= ol) & (t > 1e-18))
+        while len(back):
+            t[back] *= 0.5
+            y[back], oy[back] = probe(back, t[back])
+            back = back[(oy[back] <= ol[back]) & (t[back] > 1e-18)]
+        improved = oy > ol
+        walk = np.flatnonzero(improved)
+        for _ in range(200):
+            if not len(walk):
                 break
-            x, obj = y, oy
-            step = t
-        history.append(float(obj))
-        if not improved or history[-1] - history[-2] <= tol * max(1.0, obj):
-            stalls += 1
-            if stalls >= 2 or not improved:
-                converged = True
-                break
-        else:
-            stalls = 0
-    return x, obj, iters, converged, history
+            t2 = 2.0 * t[walk]
+            y2, o2 = probe(walk, t2)
+            up = (o2 > oy[walk]) & (t2 <= 1e6)
+            rest, walk = walk[~up], walk[up]
+            t[walk], y[walk], oy[walk] = t2[up], y2[up], o2[up]
+            if len(rest):
+                th = 0.5 * t[rest]
+                yh, oh = probe(rest, th)
+                down = (oh > oy[rest]) & (th >= 1e-18)
+                w = rest[down]
+                t[w], y[w], oy[w] = th[down], yh[down], oh[down]
+                walk = np.concatenate([walk, w])
+        moved = live[improved]
+        x[moved], obj[moved], step[moved] = y[improved], oy[improved], t[improved]
+        for s, v in zip(live.tolist(), obj[live].tolist()):
+            history[s].append(v)
+        small = obj[live] - ol <= tol * np.maximum(1.0, obj[live])
+        stalls[live[small]] += 1
+        stalls[live[~small]] = 0
+        done = ~improved | (stalls[live] >= 2)
+        converged[live[done]] = True
+        iters[live[done]] = it
+        live = live[~done]
+    return x, obj, iters, converged, [tuple(h) for h in history]
 
 
 def _sphere_product_max(coeffs, expo, ns, field, cfg):
     """Multi-start ascent of |f| over the product of unit spheres in K^ns."""
     blocks, value, grad, unpack = _realified_objective(coeffs, expo, ns, field)
-    results = []
+    x0 = []
     for s in range(cfg.starts):
         rng = _start_rng(cfg.seed, s)
-        x0 = np.concatenate([_random_unit(rng, b.stop - b.start, REAL) for b in blocks])
-        x, obj, iters, conv, hist = _pga_sphere(blocks, value, grad, x0, cfg.max_iters, cfg.tol)
-        results.append(SpectralResult(float(np.sqrt(obj)), unpack(x), iters, conv, tuple(hist)))
+        x0.append(np.concatenate([_random_unit(rng, b.stop - b.start, REAL) for b in blocks]))
+    x, obj, iters, conv, hists = _pga_sphere(blocks, value, grad, np.array(x0), cfg.max_iters, cfg.tol)
+    results = [
+        SpectralResult(float(np.sqrt(obj[s])), unpack(x[s]), int(iters[s]), bool(conv[s]), hists[s])
+        for s in range(cfg.starts)
+    ]
     return _pick_best(results)
 
 

@@ -151,3 +151,33 @@ def test_report_checks_carry_tags():
     rep = verify_bounds("gaussian_tensor", {"shape": (2, 2, 2), "field": REAL}, 5, CFG, 29)
     for c in rep.checks:
         assert "[" in c.name and "]" in c.name
+
+
+def test_complex_real_check_reports_measured_pair():
+    rep = verify_bounds("kostlan", {"d": 4, "n": 2, "field": REAL}, 6, CFG, 31)
+    (check,) = [c for c in rep.checks if "real-vs-complex-norm" in c.name]
+    assert check.passed
+    assert 0.0 < check.lhs <= check.rhs
+
+
+def test_recertified_values_replace_the_first_ones(monkeypatch):
+    import rankone.experiments as ex
+
+    seed, target = 33, 3
+    real = ex._ratio_with_flag
+
+    def fake(obj, cfg):
+        # sample 3 falls below the bound with CFG.starts and passes the recheck
+        if cfg.seed == ex._cfg_seed(seed, target):
+            return (0.4, True) if cfg.starts == CFG.starts else (0.99, True)
+        return real(obj, cfg)
+
+    monkeypatch.setattr(ex, "_ratio_with_flag", fake)
+    rep = verify_bounds("gaussian_tensor", {"shape": (2, 2, 2), "field": REAL}, 8, CFG, seed)
+    (stats,) = rep.stats
+    others = [v for i, v, _ in stats.records if i != target]
+    check = rep.checks[0]
+    assert check.name.startswith("per-sample-ratio-ge-lower")
+    assert check.passed
+    assert check.lhs == min(others + [0.99])
+    assert check.lhs < 0.99

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rankone._kernels import evaluate_poly_many, gradient_poly, gradient_poly_many
 from rankone.poly import (
     HomogPoly,
     MultiHomogPoly,
@@ -77,6 +78,39 @@ def test_gradient_finite_difference():
             fd = (evaluate(f, xp) - evaluate(f, xm)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-5)
 
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_gradient_many_matches_single_naive_and_finite_differences(field):
+    rng = np.random.default_rng(2)
+    d, n = 4, 3
+    expo = monomial_exponents(d, n)
+    c = rng.standard_normal(len(expo))
+    xs = rng.standard_normal((6, n))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.size)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    # zero coordinates: 0**0 entries of the power table, clipped exponents
+    xs[0] = 0.0
+    xs[1, 0] = 0.0
+    xs[2, 1:] = 0.0
+    g = gradient_poly_many(c, expo, xs)
+    np.testing.assert_array_equal(g, [gradient_poly(c, expo, x) for x in xs])
+    naive = np.zeros(xs.shape, dtype=complex)
+    for k, x in enumerate(xs):
+        for ca, a in zip(c, expo):
+            for i in np.flatnonzero(a):
+                e = a.copy()
+                e[i] -= 1
+                naive[k, i] += ca * a[i] * np.prod([x[j] ** int(e[j]) for j in range(n)])
+    np.testing.assert_allclose(g, naive, rtol=1e-12, atol=1e-12)
+    # the holomorphic derivative is the difference quotient along real steps
+    h = 1e-6
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = h
+        fd = (evaluate_poly_many(c, expo, xs + step) - evaluate_poly_many(c, expo, xs - step)) / (2 * h)
+        np.testing.assert_allclose(g[:, i], fd, rtol=1e-7, atol=1e-7)
 
 def test_euler_identity():
     # x . grad f = d f for homogeneous f

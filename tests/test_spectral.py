@@ -14,6 +14,8 @@ from rankone.spectral import (
     spectral_value,
     sphere_grid,
     total_norm,
+    _pga_sphere,
+    _realified_objective,
     uniform_norm_multi,
 )
 from rankone.tensor import COMPLEX, REAL, Tensor, UnitVectorTuple, rank_one
@@ -161,3 +163,32 @@ def test_deterministic_given_seed():
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.maximizer[0], r2.maximizer[0])
 
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        kostlan_form(6, 3, REAL, 13),
+        kostlan_form(5, 2, COMPLEX, 14),
+        kostlan_multi((2, 3), (2, 3), REAL, 15),
+    ],
+    ids=["real", "complex", "multi"],
+)
+def test_lockstep_starts_match_single_runs(form):
+    # every start of a lockstep batch must end exactly where it ends alone
+    ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
+    blocks, value, grad, _ = _realified_objective(form.coeffs, form.exponents, ns, form.field)
+    x0 = np.random.default_rng(3).standard_normal((9, blocks[-1].stop))
+    for b in blocks:
+        x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
+    for max_iters in (500, 6):
+        _, obj, iters, conv, _ = _pga_sphere(blocks, value, grad, x0, max_iters, 1e-12)
+        for s in range(len(x0)):
+            _, o1, i1, c1, _ = _pga_sphere(blocks, value, grad, x0[s : s + 1], max_iters, 1e-12)
+            assert o1[0] == pytest.approx(obj[s], rel=1e-12)
+            assert i1[0] == iters[s]
+            assert c1[0] == conv[s]
+        if max_iters == 500:  # the starts retire at different rounds
+            assert conv.all() and len(set(iters.tolist())) > 1
+        else:  # some starts are cut off unconverged
+            assert not conv.all()
