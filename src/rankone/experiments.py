@@ -32,7 +32,7 @@ from .harmonic import (
     zonal,
     zonal_pole_value,
 )
-from .poly import bw_inner
+from .poly import bw_inner, bw_norm
 from .sampling import (
     SeedSpec,
     gaussian_harmonic,
@@ -217,17 +217,6 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
         Check("per-sample-ratio-ge-lower [lower-bound]", ">=", lhs, bset.lower, passed)
     )
 
-    # (b) the empirical minimum witnesses A(V) from above
-    checks.append(
-        Check(
-            "empirical-min-ge-lower [lower-bound]",
-            ">=",
-            stats.min if passed else lhs,
-            bset.lower - _HARD_TOL,
-            (stats.min >= bset.lower - _HARD_TOL) or passed,
-        )
-    )
-
     # (c) mean against the expectation bound, skipped when vacuous
     key = _EXPECTATION_KEY.get(model)
     if key is not None and key in bset.extras:
@@ -256,12 +245,13 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
     # (d) complex vs real uniform norm for real symmetric models
     if model in ("kostlan", "harmonic") and params.get("field", REAL) == REAL:
         factor = math.sqrt(2.0 ** params["d"])
-        # report the measured pair with the smallest margin factor * vr - vc
+        # report the measured pair with the smallest margin factor * vr - vc;
+        # the real norm is the (recertified) record value times the BW norm
         pairs = []
         for idx in range(min(5, samples)):
             f = _draw(model, params, int(seed), idx)
+            vr = values[idx] * bw_norm(f)
             scfg = replace(cfg, seed=_cfg_seed(seed, idx))
-            vr = spectral_norm_symmetric(f, scfg).value
             vc = spectral_norm_symmetric(f, scfg, over_field=COMPLEX).value
             pairs.append((vc, factor * vr))
         vc, bound = min(pairs, key=lambda p: p[1] - p[0])

@@ -3,10 +3,11 @@
 General tensors use multi-start alternating maximization (closed-form,
 monotone block updates).  Forms and multi-homogeneous forms use one
 multi-start projected gradient ascent on a product of spheres with
-backtracking (a form is the one-sphere case); its starts advance in lockstep
-as one batch of points, each with its own step and line search.  Both return
-certified LOWER bounds on the true maximum.  A deterministic sphere-grid
-oracle is provided for certification at tiny sizes.
+backtracking (a form is the one-sphere case).  Both advance their starts in
+lockstep as one batch: the alternating method updates a mode of every live
+start with one batched contraction, the ascent gives each start its own step
+and line search.  Both return certified LOWER bounds on the true maximum.  A
+deterministic sphere-grid oracle is provided for certification at tiny sizes.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -26,8 +27,7 @@ from .tensor import (
     COMPLEX,
     REAL,
     Tensor,
-    UnitVectorTuple,
-    contract_all_but,
+    contract_all_but_many,
     frobenius_norm,
 )
 
@@ -53,6 +53,8 @@ class MaximizerConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -94,35 +96,72 @@ def spectral_norm_general(t, cfg=MaximizerConfig()):
     """Multi-start alternating maximization of |<T, x^1 (x) ... (x) x^d>|."""
     if frobenius_norm(t) == 0.0:
         raise ZeroInputError("zero tensor")
-    d = t.order
-    results = []
+    x0 = [np.empty((cfg.starts, n), dtype=t.data.dtype) for n in t.shape]
     for s in range(cfg.starts):
         rng = _start_rng(cfg.seed, s)
-        xs = [_random_unit(rng, n, t.field) for n in t.shape]
-        obj_prev = -np.inf
-        history = []
-        converged = False
-        iters = 0
-        for iters in range(1, cfg.max_iters + 1):
-            obj = obj_prev
-            for j in range(d):
-                v = contract_all_but(t, UnitVectorTuple(tuple(xs), t.field), j)
-                nrm = np.linalg.norm(v)
-                if nrm == 0.0:
-                    continue
-                # bilinear pairing sum_i v_i x_i is maximized in modulus
-                # at x = conj(v) / |v|, with objective |v|
-                xs[j] = np.conj(v) / nrm
-                obj = nrm
-            history.append(float(obj))
-            if obj - obj_prev <= cfg.tol * max(1.0, abs(obj)):
-                converged = True
-                break
-            obj_prev = obj
-        results.append(
-            SpectralResult(float(history[-1]), tuple(xs), iters, converged, tuple(history))
+        for x in x0:
+            x[s] = _random_unit(rng, x.shape[1], t.field)
+    xs, obj, iters, conv, hists = _alternating(t, x0, cfg.max_iters, cfg.tol)
+    results = [
+        SpectralResult(
+            float(obj[s]), tuple(x[s] for x in xs), int(iters[s]), bool(conv[s]), hists[s]
         )
+        for s in range(cfg.starts)
+    ]
     return _pick_best(results)
+
+
+def _alternating(t, x0, max_iters, tol):
+    """Alternating maximization of |<T, x^1 (x) ... (x) x^d>| from every start.
+
+    ``x0[j]`` is an (S, n_j) array of unit rows, row s holding start s.  Each
+    mode update is the closed form below and never lowers the objective.  The
+    starts advance in lockstep: each mode update is one batched contraction
+    over the live starts, each start keeps its own objective, history and
+    convergence test, and a start drops out when it converges.
+
+    Returns (xs, obj, iterations, converged, histories), one row or entry per
+    start.
+    """
+    rows = [np.array(x, dtype=t.data.dtype) for x in x0]
+    xs = [np.empty_like(r) for r in rows]
+    starts = len(rows[0])
+    obj = np.full(starts, -np.inf)
+    iters = np.full(starts, max_iters)
+    converged = np.zeros(starts, dtype=bool)
+    history = [[] for _ in range(starts)]
+    live = np.arange(starts)
+    for it in range(1, max_iters + 1):
+        if not len(live):
+            break
+        prev = obj[live]
+        cur = prev.copy()
+        for j in range(len(rows)):
+            v = contract_all_but_many(t, rows, j)
+            nrm = np.sqrt(np.add.reduce((v * np.conj(v)).real, axis=1))
+            # bilinear pairing sum_i v_i x_i is maximized in modulus
+            # at x = conj(v) / |v|, with objective |v|
+            ok = nrm != 0.0
+            if ok.all():
+                rows[j], cur = np.conj(v) / nrm[:, np.newaxis], nrm
+            else:
+                rows[j][ok] = np.conj(v[ok]) / nrm[ok, np.newaxis]
+                cur[ok] = nrm[ok]
+        obj[live] = cur
+        for s, o in zip(live.tolist(), cur.tolist()):
+            history[s].append(o)
+        done = cur - prev <= tol * np.maximum(1.0, np.abs(cur))
+        if done.any():
+            ended = live[done]
+            converged[ended] = True
+            iters[ended] = it
+            for x, r in zip(xs, rows):
+                x[ended] = r[done]
+            live = live[~done]
+            rows = [r[~done] for r in rows]
+    for x, r in zip(xs, rows):
+        x[live] = r
+    return xs, obj, iters, converged, [tuple(h) for h in history]
 
 
 # ------------------------------------------------ projected gradient ascent

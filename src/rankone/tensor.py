@@ -123,16 +123,32 @@ def contract_all_but(t, xs, j):
     The plain bilinear pairing sum_i v[i] * x^j[i] recovers <T, x^1 (x) ... (x) x^d>
     for both fields.
     """
+    return contract_all_but_many(t, [v[np.newaxis] for v in xs.vectors], j)[0]
+
+
+def contract_all_but_many(t, rows, j):
+    """``contract_all_but`` for a batch of vector tuples at once.
+
+    ``rows[k]`` is an (S, n_k) array whose row s is the mode-k vector of tuple
+    s (``rows[j]`` is not read).  Returns the (S, n_j) array whose row s is
+    ``contract_all_but`` of tuple s.  Modes are contracted one at a time from
+    the last: one matrix product of the tensor (mode j moved to the front)
+    against the last block, then one per-row product-sum per remaining mode.
+    """
     d = t.order
     if not 0 <= j < d:
         raise IndexError(f"mode {j} out of range for order {d}")
-    cur = np.conj(t.data)
-    # contract trailing modes first so that axis numbers stay valid
-    for k in range(d - 1, -1, -1):
-        if k == j:
-            continue
-        cur = np.tensordot(cur, xs.vectors[k], axes=([k], [0]))
-    return cur
+    if len(rows) != d:
+        raise DimensionError(f"need {d} row blocks, got {len(rows)}")
+    data = np.conj(t.data) if t.field == COMPLEX else t.data
+    if d == 1:
+        return np.tile(data, (len(rows[0]), 1))
+    order = (j, *range(j), *range(j + 1, d))
+    cur = data.transpose(order).reshape(-1, t.shape[order[-1]]) @ rows[order[-1]].T
+    cur = cur.reshape(*(t.shape[k] for k in order[:-1]), -1)
+    for k in reversed(order[1:-1]):
+        cur = np.einsum("...ks,sk->...s", cur, rows[k])
+    return cur.T
 
 
 def _is_cubical(t):

@@ -144,6 +144,18 @@ def test_stdout_deterministic_across_processes():
     assert p1.stdout == p2.stdout
 
 
+def test_tensor_report_identical_across_workers():
+    args = [
+        sys.executable, "-m", "rankone.cli", "verify", "--model", "gaussian-tensor",
+        "--shape", "3,3,3", "--samples", "16", "--seed", "7", "--starts", "6",
+    ]  # fmt: skip
+    p1 = subprocess.run(args + ["--workers", "1"], capture_output=True)
+    p2 = subprocess.run(args + ["--workers", "2"], capture_output=True)
+    assert p1.returncode == 0 and p2.returncode == 0
+    assert b"per-sample-ratio-ge-lower" in p1.stdout
+    assert p1.stdout == p2.stdout
+
+
 @pytest.mark.parametrize(
     "text, argv",
     [

@@ -17,8 +17,9 @@ from rankone.experiments import (
     trend_large_d,
     verify_bounds,
 )
+from rankone.poly import bw_norm
 from rankone.spectral import MaximizerConfig
-from rankone.tensor import REAL
+from rankone.tensor import COMPLEX, REAL
 
 CFG = MaximizerConfig(starts=6, max_iters=300)
 
@@ -158,6 +159,28 @@ def test_complex_real_check_reports_measured_pair():
     (check,) = [c for c in rep.checks if "real-vs-complex-norm" in c.name]
     assert check.passed
     assert 0.0 < check.lhs <= check.rhs
+
+
+def test_complex_real_check_reuses_record_values(monkeypatch):
+    import rankone.experiments as ex
+
+    fields = []
+    ascent = ex.spectral_norm_symmetric
+
+    def spy(f, cfg, over_field=None):
+        fields.append(over_field)
+        return ascent(f, cfg, over_field)
+
+    monkeypatch.setattr(ex, "spectral_norm_symmetric", spy)
+    params = {"d": 4, "n": 2, "field": REAL}
+    rep = verify_bounds("kostlan", params, 6, CFG, 31)
+    assert fields == [COMPLEX] * 5  # no real ascent is run a second time
+    (stats,) = rep.stats
+    (check,) = [c for c in rep.checks if "real-vs-complex-norm" in c.name]
+    real_norms = [
+        v * bw_norm(ex._draw("kostlan", params, 31, i)) for i, v, _ in stats.records[:5]
+    ]
+    assert check.rhs in [4.0 * vr for vr in real_norms]
 
 
 def test_recertified_values_replace_the_first_ones(monkeypatch):

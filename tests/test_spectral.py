@@ -14,6 +14,7 @@ from rankone.spectral import (
     spectral_value,
     sphere_grid,
     total_norm,
+    _alternating,
     _pga_sphere,
     _realified_objective,
     uniform_norm_multi,
@@ -149,6 +150,12 @@ def test_grid_budget_error():
         brute_force_uniform_norm(t, 10**4)
 
 
+@pytest.mark.parametrize("kw", [{"starts": 0}, {"max_iters": 0}, {"tol": 0.0}])
+def test_config_rejects_empty_search(kw):
+    with pytest.raises(ValueError):
+        MaximizerConfig(**kw)
+
+
 def test_zero_tensor_rejected():
     from rankone.spectral import ZeroInputError
 
@@ -192,3 +199,48 @@ def test_lockstep_starts_match_single_runs(form):
             assert conv.all() and len(set(iters.tolist())) > 1
         else:  # some starts are cut off unconverged
             assert not conv.all()
+
+
+@pytest.mark.parametrize(
+    "shape, field", [((3, 3, 3), REAL), ((2, 3, 4), COMPLEX), ((3, 2, 2, 3), COMPLEX)]
+)
+def test_lockstep_tensor_starts_match_single_runs(shape, field):
+    # every start of a lockstep batch must end exactly where it ends alone
+    t = gaussian_tensor(shape, field, 16)
+    rng = np.random.default_rng(4)
+    x0 = []
+    for n in shape:
+        x = rng.standard_normal((9, n))
+        if field == COMPLEX:
+            x = x + 1j * rng.standard_normal((9, n))
+        x0.append(x / np.linalg.norm(x, axis=1)[:, np.newaxis])
+    for max_iters in (400, 3):
+        xs, obj, iters, conv, _ = _alternating(t, x0, max_iters, 1e-12)
+        for s in range(9):
+            x1, o1, i1, c1, _ = _alternating(t, [x[s : s + 1] for x in x0], max_iters, 1e-12)
+            assert o1[0] == pytest.approx(obj[s], rel=1e-12)
+            for a, b in zip(x1, xs):
+                np.testing.assert_allclose(a[0], b[s], rtol=0, atol=1e-10)
+            assert i1[0] == iters[s]
+            assert c1[0] == conv[s]
+        if max_iters == 400:  # the starts retire at different rounds
+            assert conv.all() and len(set(iters.tolist())) > 1
+        else:  # some starts are cut off unconverged
+            assert not conv.all()
+
+
+@pytest.mark.parametrize(
+    "seed, shape, field, value, iterations",
+    [
+        (31, (3, 3, 3), REAL, 3.944647356125139, 27),
+        (32, (2, 3, 4), COMPLEX, 4.135896386787339, 14),
+        (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 18),
+    ],
+)
+def test_general_values_pinned(seed, shape, field, value, iterations):
+    # values of the one-start-at-a-time alternating method, which the
+    # lockstep run reproduces up to float rounding
+    cfg = MaximizerConfig(starts=8, max_iters=500, seed=seed)
+    res = spectral_norm_general(gaussian_tensor(shape, field, seed), cfg)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert res.iterations == iterations and res.converged

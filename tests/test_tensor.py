@@ -9,6 +9,7 @@ from rankone.tensor import (
     Tensor,
     UnitVectorTuple,
     contract_all_but,
+    contract_all_but_many,
     dump_tensor,
     frobenius_inner,
     frobenius_norm,
@@ -64,6 +65,34 @@ def test_contract_all_but_matches_einsum():
     v = contract_all_but(t, xs, 1)
     ref = np.einsum("ijk,i,k->j", t.data, xs.vectors[0], xs.vectors[2])
     np.testing.assert_allclose(v, ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4, 4), (2, 3, 4), (3, 2, 2, 3), (2, 5, 1, 3)])
+def test_contract_many_rows_match_single(shape, field):
+    rng = np.random.default_rng(len(shape))
+
+    def draw(*size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if field == COMPLEX else x
+
+    t = Tensor(draw(*shape), field)
+    rows = [draw(7, n) for n in shape]
+    rows = [r / np.linalg.norm(r, axis=1)[:, np.newaxis] for r in rows]
+    letters = "abcd"[: len(shape)]
+    for j in range(len(shape)):
+        many = contract_all_but_many(t, rows, j)
+        assert many.shape == (7, shape[j])
+        # independent reference: one einsum over all modes but j
+        others = [k for k in range(len(shape)) if k != j]
+        spec = ",".join([letters] + ["s" + letters[k] for k in others])
+        ref = np.einsum(f"{spec}->s{letters[j]}", np.conj(t.data), *(rows[k] for k in others))
+        np.testing.assert_allclose(many, ref, rtol=0, atol=1e-13)
+        for s in range(7):
+            xs = UnitVectorTuple(tuple(r[s] for r in rows), field)
+            np.testing.assert_allclose(many[s], contract_all_but(t, xs, j), rtol=0, atol=1e-13)
+    with pytest.raises(IndexError):
+        contract_all_but_many(t, rows, len(shape))
 
 
 def test_contraction_pairing_recovers_full_inner_complex():
