@@ -2,7 +2,9 @@
 
 The batched kernels reduce each point's row on its own (elementwise products
 summed along the last axis, no matrix product), so a point's value and
-gradient do not depend on which other points share the batch.
+gradient depend on the other points of the batch at most through the last bit
+of vectorized arithmetic.  They take one coefficient vector of shape (N,) for
+every point, or one row of an (m, N) coefficient matrix per point.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ def _power_table(xs, expo):
 
 
 def evaluate_poly_many(coeffs, expo, xs):
-    """Evaluate one polynomial at many points; xs has shape (m, n)."""
+    """Evaluate at many points; xs has shape (m, n), coeffs (N,) or (m, N)."""
     coeffs, xs = _promote(coeffs, xs)
     cols = np.arange(expo.shape[1])
     mono = np.prod(_power_table(xs, expo)[:, cols, expo], axis=2)
@@ -35,7 +37,8 @@ def evaluate_poly_many(coeffs, expo, xs):
 def gradient_poly_many(coeffs, expo, xs):
     """Gradients at many points, shape (m, n); holomorphic derivative for complex.
 
-    The derivative of x^a in x_i is a_i x^(a - e_i): each monomial's factor
+    coeffs is one vector (N,) for all points or an (m, N) matrix, row k for
+    point k.  The derivative of x^a in x_i is a_i x^(a - e_i): each monomial's factor
     x_i^a_i is swapped for x_i^(a_i - 1), read from the same power table.
     Where a_i = 0 the shifted exponent is clipped to 0 and the term carries
     the weight a_i = 0.
@@ -48,7 +51,7 @@ def gradient_poly_many(coeffs, expo, xs):
     shifted = table[:, cols, np.maximum(expo - 1, 0)]  # (m, N, n): x_j^(a_j - 1)
     swapped = np.repeat(factors[:, np.newaxis], n, axis=1)  # (m, i, N, j)
     swapped[:, cols, :, cols] = shifted.transpose(2, 0, 1)
-    weights = (expo * coeffs[:, np.newaxis]).T  # (i, N): a_i * c_a
+    weights = expo.T * coeffs[..., np.newaxis, :]  # ([m,] i, N): a_i * c_a
     return (np.prod(swapped, axis=3) * weights).sum(axis=2)
 
 

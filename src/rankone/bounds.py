@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .tensor import COMPLEX, REAL
 
@@ -28,12 +27,12 @@ def _k_for(field):
 
 
 def log_binom(a, b):
-    return float(gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0))
+    return math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
 
 
 def log_binom_half(d, n):
     """ln binom(d + n/2 - 1, d) = ln Gamma(d + n/2) - ln Gamma(d+1) - ln Gamma(n/2)."""
-    return float(gammaln(d + 0.5 * n) - gammaln(d + 1.0) - gammaln(0.5 * n))
+    return math.lgamma(d + 0.5 * n) - math.lgamma(d + 1.0) - math.lgamma(0.5 * n)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def bounds_symmetric(d, n, field=REAL):
 
 def symmetric_upper_relaxed(d, n):
     """6 (1 + 1/ln d) sqrt(d! ln d) n^(-(d-1)/2)."""
-    lg = 0.5 * (gammaln(d + 1.0) + math.log(math.log(d))) - 0.5 * (d - 1) * math.log(n)
+    lg = 0.5 * (math.lgamma(d + 1.0) + math.log(math.log(d))) - 0.5 * (d - 1) * math.log(n)
     return float(6.0 * (1.0 + 1.0 / math.log(d)) * np.exp(lg))
 
 
@@ -222,16 +221,16 @@ def bounds_symmetric_large_d(d, n, field=REAL):
     if field == REAL:
         if d < n * n / 4.0:
             raise DomainError(f"real branch needs d >= n^2/4, got d={d}, n={n}")
-        lg_low = 0.5 * (gammaln(n) - d * math.log(2.0) - (n - 1) * lnd)
+        lg_low = 0.5 * (math.lgamma(n) - d * math.log(2.0) - (n - 1) * lnd)
         lower = math.exp(lg_low) * (1.0 - n * n / (4.0 * d))
         lg_up = 0.5 * (
-            gammaln(0.5 * n + 1.0) + math.log(lnd) - d * math.log(2.0) - (0.5 * n - 1.0) * lnd
+            math.lgamma(0.5 * n + 1.0) + math.log(lnd) - d * math.log(2.0) - (0.5 * n - 1.0) * lnd
         )
         upper = 9.0 * math.exp(lg_up) * (1.0 + 1.0 / (4.0 * d))
     else:
-        lg_low = 0.5 * (gammaln(n) - (n - 1) * lnd)
+        lg_low = 0.5 * (math.lgamma(n) - (n - 1) * lnd)
         lower = math.exp(lg_low) * (1.0 - n * n / (4.0 * d))
-        lg_up = 0.5 * (gammaln(n + 1.0) + math.log(lnd) - (n - 1) * lnd)
+        lg_up = 0.5 * (math.lgamma(n + 1.0) + math.log(lnd) - (n - 1) * lnd)
         upper = 10.0 * math.exp(lg_up)
     return BoundSet(
         problem=f"symmetric-large-d d={d} n={n}",
@@ -342,10 +341,10 @@ def projection_moment(N, k, ell, field=REAL):
     if field == COMPLEX:
         N, k = 2 * N, 2 * k
     lg = (
-        gammaln(0.5 * (k + ell))
-        + gammaln(0.5 * N)
-        - gammaln(0.5 * k)
-        - gammaln(0.5 * (N + ell))
+        math.lgamma(0.5 * (k + ell))
+        + math.lgamma(0.5 * N)
+        - math.lgamma(0.5 * k)
+        - math.lgamma(0.5 * (N + ell))
     )
     return float(np.exp(lg / ell))
 
@@ -358,7 +357,7 @@ def moment_series_constant(tol=1e-16):
     total = 1.0  # p = 0 term, with 0^0 = 1
     p = 1
     while True:
-        term = math.exp(p * math.log(p / 3.0) - gammaln(p + 1.0))
+        term = math.exp(p * math.log(p / 3.0) - math.lgamma(p + 1.0))
         total += term
         if term < tol:
             return total
@@ -444,7 +443,7 @@ def io_jacobian_det(zs):
 def binom_sandwich_whole(d, n):
     """(lower, binom(d+n-1,d)^(-1/2), upper) of the large-d sandwich."""
     mid = math.exp(-0.5 * log_binom(d + n - 1, d))
-    up = math.exp(0.5 * (gammaln(n) - (n - 1) * math.log(d)))
+    up = math.exp(0.5 * (math.lgamma(n) - (n - 1) * math.log(d)))
     lo = up * (1.0 - n * n / (4.0 * d))
     return lo, mid, up
 
@@ -452,7 +451,7 @@ def binom_sandwich_whole(d, n):
 def binom_sandwich_half(d, n):
     """(lower, binom(d+n/2-1,d)^(-1/2), upper) of the half-integer sandwich."""
     mid = math.exp(-0.5 * log_binom_half(d, n))
-    base = math.exp(0.5 * (gammaln(0.5 * n) - (0.5 * n - 1.0) * math.log(d)))
+    base = math.exp(0.5 * (math.lgamma(0.5 * n) - (0.5 * n - 1.0) * math.log(d)))
     lo = base * (1.0 - n * n / (16.0 * d))
     up = base * (1.0 + 1.0 / (4.0 * d))
     return lo, mid, up
@@ -460,7 +459,7 @@ def binom_sandwich_half(d, n):
 
 def gautschi_chain(d):
     """(1/sqrt(1+d), Gamma(d+1/2)/Gamma(d+1), 1/sqrt(d))."""
-    mid = math.exp(float(gammaln(d + 0.5) - gammaln(d + 1.0)))
+    mid = math.exp(math.lgamma(d + 0.5) - math.lgamma(d + 1.0))
     return 1.0 / math.sqrt(1.0 + d), mid, 1.0 / math.sqrt(d)
 
 
@@ -468,5 +467,5 @@ def scale_comparison_pair(d, n):
     """((binom^(-1/2), sqrt(d!)/n^(d/2)), (half-binom^(-1/2), 2^(d/2) sqrt(d!)/n^(d/2)))."""
     whole = math.exp(-0.5 * log_binom(d + n - 1, d))
     half = math.exp(-0.5 * log_binom_half(d, n))
-    rhs = math.exp(0.5 * (gammaln(d + 1.0) - d * math.log(n)))
+    rhs = math.exp(0.5 * (math.lgamma(d + 1.0) - d * math.log(n)))
     return (whole, rhs), (half, math.exp(0.5 * d * math.log(2.0)) * rhs)

@@ -46,6 +46,8 @@ from .spectral import (
     MaximizerConfig,
     ratio as ratio_of,
     spectral_norm_symmetric,
+    spectral_value_many,
+    total_norm,
 )
 from .tensor import COMPLEX, REAL, Tensor, UnitVectorTuple, rank_one
 
@@ -126,16 +128,25 @@ def _cfg_seed(seed, index):
     return (int(seed) * 0x9E3779B1 + index * 0x85EBCA77) % (2**63)
 
 
-def _ratio_record(args):
-    model, params, cfg, seed, index = args
-    obj = _draw(model, params, seed, index)
-    cfg = replace(cfg, seed=_cfg_seed(seed, index))
-    res_ratio, converged = _ratio_with_flag(obj, cfg)
-    return index, res_ratio, converged
+# samples per lockstep batch of the Monte Carlo pass; the chunks are fixed, so
+# the records do not depend on the number of workers
+_CHUNK = 8
+
+
+def _ratio_records(args):
+    """Records (index, ratio, converged) of one chunk of samples, whose
+    optimizer starts all run in one ``spectral_value_many`` batch."""
+    model, params, cfg, seed, indices = args
+    objs = [_draw(model, params, seed, i) for i in indices]
+    batch = spectral_value_many(objs, cfg, [_cfg_seed(seed, i) for i in indices])
+    return [
+        (i, res.value / total_norm(obj), bool(res.converged))
+        for i, obj, res in zip(indices, objs, batch.results)
+    ]
 
 
 def _ratio_with_flag(obj, cfg):
-    from .spectral import spectral_value, total_norm
+    from .spectral import spectral_value
 
     res = spectral_value(obj, cfg)
     total = total_norm(obj)
@@ -145,13 +156,16 @@ def _ratio_with_flag(obj, cfg):
 def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
     if samples < 1:
         raise UsageError(f"need samples >= 1, got {samples}")
-    tasks = [(model, dict(params), cfg, int(seed), i) for i in range(samples)]
+    tasks = [
+        (model, dict(params), cfg, int(seed), range(a, min(a + _CHUNK, samples)))
+        for a in range(0, samples, _CHUNK)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            recs = list(pool.map(_ratio_record, tasks, chunksize=8))
+            chunks = list(pool.map(_ratio_records, tasks))
     else:
-        recs = [_ratio_record(t) for t in tasks]
-    recs.sort(key=lambda r: r[0])
+        chunks = [_ratio_records(t) for t in tasks]
+    recs = [r for chunk in chunks for r in chunk]
     vals = np.array([r[1] for r in recs])
     if np.any(vals <= 0) or np.any(vals > 1 + 1e-9):
         raise RuntimeError("ratio estimate outside (0, 1]")

@@ -4,11 +4,9 @@ bases, exact sphere integrals and zonal (reproducing) harmonics.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, lgamma
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.special import gammaln
 
 from .poly import (
     HomogPoly,
@@ -40,7 +38,7 @@ def harmonic_dimension(d, n):
 
 def sphere_surface(n):
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
-    return float(2.0 * np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n)))
+    return float(2.0 * np.exp(0.5 * n * np.log(np.pi) - lgamma(0.5 * n)))
 
 
 def bw_l2_constant(d, n):
@@ -50,9 +48,9 @@ def bw_l2_constant(d, n):
         raise DomainError(f"need n >= 2, got {n}")
     lg = (
         (d - 1) * np.log(2.0)
-        + gammaln(d + 0.5 * n)
+        + lgamma(d + 0.5 * n)
         - 0.5 * n * np.log(np.pi)
-        - gammaln(d + 1.0)
+        - lgamma(d + 1.0)
     )
     return float(np.exp(lg))
 
@@ -60,6 +58,10 @@ def bw_l2_constant(d, n):
 @lru_cache(maxsize=None)
 def _sphere_monomial_gram(d, n):
     """Matrix of integrals over S^(n-1) of x^(alpha+beta) for |alpha|=|beta|=d."""
+    # scipy is imported where it is used: at module level it would more than
+    # double the import time of the package
+    from scipy.special import gammaln
+
     expo = monomial_exponents(d, n)
     s = expo[:, np.newaxis, :] + expo[np.newaxis, :, :]
     all_even = np.all(s % 2 == 0, axis=2)
@@ -127,6 +129,8 @@ def harmonic_basis(d, n):
     if d == 1:
         cols = np.eye(n)
     else:
+        from scipy.linalg import null_space  # see _sphere_monomial_gram
+
         lap = laplacian_matrix(d, n)
         cols = null_space(lap, rcond=_NULLSPACE_RCOND)
     cols = _mgs_bw(cols, d, n)

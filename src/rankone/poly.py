@@ -9,10 +9,9 @@ fixed degree d, exponent tuples are sorted lexicographically descending, so
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._kernels import evaluate_poly, evaluate_poly_many, gradient_poly
 from .tensor import (
@@ -72,7 +71,7 @@ def multinomial(d, alpha):
         for a in alpha:
             out //= factorial(a)
         return float(out)
-    lg = gammaln(d + 1) - sum(gammaln(a + 1) for a in alpha)
+    lg = lgamma(d + 1) - sum(lgamma(a + 1) for a in alpha)
     return float(np.exp(lg))
 
 

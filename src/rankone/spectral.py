@@ -3,11 +3,14 @@
 General tensors use multi-start alternating maximization (closed-form,
 monotone block updates).  Forms and multi-homogeneous forms use one
 multi-start projected gradient ascent on a product of spheres with
-backtracking (a form is the one-sphere case).  Both advance their starts in
-lockstep as one batch: the alternating method updates a mode of every live
-start with one batched contraction, the ascent gives each start its own step
-and line search.  Both return certified LOWER bounds on the true maximum.  A
-deterministic sphere-grid oracle is provided for certification at tiny sizes.
+backtracking (a form is the one-sphere case).  ``spectral_value_many`` runs
+every start of many objects of one kind, shape and field in lockstep as one
+batch: the alternating method updates a mode of every live start with one
+batched contraction, the ascent gives each start its own step and line
+search, and each object keeps the best of its own starts.  The one-object
+entry points are its calls with one object.  Both methods return certified
+LOWER bounds on the true maximum.  A deterministic sphere-grid oracle is
+provided for certification at tiny sizes.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -26,9 +29,11 @@ from .poly import (
 from .tensor import (
     COMPLEX,
     REAL,
+    FieldError,
     Tensor,
-    contract_all_but_many,
+    contract_stack,
     frobenius_norm,
+    mode_stack,
 )
 
 _TIE_TOL = 1e-14
@@ -68,6 +73,16 @@ class SpectralResult:
     history: tuple = dataclass_field(default=(), repr=False)
 
 
+@dataclass(frozen=True)
+class SpectralBatch:
+    """One ``SpectralResult`` per object of a ``spectral_value_many`` call and
+    the number of lockstep rounds the batch took (the largest iteration
+    count over all its starts)."""
+
+    results: tuple
+    iterations: int
+
+
 def _start_rng(seed, start):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(start,)))
 
@@ -94,36 +109,44 @@ def _pick_best(results):
 
 def spectral_norm_general(t, cfg=MaximizerConfig()):
     """Multi-start alternating maximization of |<T, x^1 (x) ... (x) x^d>|."""
-    if frobenius_norm(t) == 0.0:
-        raise ZeroInputError("zero tensor")
-    x0 = [np.empty((cfg.starts, n), dtype=t.data.dtype) for n in t.shape]
-    for s in range(cfg.starts):
-        rng = _start_rng(cfg.seed, s)
+    return spectral_value_many([t], cfg, [cfg.seed]).results[0]
+
+
+def _general_many(ts, cfg, seeds):
+    """Alternating maximization of same-shape tensors, all starts in lockstep."""
+    rows = len(ts) * cfg.starts
+    x0 = [np.empty((rows, n), dtype=ts[0].data.dtype) for n in ts[0].shape]
+    for row, (seed, s) in enumerate(product(seeds, range(cfg.starts))):
+        rng = _start_rng(seed, s)
         for x in x0:
-            x[s] = _random_unit(rng, x.shape[1], t.field)
-    xs, obj, iters, conv, hists = _alternating(t, x0, cfg.max_iters, cfg.tol)
-    results = [
-        SpectralResult(
-            float(obj[s]), tuple(x[s] for x in xs), int(iters[s]), bool(conv[s]), hists[s]
-        )
-        for s in range(cfg.starts)
-    ]
-    return _pick_best(results)
+            x[row] = _random_unit(rng, x.shape[1], ts[0].field)
+    which = np.repeat(np.arange(len(ts)), cfg.starts)
+    xs, obj, iters, conv, hists = _alternating(ts, which, x0, cfg.max_iters, cfg.tol)
+    return _best_per_object(
+        cfg.starts,
+        lambda r: SpectralResult(
+            float(obj[r]), tuple(x[r] for x in xs), int(iters[r]), bool(conv[r]), hists[r]
+        ),
+        iters,
+    )
 
 
-def _alternating(t, x0, max_iters, tol):
+def _alternating(ts, which, x0, max_iters, tol):
     """Alternating maximization of |<T, x^1 (x) ... (x) x^d>| from every start.
 
-    ``x0[j]`` is an (S, n_j) array of unit rows, row s holding start s.  Each
-    mode update is the closed form below and never lowers the objective.  The
-    starts advance in lockstep: each mode update is one batched contraction
-    over the live starts, each start keeps its own objective, history and
-    convergence test, and a start drops out when it converges.
+    ``ts`` are tensors of one shape and field, ``x0[j]`` is an (S, n_j) array
+    of unit rows, row s holding start s, and start s maximizes for tensor
+    ``ts[which[s]]``.  Each mode update is the closed form below and never
+    lowers the objective.  The starts advance in lockstep: each mode update
+    is one batched contraction over the live starts (the tensors are laid
+    out for it once per mode), each start keeps its own objective, history
+    and convergence test, and a start drops out when it converges.
 
     Returns (xs, obj, iterations, converged, histories), one row or entry per
     start.
     """
-    rows = [np.array(x, dtype=t.data.dtype) for x in x0]
+    stacks = [mode_stack(ts, j) for j in range(ts[0].order)]
+    rows = [np.array(x, dtype=ts[0].data.dtype) for x in x0]
     xs = [np.empty_like(r) for r in rows]
     starts = len(rows[0])
     obj = np.full(starts, -np.inf)
@@ -136,8 +159,9 @@ def _alternating(t, x0, max_iters, tol):
             break
         prev = obj[live]
         cur = prev.copy()
-        for j in range(len(rows)):
-            v = contract_all_but_many(t, rows, j)
+        owner = which[live]
+        for j, stack in enumerate(stacks):
+            v = contract_stack(stack, rows[:j] + rows[j + 1 :], owner)
             nrm = np.sqrt(np.add.reduce((v * np.conj(v)).real, axis=1))
             # bilinear pairing sum_i v_i x_i is maximized in modulus
             # at x = conj(v) / |v|, with objective |v|
@@ -173,22 +197,24 @@ def _realified_objective(coeffs, expo, ns, field):
 
     A point y holds one contiguous block per variable block; a complex block
     of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
-    the slices of y that each lie on a unit sphere.  ``value`` and ``grad``
-    take a batch of points, one per row, and ``unpack(y)`` returns the
-    per-block vectors over the field of one point.
+    the slices of y that each lie on a unit sphere.  ``coeffs`` holds one
+    coefficient row per start.  ``value(ys, ids)`` and ``grad(ys, ids)`` take
+    a batch of points, one per row, and the start ids of the rows, and
+    ``unpack(y)`` returns the per-block vectors over the field of one point.
     """
     k = 2 if field == COMPLEX else 1
     offsets = np.cumsum((0,) + tuple(k * n for n in ns))
     blocks = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
     if field == REAL:
 
-        def value(ys):
-            v = evaluate_poly_many(coeffs, expo, ys)
+        def value(ys, ids):
+            v = evaluate_poly_many(coeffs[ids], expo, ys)
             return v * v
 
-        def grad(ys):
-            v = evaluate_poly_many(coeffs, expo, ys)
-            return 2.0 * v[:, np.newaxis] * gradient_poly_many(coeffs, expo, ys)
+        def grad(ys, ids):
+            c = coeffs[ids]
+            v = evaluate_poly_many(c, expo, ys)
+            return 2.0 * v[:, np.newaxis] * gradient_poly_many(c, expo, ys)
 
         def unpack(y):
             return tuple(y[b] for b in blocks)
@@ -199,15 +225,16 @@ def _realified_objective(coeffs, expo, ns, field):
     re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
     im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
-    def value(ys):
+    def value(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
-        v = evaluate_poly_many(ccoeffs, expo, z)
+        v = evaluate_poly_many(ccoeffs[ids], expo, z)
         return (v * np.conj(v)).real
 
-    def grad(ys):
+    def grad(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
-        v = evaluate_poly_many(ccoeffs, expo, z)
-        gz = np.conj(v)[:, np.newaxis] * gradient_poly_many(ccoeffs, expo, z)
+        c = ccoeffs[ids]
+        v = evaluate_poly_many(c, expo, z)
+        gz = np.conj(v)[:, np.newaxis] * gradient_poly_many(c, expo, z)
         g = np.empty(ys.shape)
         g[:, re] = 2.0 * gz.real
         g[:, im] = -2.0 * gz.imag
@@ -229,14 +256,16 @@ def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
     search.  The starts advance in lockstep: each keeps its own step, line
     search phase, stall count and history, each round of the line search
     probes only the starts still in that phase in one batched call, and a
-    start drops out when it converges.  A row's arithmetic does not depend on
-    the other rows, so each start ends exactly where it would alone.
+    start drops out when it converges.  ``value`` and ``grad`` receive the
+    start ids of the rows they evaluate.  A row's arithmetic does not depend
+    on the other rows beyond float rounding, so each start ends where it
+    would alone.
 
     Returns (x, obj, iterations, converged, histories), one entry per row.
     """
     x = np.array(x0, dtype=float)
     starts = len(x)
-    obj = value(x)
+    obj = value(x, np.arange(starts))
     step = np.ones(starts)
     iters = np.full(starts, max_iters)
     converged = np.zeros(starts, dtype=bool)
@@ -248,13 +277,13 @@ def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
         y = xl[rows] + t[:, np.newaxis] * r[rows]
         for b in blocks:
             y[:, b] /= np.sqrt(np.add.reduce(y[:, b] * y[:, b], axis=1))[:, np.newaxis]
-        return y, value(y)
+        return y, value(y, live[rows])
 
     for it in range(1, max_iters + 1):
         if not len(live):
             break
         xl, ol = x[live], obj[live]
-        r = grad(xl)
+        r = grad(xl, live)
         for b in blocks:
             r[:, b] -= (r[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
         flat = np.linalg.norm(r, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(ol))
@@ -305,33 +334,50 @@ def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
     return x, obj, iters, converged, [tuple(h) for h in history]
 
 
-def _sphere_product_max(coeffs, expo, ns, field, cfg):
-    """Multi-start ascent of |f| over the product of unit spheres in K^ns."""
-    blocks, value, grad, unpack = _realified_objective(coeffs, expo, ns, field)
+def _sphere_product_many(coeffs, expo, ns, field, cfg, seeds):
+    """Multi-start ascent of |f| over the product of unit spheres in K^ns for
+    every coefficient row of ``coeffs``, all starts in lockstep."""
+    ids = np.repeat(np.arange(len(coeffs)), cfg.starts)
+    blocks, value, grad, unpack = _realified_objective(coeffs[ids], expo, ns, field)
     x0 = []
-    for s in range(cfg.starts):
-        rng = _start_rng(cfg.seed, s)
+    for seed, s in product(seeds, range(cfg.starts)):
+        rng = _start_rng(seed, s)
         x0.append(np.concatenate([_random_unit(rng, b.stop - b.start, REAL) for b in blocks]))
     x, obj, iters, conv, hists = _pga_sphere(blocks, value, grad, np.array(x0), cfg.max_iters, cfg.tol)
-    results = [
-        SpectralResult(float(np.sqrt(obj[s])), unpack(x[s]), int(iters[s]), bool(conv[s]), hists[s])
-        for s in range(cfg.starts)
-    ]
-    return _pick_best(results)
+    return _best_per_object(
+        cfg.starts,
+        lambda r: SpectralResult(
+            float(np.sqrt(obj[r])), unpack(x[r]), int(iters[r]), bool(conv[r]), hists[r]
+        ),
+        iters,
+    )
+
+
+def _best_per_object(starts, result, iters):
+    """SpectralBatch of the best ``result(row)`` of each consecutive group of
+    ``starts`` rows; ``iters`` holds the iteration count of every row."""
+    best = tuple(
+        _pick_best([result(r) for r in range(a, a + starts)])
+        for a in range(0, len(iters), starts)
+    )
+    return SpectralBatch(best, int(iters.max()))
 
 
 def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None):
-    """Maximize |f(x)| over the unit sphere (realified for complex)."""
-    if bw_norm(f) == 0.0:
-        raise ZeroInputError("zero polynomial")
-    return _sphere_product_max(f.coeffs, f.exponents, (f.n,), over_field or f.field, cfg)
+    """Maximize |f(x)| over the unit sphere (realified for complex).
+
+    ``over_field=COMPLEX`` maximizes a real form over the complex sphere.
+    """
+    if over_field not in (None, f.field):
+        if f.field == COMPLEX:
+            raise FieldError("a complex form has no real uniform norm")
+        f = HomogPoly(f.n, f.d, f.coeffs, over_field)
+    return spectral_value_many([f], cfg, [cfg.seed]).results[0]
 
 
 def uniform_norm_multi(F, cfg=MaximizerConfig()):
     """Maximize |F(x^1, ..., x^m)| over the product of unit spheres."""
-    if multi_bw_norm(F) == 0.0:
-        raise ZeroInputError("zero polynomial")
-    return _sphere_product_max(F.coeffs, F.exponents, F.ns, F.field, cfg)
+    return spectral_value_many([F], cfg, [cfg.seed]).results[0]
 
 
 # ----------------------------------------------------------------- grid oracle
@@ -430,13 +476,44 @@ def _brute_force_multi(F, resolution):
 
 
 def spectral_value(obj, cfg=MaximizerConfig()):
+    return spectral_value_many([obj], cfg, [cfg.seed]).results[0]
+
+
+def _space(obj):
+    """What the objects of one ``spectral_value_many`` call must share."""
     if isinstance(obj, Tensor):
-        return spectral_norm_general(obj, cfg)
+        return ("tensor", obj.shape, obj.field)
     if isinstance(obj, HomogPoly):
-        return spectral_norm_symmetric(obj, cfg)
+        return ("form", obj.d, obj.n, obj.field)
     if isinstance(obj, MultiHomogPoly):
-        return uniform_norm_multi(obj, cfg)
+        return ("multi-form", obj.ds, obj.ns, obj.field)
     raise TypeError(f"unsupported input {type(obj)!r}")
+
+
+def spectral_value_many(objs, cfg, seeds):
+    """``spectral_value`` of many objects in one lockstep batch.
+
+    The objects share a kind, a shape and a field (``ValueError`` otherwise).
+    Object i draws its starts from ``seeds[i]`` (``cfg.seed`` is not read),
+    every start of every object advances in one batch, and each object's
+    result is the best of its own starts: the result ``spectral_value``
+    gives with ``cfg.seed = seeds[i]``, up to float rounding.  Returns a
+    ``SpectralBatch``.
+    """
+    objs, seeds = tuple(objs), tuple(seeds)
+    if not objs or len(seeds) != len(objs):
+        raise ValueError(f"need one seed per object, got {len(seeds)} for {len(objs)}")
+    spaces = {_space(o) for o in objs}
+    if len(spaces) != 1:
+        raise ValueError(f"mixed inputs in one batch: {sorted(map(str, spaces))}")
+    if any(total_norm(o) == 0.0 for o in objs):
+        raise ZeroInputError("zero input")
+    first = objs[0]
+    if isinstance(first, Tensor):
+        return _general_many(objs, cfg, seeds)
+    ns = first.ns if isinstance(first, MultiHomogPoly) else (first.n,)
+    coeffs = np.stack([o.coeffs for o in objs])
+    return _sphere_product_many(coeffs, first.exponents, ns, first.field, cfg, seeds)
 
 
 def total_norm(obj):

@@ -131,23 +131,46 @@ def contract_all_but_many(t, rows, j):
 
     ``rows[k]`` is an (S, n_k) array whose row s is the mode-k vector of tuple
     s (``rows[j]`` is not read).  Returns the (S, n_j) array whose row s is
-    ``contract_all_but`` of tuple s.  Modes are contracted one at a time from
-    the last: one matrix product of the tensor (mode j moved to the front)
-    against the last block, then one per-row product-sum per remaining mode.
+    ``contract_all_but`` of tuple s.
     """
     d = t.order
     if not 0 <= j < d:
         raise IndexError(f"mode {j} out of range for order {d}")
     if len(rows) != d:
         raise DimensionError(f"need {d} row blocks, got {len(rows)}")
-    data = np.conj(t.data) if t.field == COMPLEX else t.data
-    if d == 1:
-        return np.tile(data, (len(rows[0]), 1))
-    order = (j, *range(j), *range(j + 1, d))
-    cur = data.transpose(order).reshape(-1, t.shape[order[-1]]) @ rows[order[-1]].T
-    cur = cur.reshape(*(t.shape[k] for k in order[:-1]), -1)
-    for k in reversed(order[1:-1]):
-        cur = np.einsum("...ks,sk->...s", cur, rows[k])
+    which = np.zeros(len(rows[0]), dtype=np.intp)
+    return contract_stack(mode_stack([t], j), [*rows[:j], *rows[j + 1 :]], which)
+
+
+def mode_stack(tensors, j):
+    """The data of same-shape tensors laid out for ``contract_stack``.
+
+    Conjugated for complex tensors, with mode j first, the other modes in
+    their order after it and the tensor index last: shape
+    (n_j, n_0, ..., n_{j-1}, n_{j+1}, ..., n_{d-1}, K).
+    """
+    fields = {t.field for t in tensors}
+    if len(fields) != 1:
+        raise FieldError(f"need one field, got {sorted(fields)}")
+    data = np.stack([t.data for t in tensors], axis=-1)
+    if COMPLEX in fields:
+        data = np.conj(data)
+    return np.ascontiguousarray(np.moveaxis(data, j, 0))
+
+
+def contract_stack(stack, rows, which):
+    """``contract_all_but`` of many (tensor, vector tuple) pairs at once.
+
+    ``stack`` is a ``mode_stack`` of tensors for mode j, and ``rows`` holds
+    one (S, n_k) array per other mode, in the stack's mode order.  Row s of
+    the (S, n_j) result contracts tensor ``which[s]`` with row s of every
+    array in ``rows``.  The modes are contracted one at a time from the last,
+    each as a per-row product-sum, so a row's value does not depend on the
+    other rows.
+    """
+    cur = stack[..., which]
+    for r in reversed(rows):
+        cur = np.einsum("...ks,sk->...s", cur, r)
     return cur.T
 
 

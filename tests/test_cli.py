@@ -157,6 +157,33 @@ def test_tensor_report_identical_across_workers():
 
 
 @pytest.mark.parametrize(
+    "model_args",
+    [
+        ["--model", "harmonic", "--d", "6", "--n", "3"],
+        ["--model", "kostlan-multi", "--ds", "2,3", "--ns", "2,2", "--field", "complex"],
+    ],
+    ids=["harmonic", "kostlan-multi-complex"],
+)
+def test_form_reports_identical_across_workers(model_args):
+    # 19 samples: two full chunks of 8 and a short one
+    args = [
+        sys.executable, "-m", "rankone.cli", "verify", *model_args,
+        "--samples", "19", "--seed", "5", "--starts", "6",
+    ]  # fmt: skip
+    outs = [subprocess.run(args + ["--workers", w], capture_output=True) for w in "123"]
+    assert all(p.returncode == 0 for p in outs)
+    assert len(json.loads(outs[0].stdout)["stats"][0]["records"]) == 19
+    assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, rankone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
     "text, argv",
     [
         ("tensor shape=2,2 field=real\n1.0\nnan\n0.5\n2.0\n", ()),

@@ -184,17 +184,31 @@ def test_complex_real_check_reuses_record_values(monkeypatch):
 
 
 def test_recertified_values_replace_the_first_ones(monkeypatch):
+    import dataclasses
+
     import rankone.experiments as ex
 
     seed, target = 33, 3
-    real = ex._ratio_with_flag
+    real_many, real = ex.spectral_value_many, ex._ratio_with_flag
+
+    def first_pass(objs, cfg, seeds):
+        # sample 3 falls below the bound in the Monte Carlo pass
+        batch = real_many(objs, cfg, seeds)
+        results = tuple(
+            dataclasses.replace(res, value=0.4 * ex.total_norm(obj))
+            if s == ex._cfg_seed(seed, target)
+            else res
+            for obj, s, res in zip(objs, seeds, batch.results)
+        )
+        return dataclasses.replace(batch, results=results)
 
     def fake(obj, cfg):
-        # sample 3 falls below the bound with CFG.starts and passes the recheck
-        if cfg.seed == ex._cfg_seed(seed, target):
-            return (0.4, True) if cfg.starts == CFG.starts else (0.99, True)
+        # and passes the recheck with 4x starts
+        if cfg.seed == ex._cfg_seed(seed, target) and cfg.starts == 4 * CFG.starts:
+            return 0.99, True
         return real(obj, cfg)
 
+    monkeypatch.setattr(ex, "spectral_value_many", first_pass)
     monkeypatch.setattr(ex, "_ratio_with_flag", fake)
     rep = verify_bounds("gaussian_tensor", {"shape": (2, 2, 2), "field": REAL}, 8, CFG, seed)
     (stats,) = rep.stats

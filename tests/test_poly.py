@@ -229,3 +229,22 @@ def test_non_finite_data_rejected(bad):
         HomogPoly(2, 1, np.array([bad, 1.0]), field)
     with pytest.raises(ValueError, match="non-finite"):
         MultiHomogPoly((2, 1), (1, 1), np.array([1.0, bad]), field)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("expo", [monomial_exponents(8, 2), monomial_exponents(6, 3)], ids=["d8n2", "d6n3"])
+def test_per_point_coefficients_match_single_rows(field, expo):
+    # an (m, N) coefficient matrix gives row k the polynomial of row k
+    rng = np.random.default_rng(5)
+    m, n = 13, expo.shape[1]
+    c = rng.standard_normal((m, len(expo)))
+    xs = rng.standard_normal((m, n))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.shape)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    one_v = [evaluate_poly_many(c[k], expo, xs[k : k + 1])[0] for k in range(m)]
+    one_g = [gradient_poly_many(c[k], expo, xs[k : k + 1])[0] for k in range(m)]
+    # vectorized complex products may round differently in the last bit
+    tol = 0.0 if field == REAL else 1e-13
+    np.testing.assert_allclose(evaluate_poly_many(c, expo, xs), one_v, rtol=tol, atol=tol)
+    np.testing.assert_allclose(gradient_poly_many(c, expo, xs), one_g, rtol=tol, atol=tol)

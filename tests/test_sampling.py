@@ -121,3 +121,41 @@ def test_seedspec_matches_plain_int_seed():
     t1 = gaussian_tensor((2, 2), REAL, 13, 4)
     t2 = gaussian_tensor((2, 2), REAL, SeedSpec(13, "gaussian_tensor"), 4)
     np.testing.assert_array_equal(t1.data, t2.data)
+
+
+# coefficients of gaussian_harmonic(6, 3, 5, 0), drawn with the harmonic basis
+# built from scipy's null space; the draw must stay bit-identical
+HARMONIC_6_3_5_0 = [
+    -0.1824284686782105,
+    -1.9674578422884434,
+    0.8911588790290007,
+    1.025157591165108,
+    2.809411207509007,
+    1.7112694390080496,
+    5.355752183586208,
+    -0.36064284884090636,
+    3.6073218721258185,
+    -2.8503153138163686,
+    -1.8392414312374534,
+    3.199697217458124,
+    4.884503040434073,
+    -8.818519632476137,
+    -2.5253532790803948,
+    -2.0996644698258606,
+    -4.668415002479529,
+    4.929388147499961,
+    9.697472853799963,
+    -4.268355009812891,
+    -0.11465269123508626,
+    0.02405534402057109,
+    -0.9310028554834103,
+    1.4784112709288952,
+    2.0367771124586618,
+    -2.2924951110012404,
+    0.270818829510015,
+    0.32118989267210885,
+]
+
+
+def test_gaussian_harmonic_pinned():
+    assert gaussian_harmonic(6, 3, 5, 0).coeffs.tolist() == HARMONIC_6_3_5_0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rankone.spectral import (
     spectral_norm_general,
     spectral_norm_symmetric,
     spectral_value,
+    spectral_value_many,
     sphere_grid,
     total_norm,
     _alternating,
@@ -184,7 +187,8 @@ def test_deterministic_given_seed():
 def test_lockstep_starts_match_single_runs(form):
     # every start of a lockstep batch must end exactly where it ends alone
     ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
-    blocks, value, grad, _ = _realified_objective(form.coeffs, form.exponents, ns, form.field)
+    coeffs = np.tile(form.coeffs, (9, 1))
+    blocks, value, grad, _ = _realified_objective(coeffs, form.exponents, ns, form.field)
     x0 = np.random.default_rng(3).standard_normal((9, blocks[-1].stop))
     for b in blocks:
         x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
@@ -215,9 +219,10 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
             x = x + 1j * rng.standard_normal((9, n))
         x0.append(x / np.linalg.norm(x, axis=1)[:, np.newaxis])
     for max_iters in (400, 3):
-        xs, obj, iters, conv, _ = _alternating(t, x0, max_iters, 1e-12)
+        xs, obj, iters, conv, _ = _alternating([t], np.zeros(9, int), x0, max_iters, 1e-12)
         for s in range(9):
-            x1, o1, i1, c1, _ = _alternating(t, [x[s : s + 1] for x in x0], max_iters, 1e-12)
+            one = [x[s : s + 1] for x in x0]
+            x1, o1, i1, c1, _ = _alternating([t], np.zeros(1, int), one, max_iters, 1e-12)
             assert o1[0] == pytest.approx(obj[s], rel=1e-12)
             for a, b in zip(x1, xs):
                 np.testing.assert_allclose(a[0], b[s], rtol=0, atol=1e-10)
@@ -244,3 +249,52 @@ def test_general_values_pinned(seed, shape, field, value, iterations):
     res = spectral_norm_general(gaussian_tensor(shape, field, seed), cfg)
     assert res.value == pytest.approx(value, rel=1e-12)
     assert res.iterations == iterations and res.converged
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda i: kostlan_form(6, 3, REAL, 40, i),
+        lambda i: kostlan_form(5, 2, COMPLEX, 41, i),
+        lambda i: kostlan_multi((2, 3), (2, 3), REAL, 42, i),
+        lambda i: gaussian_tensor((3, 3, 3), REAL, 43, i),
+        lambda i: gaussian_tensor((2, 3, 4), COMPLEX, 44, i),
+    ],
+    ids=["real-form", "complex-form", "multi-form", "tensor-real", "tensor-complex"],
+)
+def test_batched_samples_match_single_runs(draw):
+    # every object of a lockstep batch must get the result of its own call
+    objs = [draw(i) for i in range(8)]
+    seeds = [1000 + 7 * i for i in range(8)]
+    for max_iters in (400, 3):
+        cfg = MaximizerConfig(starts=6, max_iters=max_iters)
+        batch = spectral_value_many(objs, cfg, seeds)
+        assert len(batch.results) == 8
+        for obj, seed, res in zip(objs, seeds, batch.results):
+            one = spectral_value(obj, replace(cfg, seed=seed))
+            assert res.value == pytest.approx(one.value, rel=1e-12)
+            assert res.converged == one.converged
+            assert batch.iterations >= res.iterations
+        converged = [r.converged for r in batch.results]
+        if max_iters == 400:
+            assert all(converged) and batch.iterations < max_iters
+        else:  # the best starts are cut off unconverged
+            assert not any(converged) and batch.iterations == max_iters
+
+
+def test_batch_rejects_mixed_inputs():
+    f = kostlan_form(4, 2, REAL, 1)
+    cfg = MaximizerConfig(starts=2)
+    for other in [
+        kostlan_form(5, 2, REAL, 2),
+        kostlan_form(4, 3, REAL, 2),
+        kostlan_form(4, 2, COMPLEX, 2),
+        multi_from_single(f),
+        gaussian_tensor((2, 2), REAL, 2),
+    ]:
+        with pytest.raises(ValueError, match="mixed"):
+            spectral_value_many([f, other], cfg, [0, 1])
+    with pytest.raises(ValueError):
+        spectral_value_many([f, f], cfg, [0])
+    with pytest.raises(ValueError):
+        spectral_value_many([], cfg, [])
