@@ -1,9 +1,11 @@
 """Hot numeric kernels: monomial evaluation and gradients in numpy.
 
-The batched kernels reduce each point's row on its own (elementwise products
-summed along the last axis, no matrix product), so a point's value and
-gradient depend on the other points of the batch at most through the last bit
-of vectorized arithmetic.  They take one coefficient vector of shape (N,) for
+The batched kernels build one power table by repeated products, gather each
+variable's factors from it with the point axis innermost, multiply them
+elementwise and write each point's terms into one C-ordered row that is
+summed along the last axis (no matrix product).  So every real row computes
+exactly what it computes in a one-point call, whatever the batch and whatever
+the coefficient shape.  They take one coefficient vector of shape (N,) for
 every point, or one row of an (m, N) coefficient matrix per point.
 """
 
@@ -15,44 +17,85 @@ def _promote(coeffs, x):
     return np.ascontiguousarray(coeffs, dtype=dt), np.ascontiguousarray(x, dtype=dt)
 
 
-def evaluate_poly(coeffs, expo, x):
-    """Sum of coeffs[a] * prod_i x[i]**expo[a, i]."""
-    coeffs, x = _promote(coeffs, x)
-    return np.dot(coeffs, np.prod(x[np.newaxis, :] ** expo, axis=1))
+def _power_table(xs, top):
+    """table[e * n + j] = xs[:, j] ** e for e = 0..top, by repeated products;
+    shape ((top+1) * n, m)."""
+    xt = np.ascontiguousarray(xs.T)
+    table = np.empty((top + 1,) + xt.shape, dtype=xs.dtype)
+    table[0] = 1
+    if top:
+        table[1] = xt
+    for e in range(2, top + 1):
+        np.multiply(table[e - 1], xt, out=table[e])
+    return table.reshape((top + 1) * len(xt), len(xs))
 
 
-def _power_table(xs, expo):
-    """table[k, j, e] = xs[k, j] ** e for e = 0..max degree; shape (m, n, d+1)."""
-    return xs[:, :, np.newaxis] ** np.arange(expo.max(initial=0) + 1)
+def _row_sums(terms, weights, shape):
+    """Sum over the monomial axis of terms * weights, both laid out
+    (..., N, m), through one C-ordered array of ``shape`` = (m, ..., N)."""
+    out = np.empty(shape, dtype=terms.dtype)
+    np.multiply(terms, weights, out=out.transpose(tuple(range(1, out.ndim)) + (0,)))
+    return out.sum(axis=-1)
+
+
+def _monomial_sums(coeffs, expo, xs, gradient):
+    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum.
+
+    A monomial is the running product of the variables' factors x_j^a_j in
+    order.  The derivative of x^a in x_i is a_i x^(a - e_i): x_i's factor
+    is swapped for x_i^(a_i - 1) between the product of the factors before
+    it and the product of those after it.  Where a_i = 0 the shifted
+    exponent is clipped to 0 and the term carries the weight a_i = 0.
+    """
+    coeffs, xs = _promote(coeffs, xs)
+    (m, n), size = xs.shape, len(expo)
+    table = _power_table(xs, int(expo.max(initial=0)))
+    cols = np.arange(n)[:, np.newaxis]
+    factors = expo.T * n + cols  # (n, N): table rows of x_j^a_j
+    ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, m) or (N, 1)
+    if not gradient:
+        mono = table[factors[0]]
+        for rows in factors[1:]:
+            mono *= table[rows]
+        return _row_sums(mono, ct, (m, size))
+    shifted = np.maximum(expo.T - 1, 0) * n + cols  # (n, N): rows of x_j^(a_j - 1)
+    terms = table[shifted]  # (n, N, m), times the factors before and after
+    mono = table[factors[0]]
+    for i in range(1, n):
+        terms[i] *= mono
+        mono *= table[factors[i]]
+    after = table[factors[n - 1]]
+    for i in range(n - 2, -1, -1):
+        terms[i] *= after
+        after *= table[factors[i]]
+    weights = expo.T[:, :, np.newaxis] * ct  # (i, N, m or 1): a_i * c_a
+    return _row_sums(mono, ct, (m, size)), _row_sums(terms, weights, (m, n, size))
 
 
 def evaluate_poly_many(coeffs, expo, xs):
     """Evaluate at many points; xs has shape (m, n), coeffs (N,) or (m, N)."""
-    coeffs, xs = _promote(coeffs, xs)
-    cols = np.arange(expo.shape[1])
-    mono = np.prod(_power_table(xs, expo)[:, cols, expo], axis=2)
-    return (mono * coeffs).sum(axis=1)
+    return _monomial_sums(coeffs, expo, xs, gradient=False)
+
+
+def value_and_gradient_poly_many(coeffs, expo, xs):
+    """Values (m,) and gradients (m, n) at many points from one power table,
+    each exactly what ``evaluate_poly_many`` and ``gradient_poly_many``
+    return for the same arguments."""
+    return _monomial_sums(coeffs, expo, xs, gradient=True)
 
 
 def gradient_poly_many(coeffs, expo, xs):
     """Gradients at many points, shape (m, n); holomorphic derivative for complex.
 
     coeffs is one vector (N,) for all points or an (m, N) matrix, row k for
-    point k.  The derivative of x^a in x_i is a_i x^(a - e_i): each monomial's factor
-    x_i^a_i is swapped for x_i^(a_i - 1), read from the same power table.
-    Where a_i = 0 the shifted exponent is clipped to 0 and the term carries
-    the weight a_i = 0.
+    point k.
     """
-    coeffs, xs = _promote(coeffs, xs)
-    n = expo.shape[1]
-    cols = np.arange(n)
-    table = _power_table(xs, expo)
-    factors = table[:, cols, expo]  # (m, N, n): x_j^a_j
-    shifted = table[:, cols, np.maximum(expo - 1, 0)]  # (m, N, n): x_j^(a_j - 1)
-    swapped = np.repeat(factors[:, np.newaxis], n, axis=1)  # (m, i, N, j)
-    swapped[:, cols, :, cols] = shifted.transpose(2, 0, 1)
-    weights = expo.T * coeffs[..., np.newaxis, :]  # ([m,] i, N): a_i * c_a
-    return (np.prod(swapped, axis=3) * weights).sum(axis=2)
+    return _monomial_sums(coeffs, expo, xs, gradient=True)[1]
+
+
+def evaluate_poly(coeffs, expo, x):
+    """Sum of coeffs[a] * prod_i x[i]**expo[a, i] at one point (a one-row batch)."""
+    return evaluate_poly_many(coeffs, expo, np.asarray(x)[np.newaxis, :])[0]
 
 
 def gradient_poly(coeffs, expo, x):

@@ -13,13 +13,17 @@ LOWER bounds on the true maximum.  A deterministic sphere-grid oracle is
 provided for certification at tiny sizes.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from ._kernels import evaluate_poly, evaluate_poly_many, gradient_poly_many
+from ._kernels import (  # noqa: F401  evaluate_poly stays in this namespace for tracing
+    evaluate_poly,
+    evaluate_poly_many,
+    value_and_gradient_poly_many,
+)
 from .poly import (
     HomogPoly,
     MultiHomogPoly,
@@ -38,6 +42,7 @@ from .tensor import (
 
 _TIE_TOL = 1e-14
 _GRID_BUDGET = 10**8
+_FINE = 8  # grid angles per circle sample when locating a circle's maximum
 
 
 class ZeroInputError(ValueError):
@@ -70,7 +75,6 @@ class SpectralResult:
     maximizer: tuple  # per-mode unit vectors (single entry for symmetric)
     iterations: int
     converged: bool
-    history: tuple = dataclass_field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,12 +125,10 @@ def _general_many(ts, cfg, seeds):
         for x in x0:
             x[row] = _random_unit(rng, x.shape[1], ts[0].field)
     which = np.repeat(np.arange(len(ts)), cfg.starts)
-    xs, obj, iters, conv, hists = _alternating(ts, which, x0, cfg.max_iters, cfg.tol)
+    xs, obj, iters, conv = _alternating(ts, which, x0, cfg.max_iters, cfg.tol)
     return _best_per_object(
         cfg.starts,
-        lambda r: SpectralResult(
-            float(obj[r]), tuple(x[r] for x in xs), int(iters[r]), bool(conv[r]), hists[r]
-        ),
+        lambda r: SpectralResult(float(obj[r]), tuple(x[r] for x in xs), int(iters[r]), bool(conv[r])),
         iters,
     )
 
@@ -139,11 +141,10 @@ def _alternating(ts, which, x0, max_iters, tol):
     ``ts[which[s]]``.  Each mode update is the closed form below and never
     lowers the objective.  The starts advance in lockstep: each mode update
     is one batched contraction over the live starts (the tensors are laid
-    out for it once per mode), each start keeps its own objective, history
-    and convergence test, and a start drops out when it converges.
+    out for it once per mode), each start keeps its own objective and
+    convergence test, and a start drops out when it converges.
 
-    Returns (xs, obj, iterations, converged, histories), one row or entry per
-    start.
+    Returns (xs, obj, iterations, converged), one row or entry per start.
     """
     stacks = [mode_stack(ts, j) for j in range(ts[0].order)]
     rows = [np.array(x, dtype=ts[0].data.dtype) for x in x0]
@@ -152,7 +153,6 @@ def _alternating(ts, which, x0, max_iters, tol):
     obj = np.full(starts, -np.inf)
     iters = np.full(starts, max_iters)
     converged = np.zeros(starts, dtype=bool)
-    history = [[] for _ in range(starts)]
     live = np.arange(starts)
     for it in range(1, max_iters + 1):
         if not len(live):
@@ -172,8 +172,6 @@ def _alternating(ts, which, x0, max_iters, tol):
                 rows[j][ok] = np.conj(v[ok]) / nrm[ok, np.newaxis]
                 cur[ok] = nrm[ok]
         obj[live] = cur
-        for s, o in zip(live.tolist(), cur.tolist()):
-            history[s].append(o)
         done = cur - prev <= tol * np.maximum(1.0, np.abs(cur))
         if done.any():
             ended = live[done]
@@ -185,26 +183,28 @@ def _alternating(ts, which, x0, max_iters, tol):
             rows = [r[~done] for r in rows]
     for x, r in zip(xs, rows):
         x[live] = r
-    return xs, obj, iters, converged, [tuple(h) for h in history]
+    return xs, obj, iters, converged
 
 
 # ------------------------------------------------ projected gradient ascent
 
 
 def _realified_objective(coeffs, expo, ns, field):
-    """Return (blocks, value_fn, grad_fn, unpack) for |f|^2 on a product of
-    (realified) spheres.
+    """Return (blocks, degree, value_fn, grad_fn, unpack) for |f|^2 on a
+    product of (realified) spheres.
 
     A point y holds one contiguous block per variable block; a complex block
     of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
-    the slices of y that each lie on a unit sphere.  ``coeffs`` holds one
-    coefficient row per start.  ``value(ys, ids)`` and ``grad(ys, ids)`` take
-    a batch of points, one per row, and the start ids of the rows, and
-    ``unpack(y)`` returns the per-block vectors over the field of one point.
+    the slices of y that each lie on a unit sphere and ``degree`` is the total
+    degree of f.  ``coeffs`` holds one coefficient row per start.
+    ``value(ys, ids)`` and ``grad(ys, ids)`` take a batch of points, one per
+    row, and the start ids of the rows, and ``unpack(y)`` returns the
+    per-block vectors over the field of one point.
     """
     k = 2 if field == COMPLEX else 1
     offsets = np.cumsum((0,) + tuple(k * n for n in ns))
     blocks = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
+    degree = int(expo[0].sum())
     if field == REAL:
 
         def value(ys, ids):
@@ -212,14 +212,13 @@ def _realified_objective(coeffs, expo, ns, field):
             return v * v
 
         def grad(ys, ids):
-            c = coeffs[ids]
-            v = evaluate_poly_many(c, expo, ys)
-            return 2.0 * v[:, np.newaxis] * gradient_poly_many(c, expo, ys)
+            v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys)
+            return 2.0 * v[:, np.newaxis] * g
 
         def unpack(y):
             return tuple(y[b] for b in blocks)
 
-        return blocks, value, grad, unpack
+        return blocks, degree, value, grad, unpack
 
     ccoeffs = coeffs.astype(np.complex128)
     re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
@@ -232,9 +231,8 @@ def _realified_objective(coeffs, expo, ns, field):
 
     def grad(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
-        c = ccoeffs[ids]
-        v = evaluate_poly_many(c, expo, z)
-        gz = np.conj(v)[:, np.newaxis] * gradient_poly_many(c, expo, z)
+        v, gv = value_and_gradient_poly_many(ccoeffs[ids], expo, z)
+        gz = np.conj(v)[:, np.newaxis] * gv
         g = np.empty(ys.shape)
         g[:, re] = 2.0 * gz.real
         g[:, im] = -2.0 * gz.imag
@@ -244,86 +242,125 @@ def _realified_objective(coeffs, expo, ns, field):
         z = y[re] + 1j * y[im]
         return tuple(np.split(z, np.cumsum(ns)[:-1]))
 
-    return blocks, value, grad, unpack
+    return blocks, degree, value, grad, unpack
 
 
-def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
+def _great_circle(x, u, theta, blocks):
+    """Points cos(t) x + sin(t) u, renormalised block by block, for the
+    angles ``theta``: (J,) for every row of x, u (L, dim) or (L, J), one
+    row each.  Returns (L, J, dim)."""
+    t = theta[..., np.newaxis]
+    y = np.cos(t) * x[:, np.newaxis] + np.sin(t) * u[:, np.newaxis]
+    for b in blocks:
+        y[:, :, b] /= np.sqrt(np.add.reduce(y[:, :, b] * y[:, :, b], axis=2))[:, :, np.newaxis]
+    return y
+
+
+def _circle_samples(x, u, ol, ids, degree, value, blocks):
+    """|f|^2 at the 2D+1 angles t_j = pi j / (2D+1) of each row's great
+    circle, D = ``degree``, shape (L, 2D+1).  t_0 = 0 is x itself, whose
+    value ``ol`` is known; the other 2D angles are one batched evaluation."""
+    k = 2 * degree + 1
+    y = _great_circle(x, u, np.pi * np.arange(1, k) / k, blocks)
+    samples = np.empty((len(x), k))
+    samples[:, 0] = ol
+    samples[:, 1:] = value(y.reshape(-1, x.shape[1]), np.repeat(ids, k - 1)).reshape(len(x), k - 1)
+    return samples
+
+
+def _interpolant(samples):
+    """Coefficients c (L, D+1) of p(t) = Re sum_k c_k e^{2ikt}, the
+    trigonometric polynomial through the samples at t_j = pi j / (2D+1)."""
+    c = np.fft.rfft(samples, axis=1) * (2.0 / samples.shape[1])
+    c[:, 0] *= 0.5
+    return c
+
+
+def _trig(c, theta):
+    """p, p' and p'' of p(t) = Re sum_k c_k e^{2ikt} at the angles of a row
+    of ``theta`` (L, J)."""
+    k = 2j * np.arange(c.shape[1])
+    terms = c[:, np.newaxis] * np.exp(theta[:, :, np.newaxis] * k)
+    return terms.real.sum(axis=2), (terms * k).real.sum(axis=2), (terms * k**2).real.sum(axis=2)
+
+
+def _circle_argmax(c):
+    """Angle of the maximum of each row's p: the best point of a zero-padded
+    grid of _FINE (2D+1) angles in [0, pi), refined by a parabola through it
+    and its neighbours and then two Newton steps."""
+    fine = _FINE * (2 * c.shape[1] - 1)
+    step = np.pi / fine
+    # p - c_0 / 2 at the angles step * i, up to a positive factor
+    grid = np.fft.irfft(c, n=fine, axis=1)
+    i = np.argmax(grid, axis=1)
+    rows = np.arange(len(c))
+    lo, mid, hi = grid[rows, i - 1], grid[rows, i], grid[rows, (i + 1) % fine]
+    curv = lo - 2.0 * mid + hi
+    shift = np.divide(0.5 * (lo - hi), curv, out=np.zeros(len(c)), where=curv < 0.0)
+    theta = step * (i + shift)[:, np.newaxis]
+    for _ in range(2):  # one step stopped up to ~1e-11 short of sharp peaks
+        _, d1, d2 = _trig(c, theta)
+        newton = np.divide(-d1, d2, out=np.zeros_like(d1), where=d2 < 0.0)
+        theta += np.clip(newton, -step, step)
+    return theta[:, 0]
+
+
+def _pga_sphere(blocks, degree, value, grad, x0, max_iters, tol):
     """Ascend |f|^2 on a product of unit spheres from every row of x0; monotone.
 
-    Every block (a slice of a row) is kept on its own sphere: the gradient is
-    projected onto each block's tangent space and each probe is renormalised
-    block by block.  All blocks of a start share one step and one line
-    search.  The starts advance in lockstep: each keeps its own step, line
-    search phase, stall count and history, each round of the line search
-    probes only the starts still in that phase in one batched call, and a
-    start drops out when it converges.  ``value`` and ``grad`` receive the
-    start ids of the rows they evaluate.  A row's arithmetic does not depend
-    on the other rows beyond float rounding, so each start ends where it
-    would alone.
+    Each round turns every block b of a start by one angle t toward its unit
+    projected gradient u_b, along y_b(t) = cos(t) x_b + sin(t) u_b.  On that
+    great circle |f|^2 is a trigonometric polynomial of degree D = ``degree``
+    in 2t, so its values at 2D+1 angles fix it exactly (``rfft``).  Its
+    maximum over the whole circle comes from a fine zero-padded grid, a
+    parabola and a Newton step; f is then evaluated there, and the start
+    moves only if that value improves, so every value is attained.  Every
+    evaluated point is renormalised block by block, which also keeps a
+    block whose tangent gradient is 0 in place.  A start stops when a
+    round does not improve or after two small improvements in a row.
 
-    Returns (x, obj, iterations, converged, histories), one entry per row.
+    The starts advance in lockstep: each round's circle samples and its
+    evaluation at the chosen angles are one batched call over the starts
+    still running, and a start drops out when it converges.  ``value`` and
+    ``grad`` receive the start ids of the rows they evaluate.  A row's
+    arithmetic does not depend on the other rows beyond float rounding, so
+    each start ends where it would alone.
+
+    Returns (x, obj, iterations, converged), one entry per row.
     """
     x = np.array(x0, dtype=float)
     starts = len(x)
     obj = value(x, np.arange(starts))
-    step = np.ones(starts)
     iters = np.full(starts, max_iters)
     converged = np.zeros(starts, dtype=bool)
     stalls = np.zeros(starts, dtype=int)
-    history = [[v] for v in obj.tolist()]
     live = np.arange(starts)
-
-    def probe(rows, t):
-        y = xl[rows] + t[:, np.newaxis] * r[rows]
-        for b in blocks:
-            y[:, b] /= np.sqrt(np.add.reduce(y[:, b] * y[:, b], axis=1))[:, np.newaxis]
-        return y, value(y, live[rows])
-
     for it in range(1, max_iters + 1):
         if not len(live):
             break
         xl, ol = x[live], obj[live]
-        r = grad(xl, live)
+        u = grad(xl, live)
         for b in blocks:
-            r[:, b] -= (r[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
-        flat = np.linalg.norm(r, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(ol))
+            u[:, b] -= (u[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
+        flat = np.linalg.norm(u, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(ol))
         if flat.any():
             converged[live[flat]] = True
             iters[live[flat]] = it
-            live, xl, ol, r = live[~flat], xl[~flat], ol[~flat], r[~flat]
+            live, xl, ol, u = live[~flat], xl[~flat], ol[~flat], u[~flat]
             if not len(live):
                 break
-        # geometric line search: shrink until the step improves at all, then
-        # walk the step size toward the best value in either direction; this
-        # avoids both overshoots past the peak and false stalls
-        t = np.clip(step[live], 1e-12, 1e6)
-        y, oy = probe(np.arange(len(live)), t)
-        back = np.flatnonzero((oy <= ol) & (t > 1e-18))
-        while len(back):
-            t[back] *= 0.5
-            y[back], oy[back] = probe(back, t[back])
-            back = back[(oy[back] <= ol[back]) & (t[back] > 1e-18)]
+        for b in blocks:
+            nrm = np.linalg.norm(u[:, b], axis=1)[:, np.newaxis]
+            u[:, b] /= np.where(nrm > 0.0, nrm, 1.0)
+            # near convergence the radial part of the gradient dominates, so
+            # the projection leaves rounding error along x_b; remove it again
+            u[:, b] -= (u[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
+        c = _interpolant(_circle_samples(xl, u, ol, live, degree, value, blocks))
+        y = _great_circle(xl, u, _circle_argmax(c)[:, np.newaxis], blocks)[:, 0]
+        oy = value(y, live)
         improved = oy > ol
-        walk = np.flatnonzero(improved)
-        for _ in range(200):
-            if not len(walk):
-                break
-            t2 = 2.0 * t[walk]
-            y2, o2 = probe(walk, t2)
-            up = (o2 > oy[walk]) & (t2 <= 1e6)
-            rest, walk = walk[~up], walk[up]
-            t[walk], y[walk], oy[walk] = t2[up], y2[up], o2[up]
-            if len(rest):
-                th = 0.5 * t[rest]
-                yh, oh = probe(rest, th)
-                down = (oh > oy[rest]) & (th >= 1e-18)
-                w = rest[down]
-                t[w], y[w], oy[w] = th[down], yh[down], oh[down]
-                walk = np.concatenate([walk, w])
         moved = live[improved]
-        x[moved], obj[moved], step[moved] = y[improved], oy[improved], t[improved]
-        for s, v in zip(live.tolist(), obj[live].tolist()):
-            history[s].append(v)
+        x[moved], obj[moved] = y[improved], oy[improved]
         small = obj[live] - ol <= tol * np.maximum(1.0, obj[live])
         stalls[live[small]] += 1
         stalls[live[~small]] = 0
@@ -331,24 +368,22 @@ def _pga_sphere(blocks, value, grad, x0, max_iters, tol):
         converged[live[done]] = True
         iters[live[done]] = it
         live = live[~done]
-    return x, obj, iters, converged, [tuple(h) for h in history]
+    return x, obj, iters, converged
 
 
 def _sphere_product_many(coeffs, expo, ns, field, cfg, seeds):
     """Multi-start ascent of |f| over the product of unit spheres in K^ns for
     every coefficient row of ``coeffs``, all starts in lockstep."""
     ids = np.repeat(np.arange(len(coeffs)), cfg.starts)
-    blocks, value, grad, unpack = _realified_objective(coeffs[ids], expo, ns, field)
+    blocks, degree, value, grad, unpack = _realified_objective(coeffs[ids], expo, ns, field)
     x0 = []
     for seed, s in product(seeds, range(cfg.starts)):
         rng = _start_rng(seed, s)
         x0.append(np.concatenate([_random_unit(rng, b.stop - b.start, REAL) for b in blocks]))
-    x, obj, iters, conv, hists = _pga_sphere(blocks, value, grad, np.array(x0), cfg.max_iters, cfg.tol)
+    x, obj, iters, conv = _pga_sphere(blocks, degree, value, grad, np.array(x0), cfg.max_iters, cfg.tol)
     return _best_per_object(
         cfg.starts,
-        lambda r: SpectralResult(
-            float(np.sqrt(obj[r])), unpack(x[r]), int(iters[r]), bool(conv[r]), hists[r]
-        ),
+        lambda r: SpectralResult(float(np.sqrt(obj[r])), unpack(x[r]), int(iters[r]), bool(conv[r])),
         iters,
     )
 
@@ -462,14 +497,10 @@ def _brute_force_single(f, resolution):
 def _brute_force_multi(F, resolution):
     grids = [_real_grid_for(n, F.field, resolution) for n in F.ns]
     _grid_budget_check([g.shape[0] for g in grids])
-    best = 0.0
-    cplx = F.field == COMPLEX
-    coeffs = F.coeffs.astype(np.complex128) if cplx else F.coeffs
-    for combo in product(*grids):
-        z = np.concatenate(combo)
-        v = evaluate_poly(coeffs, F.exponents, z)
-        best = max(best, abs(v))
-    return float(best)
+    picks = np.indices([len(g) for g in grids]).reshape(len(grids), -1)
+    pts = np.concatenate([g[p] for g, p in zip(grids, picks)], axis=1)
+    coeffs = F.coeffs.astype(np.complex128) if F.field == COMPLEX else F.coeffs
+    return float(np.max(np.abs(evaluate_poly_many(coeffs, F.exponents, pts))))
 
 
 # ----------------------------------------------------------------- ratios

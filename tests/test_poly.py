@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rankone._kernels import evaluate_poly_many, gradient_poly, gradient_poly_many
+from rankone._kernels import (
+    evaluate_poly,
+    evaluate_poly_many,
+    gradient_poly,
+    gradient_poly_many,
+    value_and_gradient_poly_many,
+)
 from rankone.poly import (
     HomogPoly,
     MultiHomogPoly,
@@ -248,3 +254,29 @@ def test_per_point_coefficients_match_single_rows(field, expo):
     tol = 0.0 if field == REAL else 1e-13
     np.testing.assert_allclose(evaluate_poly_many(c, expo, xs), one_v, rtol=tol, atol=tol)
     np.testing.assert_allclose(gradient_poly_many(c, expo, xs), one_g, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("expo", [monomial_exponents(8, 2), monomial_exponents(6, 3)], ids=["d8n2", "d6n3"])
+def test_shared_coefficients_match_one_point_calls(expo):
+    # one (N,) coefficient vector for the whole batch, as poly.evaluate_many
+    # and the grid oracle pass it: each real row is exactly its one-point value
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal(len(expo))
+    xs = rng.standard_normal((96, expo.shape[1]))
+    np.testing.assert_array_equal(evaluate_poly_many(c, expo, xs), [evaluate_poly(c, expo, x) for x in xs])
+    np.testing.assert_array_equal(gradient_poly_many(c, expo, xs), [gradient_poly(c, expo, x) for x in xs])
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_fused_value_and_gradient_match_separate_kernels(field, shared):
+    rng = np.random.default_rng(6)
+    expo = monomial_exponents(5, 3)
+    c = rng.standard_normal(len(expo) if shared else (20, len(expo)))
+    xs = rng.standard_normal((20, 3))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.shape)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    v, g = value_and_gradient_poly_many(c, expo, xs)
+    np.testing.assert_array_equal(v, evaluate_poly_many(c, expo, xs))
+    np.testing.assert_array_equal(g, gradient_poly_many(c, expo, xs))

@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rankone.bounds import bounds_symmetric
+from rankone.experiments import estimate_ratio_distribution
 from rankone.poly import MultiHomogPoly, multi_from_single, poly_from_coeff_dict
 from rankone.sampling import gaussian_tensor, kostlan_form, kostlan_multi, uniform_sphere
 from rankone.spectral import (
@@ -18,8 +21,13 @@ from rankone.spectral import (
     sphere_grid,
     total_norm,
     _alternating,
+    _circle_argmax,
+    _circle_samples,
+    _great_circle,
+    _interpolant,
     _pga_sphere,
     _realified_objective,
+    _trig,
     uniform_norm_multi,
 )
 from rankone.tensor import COMPLEX, REAL, Tensor, UnitVectorTuple, rank_one
@@ -188,14 +196,14 @@ def test_lockstep_starts_match_single_runs(form):
     # every start of a lockstep batch must end exactly where it ends alone
     ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
     coeffs = np.tile(form.coeffs, (9, 1))
-    blocks, value, grad, _ = _realified_objective(coeffs, form.exponents, ns, form.field)
+    blocks, degree, value, grad, _ = _realified_objective(coeffs, form.exponents, ns, form.field)
     x0 = np.random.default_rng(3).standard_normal((9, blocks[-1].stop))
     for b in blocks:
         x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
     for max_iters in (500, 6):
-        _, obj, iters, conv, _ = _pga_sphere(blocks, value, grad, x0, max_iters, 1e-12)
+        _, obj, iters, conv = _pga_sphere(blocks, degree, value, grad, x0, max_iters, 1e-12)
         for s in range(len(x0)):
-            _, o1, i1, c1, _ = _pga_sphere(blocks, value, grad, x0[s : s + 1], max_iters, 1e-12)
+            _, o1, i1, c1 = _pga_sphere(blocks, degree, value, grad, x0[s : s + 1], max_iters, 1e-12)
             assert o1[0] == pytest.approx(obj[s], rel=1e-12)
             assert i1[0] == iters[s]
             assert c1[0] == conv[s]
@@ -219,10 +227,10 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
             x = x + 1j * rng.standard_normal((9, n))
         x0.append(x / np.linalg.norm(x, axis=1)[:, np.newaxis])
     for max_iters in (400, 3):
-        xs, obj, iters, conv, _ = _alternating([t], np.zeros(9, int), x0, max_iters, 1e-12)
+        xs, obj, iters, conv = _alternating([t], np.zeros(9, int), x0, max_iters, 1e-12)
         for s in range(9):
             one = [x[s : s + 1] for x in x0]
-            x1, o1, i1, c1, _ = _alternating([t], np.zeros(1, int), one, max_iters, 1e-12)
+            x1, o1, i1, c1 = _alternating([t], np.zeros(1, int), one, max_iters, 1e-12)
             assert o1[0] == pytest.approx(obj[s], rel=1e-12)
             for a, b in zip(x1, xs):
                 np.testing.assert_allclose(a[0], b[s], rtol=0, atol=1e-10)
@@ -298,3 +306,107 @@ def test_batch_rejects_mixed_inputs():
         spectral_value_many([f, f], cfg, [0])
     with pytest.raises(ValueError):
         spectral_value_many([], cfg, [])
+
+
+def _units_and_tangents(rng, rows, blocks):
+    """Random points of the sphere product and unit tangent directions there."""
+    x = rng.standard_normal((rows, blocks[-1].stop))
+    u = rng.standard_normal(x.shape)
+    for b in blocks:
+        x[:, b] /= np.linalg.norm(x[:, b], axis=1)[:, np.newaxis]
+        u[:, b] -= (u[:, b] * x[:, b]).sum(axis=1)[:, np.newaxis] * x[:, b]
+        u[:, b] /= np.linalg.norm(u[:, b], axis=1)[:, np.newaxis]
+    return x, u
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        kostlan_form(6, 3, REAL, 50),
+        kostlan_form(5, 2, COMPLEX, 51),
+        kostlan_multi((2, 3), (2, 3), REAL, 52),
+    ],
+    ids=["real", "complex", "multi"],
+)
+def test_great_circle_search_is_exact(form):
+    # |f|^2 on a great circle is a trigonometric polynomial of degree D in
+    # 2t, so its 2D+1 samples fix it at every angle
+    ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
+    rows = 5
+    blocks, degree, value, grad, _ = _realified_objective(
+        np.tile(form.coeffs, (rows, 1)), form.exponents, ns, form.field
+    )
+    ids = np.arange(rows)
+    rng = np.random.default_rng(7)
+    x, u = _units_and_tangents(rng, rows, blocks)
+
+    def on_circle(theta):
+        y = _great_circle(x, u, theta, blocks).reshape(-1, x.shape[1])
+        return value(y, np.repeat(ids, theta.shape[1])).reshape(theta.shape)
+
+    samples = _circle_samples(x, u, value(x, ids), ids, degree, value, blocks)
+    assert samples.shape == (rows, 2 * degree + 1)
+    c = _interpolant(samples)
+    scale = samples.max(axis=1, keepdims=True)
+    theta = rng.uniform(0.0, np.pi, (rows, 7))
+    assert (np.abs(_trig(c, theta)[0] - on_circle(theta)) <= 1e-12 * scale).all()
+    # the located angle is the circle's maximum
+    best = on_circle(_circle_argmax(c)[:, np.newaxis])[:, 0]
+    dense = on_circle(np.tile(np.linspace(0.0, np.pi, 2001), (rows, 1)))
+    assert (best >= dense.max(axis=1) * (1 - 1e-12)).all()
+    # every value the ascent accepts is |f|^2 at the point it returns
+    xf, obj, _, conv = _pga_sphere(blocks, degree, value, grad, x, 400, 1e-12)
+    np.testing.assert_allclose(obj, value(xf, ids), rtol=1e-14, atol=0)
+    for b in blocks:
+        np.testing.assert_allclose(np.linalg.norm(xf[:, b], axis=1), 1.0, rtol=1e-14)
+    assert conv.all()
+
+
+def _chebyshev_form(d):
+    """Re((x + iy)^d)."""
+    terms = {(d - k, k): math.comb(d, k) * (-1) ** (k // 2) for k in range(0, d + 1, 2)}
+    return poly_from_coeff_dict(2, d, terms)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_chebyshev_forms_reach_the_real_binary_lower_bound(d):
+    # Agrachev, Kozhasov & Uschmajew: the real binary forms of least ratio
+    r = ratio(_chebyshev_form(d), CFG)
+    assert r == pytest.approx(2.0 ** (-(d - 1) / 2), rel=1e-12)
+    assert r == pytest.approx(bounds_symmetric(d, 2, REAL).lower, rel=1e-12)
+
+
+def _re_z1z2z3():
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 0] = 1.0
+    t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = -1.0
+    return t
+
+
+def _w_state():
+    t = np.zeros((2, 2, 2), dtype=complex)
+    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = 1.0
+    return t
+
+
+@pytest.mark.parametrize(
+    "data, field, anchor",
+    [(_re_z1z2z3(), REAL, 0.5), (_w_state(), COMPLEX, 2.0 / 3.0)],
+    ids=["re-z1z2z3", "w-state"],
+)
+def test_extremal_2x2x2_ratios(data, field, anchor):
+    # the real and complex 2x2x2 spaces' least ratios, reached by both optimizers
+    assert ratio(Tensor(data, field), CFG) == pytest.approx(anchor, rel=1e-12)
+    multi = MultiHomogPoly((2, 2, 2), (1, 1, 1), data.ravel(), field)
+    assert ratio(multi, CFG) == pytest.approx(anchor, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_twelve_starts_reach_the_48_start_harmonic_maximum(d):
+    # harmonic n=3 forms have many local maxima; the whole-circle search
+    # must not stop on a low one
+    params = {"d": d, "n": 3}
+    few = estimate_ratio_distribution("harmonic", params, 64, MaximizerConfig(starts=12, max_iters=400), 3000)
+    many = estimate_ratio_distribution("harmonic", params, 64, MaximizerConfig(starts=48, max_iters=400), 3000)
+    for (i, r12, _), (_, r48, _) in zip(few.records, many.records):
+        assert r12 == pytest.approx(r48, rel=1e-9), i
