@@ -196,14 +196,14 @@ def test_lockstep_starts_match_single_runs(form):
     # every start of a lockstep batch must end exactly where it ends alone
     ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
     coeffs = np.tile(form.coeffs, (9, 1))
-    blocks, degree, value, grad, _ = _realified_objective(coeffs, form.exponents, ns, form.field)
+    blocks, degree, value, value_and_grad, _ = _realified_objective(coeffs, form.exponents, ns, form.field)
     x0 = np.random.default_rng(3).standard_normal((9, blocks[-1].stop))
     for b in blocks:
         x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
     for max_iters in (500, 6):
-        _, obj, iters, conv = _pga_sphere(blocks, degree, value, grad, x0, max_iters, 1e-12)
+        _, obj, iters, conv = _pga_sphere(blocks, degree, value, value_and_grad, x0, max_iters, 1e-12)
         for s in range(len(x0)):
-            _, o1, i1, c1 = _pga_sphere(blocks, degree, value, grad, x0[s : s + 1], max_iters, 1e-12)
+            _, o1, i1, c1 = _pga_sphere(blocks, degree, value, value_and_grad, x0[s : s + 1], max_iters, 1e-12)
             assert o1[0] == pytest.approx(obj[s], rel=1e-12)
             assert i1[0] == iters[s]
             assert c1[0] == conv[s]
@@ -333,7 +333,7 @@ def test_great_circle_search_is_exact(form):
     # 2t, so its 2D+1 samples fix it at every angle
     ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
     rows = 5
-    blocks, degree, value, grad, _ = _realified_objective(
+    blocks, degree, value, value_and_grad, _ = _realified_objective(
         np.tile(form.coeffs, (rows, 1)), form.exponents, ns, form.field
     )
     ids = np.arange(rows)
@@ -355,7 +355,7 @@ def test_great_circle_search_is_exact(form):
     dense = on_circle(np.tile(np.linspace(0.0, np.pi, 2001), (rows, 1)))
     assert (best >= dense.max(axis=1) * (1 - 1e-12)).all()
     # every value the ascent accepts is |f|^2 at the point it returns
-    xf, obj, _, conv = _pga_sphere(blocks, degree, value, grad, x, 400, 1e-12)
+    xf, obj, _, conv = _pga_sphere(blocks, degree, value, value_and_grad, x, 400, 1e-12)
     np.testing.assert_allclose(obj, value(xf, ids), rtol=1e-14, atol=0)
     for b in blocks:
         np.testing.assert_allclose(np.linalg.norm(xf[:, b], axis=1), 1.0, rtol=1e-14)
