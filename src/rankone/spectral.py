@@ -132,7 +132,9 @@ def _general_many(ts, cfg, seeds):
     xs, obj, iters, conv = _alternating(ts, which, x0, cfg.max_iters, cfg.tol)
     return _best_per_object(
         cfg.starts,
-        lambda r: SpectralResult(float(obj[r]), tuple(x[r] for x in xs), int(iters[r]), bool(conv[r])),
+        lambda r: SpectralResult(
+            float(obj[r]), tuple(x[r] for x in xs), int(iters[r]), bool(conv[r])
+        ),
         iters,
     )
 
@@ -328,9 +330,8 @@ def _pga_sphere(blocks, degree, value, value_and_grad, x0, max_iters, tol):
     evaluation at the chosen angles are one batched call each over the
     starts still running, and a start drops out when it converges.
     ``value`` and ``value_and_grad`` receive the start ids of the rows they
-    evaluate.  A row's
-    arithmetic does not depend on the other rows beyond float rounding, so
-    each start ends where it would alone.
+    evaluate.  A row's arithmetic does not depend on the other rows beyond
+    float rounding, so each start ends where it would alone.
 
     Returns (x, obj, iterations, converged), one entry per row.
     """
@@ -380,7 +381,9 @@ def _sphere_product_many(coeffs, expo, ns, field, cfg, seeds):
     """Multi-start ascent of |f| over the product of unit spheres in K^ns for
     every coefficient row of ``coeffs``, all starts in lockstep."""
     ids = np.repeat(np.arange(len(coeffs)), cfg.starts)
-    blocks, degree, value, value_and_grad, unpack = _realified_objective(coeffs[ids], expo, ns, field)
+    blocks, degree, value, value_and_grad, unpack = _realified_objective(
+        coeffs[ids], expo, ns, field
+    )
     x0 = []
     for seed, s in product(seeds, range(cfg.starts)):
         rng = _start_rng(seed, s)
@@ -390,7 +393,9 @@ def _sphere_product_many(coeffs, expo, ns, field, cfg, seeds):
     )
     return _best_per_object(
         cfg.starts,
-        lambda r: SpectralResult(float(np.sqrt(obj[r])), unpack(x[r]), int(iters[r]), bool(conv[r])),
+        lambda r: SpectralResult(
+            float(np.sqrt(obj[r])), unpack(x[r]), int(iters[r]), bool(conv[r])
+        ),
         iters,
     )
 
