@@ -53,23 +53,22 @@ def _monomial_sums(coeffs, expo, xs, gradient):
     cols = np.arange(n)[:, np.newaxis]
     factors = expo.T * n + cols  # (n, N): table rows of x_j^a_j
     ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, m) or (N, 1)
-    if not gradient:
-        mono = table[factors[0]]
-        for rows in factors[1:]:
-            mono *= table[rows]
-        return _row_sums(mono, ct, (m, size))
-    shifted = np.maximum(expo.T - 1, 0) * n + cols  # (n, N): rows of x_j^(a_j - 1)
-    terms = table[shifted]  # (n, N, m), times the factors before and after
+    # (n, N, m): x_j^(a_j - 1), to be multiplied by the factors before and after
+    terms = table[np.maximum(expo.T - 1, 0) * n + cols] if gradient else None
     mono = table[factors[0]]
     for i in range(1, n):
-        terms[i] *= mono
+        if gradient:
+            terms[i] *= mono
         mono *= table[factors[i]]
+    value = _row_sums(mono, ct, (m, size))
+    if not gradient:
+        return value
     after = table[factors[n - 1]]
     for i in range(n - 2, -1, -1):
         terms[i] *= after
         after *= table[factors[i]]
     weights = expo.T[:, :, np.newaxis] * ct  # (i, N, m or 1): a_i * c_a
-    return _row_sums(mono, ct, (m, size)), _row_sums(terms, weights, (m, n, size))
+    return value, _row_sums(terms, weights, (m, n, size))
 
 
 def evaluate_poly_many(coeffs, expo, xs):
