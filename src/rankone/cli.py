@@ -18,6 +18,7 @@ from .bounds import (
 from .experiments import (
     UsageError,
     _bound_dict,
+    _draw,
     _fmt,
     estimate_ratio_distribution,
     export_report,
@@ -27,15 +28,8 @@ from .experiments import (
     trend_large_d,
     verify_bounds,
 )
-from .poly import dump_multi_poly, dump_poly, load_poly
-from .sampling import (
-    gaussian_harmonic,
-    gaussian_multi_harmonic,
-    gaussian_tensor,
-    kostlan_form,
-    kostlan_multi,
-)
-from .spectral import MaximizerConfig, approx_error, ratio, spectral_value, total_norm
+from .poly import HomogPoly, dump_multi_poly, dump_poly, load_poly
+from .spectral import MaximizerConfig, spectral_value, total_norm
 from .tensor import REAL, Tensor, dump_tensor, load_tensor
 
 import numpy as np
@@ -204,6 +198,7 @@ _MODEL_FLAGS = {
     "kostlan": ("d", "n", "field"),
     "harmonic": ("d", "n"),
     "kostlan_multi": ("ds", "ns", "field"),
+    "multi_harmonic": ("ds", "ns"),
     "projection": ("N", "k", "field"),
     "rank_one": ("shape", "field"),
     "identity": ("n",),
@@ -230,12 +225,12 @@ def _model_params(args):
 
 def _cmd_bounds(args):
     if args.sym:
-        if args.large_d:
-            bset = bounds_symmetric_large_d(args.d, args.n, args.field)
-        else:
-            bset = bounds_symmetric(args.d, args.n, args.field)
+        p = _required(args, "--sym", ("d", "n"))
+        bounds = bounds_symmetric_large_d if args.large_d else bounds_symmetric
+        bset = bounds(p["d"], p["n"], args.field)
     elif args.partial:
-        bset = bounds_partially_symmetric(args.ds, args.ns, args.field)
+        p = _required(args, "--partial", ("ds", "ns"))
+        bset = bounds_partially_symmetric(p["ds"], p["ns"], args.field)
     elif args.shape:
         bset = bounds_general(args.shape, args.field)
     else:
@@ -244,23 +239,15 @@ def _cmd_bounds(args):
     return 0
 
 
+def _dump(obj):
+    if isinstance(obj, Tensor):
+        return dump_tensor(obj)
+    return dump_poly(obj) if isinstance(obj, HomogPoly) else dump_multi_poly(obj)
+
+
 def _cmd_sample(args):
-    chunks = []
-    for i in range(args.count):
-        if args.model == "gaussian-tensor":
-            obj = gaussian_tensor(args.shape, args.field, args.seed, i)
-            chunks.append(dump_tensor(obj))
-        elif args.model == "kostlan":
-            chunks.append(dump_poly(kostlan_form(args.d, args.n, args.field, args.seed, i)))
-        elif args.model == "kostlan-multi":
-            chunks.append(
-                dump_multi_poly(kostlan_multi(args.ds, args.ns, args.field, args.seed, i))
-            )
-        elif args.model == "harmonic":
-            chunks.append(dump_poly(gaussian_harmonic(args.d, args.n, args.seed, i)))
-        else:
-            chunks.append(dump_multi_poly(gaussian_multi_harmonic(args.ds, args.ns, args.seed, i)))
-    text = "\n".join(chunks)
+    name, params = _model_params(args)
+    text = "\n".join(_dump(_draw(name, params, args.seed, i)) for i in range(args.count))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -283,8 +270,6 @@ def _cmd_ratio(args):
         if args.seed is None:
             raise UsageError("--random needs an explicit --seed")
         name, params = _model_params(args)
-        from .experiments import _draw
-
         obj = _draw(name, params, args.seed, 0)
     else:
         raise UsageError("pick one of --in, --identity or --random")

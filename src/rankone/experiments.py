@@ -36,6 +36,7 @@ from .poly import bw_inner, bw_norm
 from .sampling import (
     SeedSpec,
     gaussian_harmonic,
+    gaussian_multi_harmonic,
     gaussian_tensor,
     kostlan_form,
     kostlan_multi,
@@ -109,6 +110,8 @@ def _draw(model, params, seed, index):
         return kostlan_multi(
             tuple(params["ds"]), tuple(params["ns"]), params["field"], seed, index
         )
+    if model == "multi_harmonic":
+        return gaussian_multi_harmonic(tuple(params["ds"]), tuple(params["ns"]), seed, index)
     if model == "rank_one":
         # test hook: every draw is a rank-one tensor, so every ratio is 1
         shape, field = tuple(params["shape"]), params["field"]
@@ -207,6 +210,10 @@ _EXPECTATION_KEY = {
     "harmonic": "expectation_upper_harmonic",
 }
 
+# slack of the lower-bound checks for the bounds' float rounding: the bounds
+# are evaluated through exp/log, so an attained extremal ratio can sit just
+# below its bound (bounds_general((2, 2, 2), REAL).lower is
+# 0.5000000000000001, the ratio of Re(z1 z2 z3) is exactly 1/2)
 _HARD_TOL = 1e-9
 
 

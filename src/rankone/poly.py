@@ -41,16 +41,17 @@ class SymmetryError(ValueError):
 @lru_cache(maxsize=None)
 def monomial_exponents(d, n):
     """All exponent tuples of degree d in n variables, as an int64 array."""
-
-    def gen(deg, nvars):
-        if nvars == 1:
-            yield (deg,)
-            return
-        for a in range(deg, -1, -1):
-            for rest in gen(deg - a, nvars - 1):
-                yield (a,) + rest
-
-    arr = np.array(list(gen(d, n)), dtype=np.int64).reshape(-1, n)
+    # each row's successor: move one unit from the last nonzero entry before
+    # the final one to its right neighbour, which also takes the final entry
+    a = [d] + [0] * (n - 1)
+    rows = [tuple(a)]
+    while any(a[:-1]):
+        i = max(k for k in range(n - 1) if a[k])
+        last, a[-1] = a[-1], 0
+        a[i] -= 1
+        a[i + 1] = last + 1
+        rows.append(tuple(a))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, n)
     arr.setflags(write=False)
     return arr
 

@@ -8,13 +8,15 @@ that turns each block toward its projected gradient, |f|^2 is a
 trigonometric polynomial of known degree, so a few batched evaluations fix
 it and its maximum over the whole circle.  ``spectral_value_many`` runs
 every start of many objects of one kind, shape and field in lockstep as one
-batch: the alternating method updates a mode of every live start with one
-batched contraction, the ascent searches the circles of every live start
-with one batched evaluation, and each object keeps the best of its own
-starts.  The one-object entry points are its calls with one object.  Both
-methods return attained values, so certified LOWER bounds on the true
-maximum.  A deterministic sphere-grid oracle is provided for certification
-at tiny sizes.
+batch.  One driver (``_lockstep``) keeps the live starts, their iteration
+counts and convergence flags, and each round calls the method's step: the
+alternating method updates a mode of every live start with one batched
+contraction, the ascent searches the circles of every live start with one
+batched evaluation.  Each object keeps the best of its own starts.  The
+one-object entry points are its calls with one object.  Both methods return
+attained values, so certified LOWER bounds on the true maximum.  A
+deterministic sphere-grid oracle is provided for certification at tiny
+sizes.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,7 @@ from .poly import (
     MultiHomogPoly,
     bw_norm,
     multi_bw_norm,
+    multi_from_single,
 )
 from .tensor import (
     COMPLEX,
@@ -91,25 +94,61 @@ class SpectralBatch:
     iterations: int
 
 
-def _start_rng(seed, start):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(start,)))
+# ------------------------------------------------------------- lockstep runs
 
 
-def _random_unit(rng, n, field):
-    if field == COMPLEX:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _draw_starts(seeds, starts, sizes, field):
+    """Random unit start vectors, one (len(seeds) * starts, n) array per size
+    n; row i * starts + s is drawn by start s of ``seeds[i]``."""
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    rows = [np.empty((len(seeds) * starts, n), dtype=dtype) for n in sizes]
+    for row, (seed, s) in enumerate(product(seeds, range(starts))):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        for x in rows:
+            v = rng.standard_normal(x.shape[1])
+            if field == COMPLEX:
+                v = v + 1j * rng.standard_normal(x.shape[1])
+            x[row] = v / np.linalg.norm(v)
+    return rows
 
 
-def _pick_best(results):
-    """First result attaining the best value within the tie tolerance."""
-    best = max(r.value for r in results)
-    for r in results:
-        if r.value >= best - _TIE_TOL:
-            return r
-    raise AssertionError("unreachable")
+def _pick_best(values):
+    """Index of the first value within the tie tolerance of the largest."""
+    return int(np.flatnonzero(values >= values.max() - _TIE_TOL)[0])
+
+
+def _lockstep(step, state, max_iters):
+    """Run every start for up to ``max_iters`` rounds, all in lockstep.
+
+    ``state`` is a list of arrays whose rows are the starts.  Each round
+    calls ``step(live, ids)``: ``live`` is the list of the state rows of the
+    starts still running, ``ids`` their start indices; the step advances
+    them, in place or by replacing entries of the list, and returns a mask
+    of the starts that stop (converged).  Only in a round where some start
+    stops are its rows written back to ``state`` and dropped from ``live``.
+
+    Returns (state, iterations, converged), one row or entry per start.
+    """
+    starts = len(state[0])
+    iters = np.full(starts, max_iters)
+    converged = np.zeros(starts, dtype=bool)
+    ids = np.arange(starts)
+    live = list(state)
+    for it in range(1, max_iters + 1):
+        if not len(ids):
+            break
+        done = step(live, ids)
+        if done.any():
+            ended = ids[done]
+            converged[ended] = True
+            iters[ended] = it
+            for full, rows in zip(state, live):
+                full[ended] = rows[done]
+            ids = ids[~done]
+            live = [rows[~done] for rows in live]
+    for full, rows in zip(state, live):
+        full[ids] = rows
+    return state, iters, converged
 
 
 # ---------------------------------------------------------- general tensors
@@ -120,52 +159,23 @@ def spectral_norm_general(t, cfg=MaximizerConfig()):
     return spectral_value_many([t], cfg, [cfg.seed]).results[0]
 
 
-def _general_many(ts, cfg, seeds):
-    """Alternating maximization of same-shape tensors, all starts in lockstep."""
-    rows = len(ts) * cfg.starts
-    x0 = [np.empty((rows, n), dtype=ts[0].data.dtype) for n in ts[0].shape]
-    for row, (seed, s) in enumerate(product(seeds, range(cfg.starts))):
-        rng = _start_rng(seed, s)
-        for x in x0:
-            x[row] = _random_unit(rng, x.shape[1], ts[0].field)
-    which = np.repeat(np.arange(len(ts)), cfg.starts)
-    xs, obj, iters, conv = _alternating(ts, which, x0, cfg.max_iters, cfg.tol)
-    return _best_per_object(
-        cfg.starts,
-        lambda r: SpectralResult(
-            float(obj[r]), tuple(x[r] for x in xs), int(iters[r]), bool(conv[r])
-        ),
-        iters,
-    )
+def _alternating(ts, which, tol):
+    """Lockstep step of alternating maximization of |<T, x^1 (x) ... (x) x^d>|.
 
-
-def _alternating(ts, which, x0, max_iters, tol):
-    """Alternating maximization of |<T, x^1 (x) ... (x) x^d>| from every start.
-
-    ``ts`` are tensors of one shape and field, ``x0[j]`` is an (S, n_j) array
-    of unit rows, row s holding start s, and start s maximizes for tensor
-    ``ts[which[s]]``.  Each mode update is the closed form below and never
-    lowers the objective.  The starts advance in lockstep: each mode update
-    is one batched contraction over the live starts (the tensors are laid
-    out for it once per mode), each start keeps its own objective and
-    convergence test, and a start drops out when it converges.
-
-    Returns (xs, obj, iterations, converged), one row or entry per start.
+    ``ts`` are tensors of one shape and field and start s maximizes for
+    tensor ``ts[which[s]]``.  The state is one (S, n_j) array of unit rows
+    per mode and the objective (S,), -inf before the first round.  Each mode
+    update is the closed form below and never lowers the objective; a round
+    updates each mode of every live start with one batched contraction (the
+    tensors are laid out for it once per mode).  A start stops when a round
+    gains at most ``tol`` (relative).
     """
     stacks = [mode_stack(ts, j) for j in range(ts[0].order)]
-    rows = [np.array(x, dtype=ts[0].data.dtype) for x in x0]
-    xs = [np.empty_like(r) for r in rows]
-    starts = len(rows[0])
-    obj = np.full(starts, -np.inf)
-    iters = np.full(starts, max_iters)
-    converged = np.zeros(starts, dtype=bool)
-    live = np.arange(starts)
-    for it in range(1, max_iters + 1):
-        if not len(live):
-            break
-        prev = obj[live]
+
+    def step(state, ids):
+        rows, prev = state[:-1], state[-1]
         cur = prev.copy()
-        owner = which[live]
+        owner = which[ids]
         for j, stack in enumerate(stacks):
             v = contract_stack(stack, rows[:j] + rows[j + 1 :], owner)
             nrm = np.sqrt(np.add.reduce((v * np.conj(v)).real, axis=1))
@@ -177,19 +187,10 @@ def _alternating(ts, which, x0, max_iters, tol):
             else:
                 rows[j][ok] = np.conj(v[ok]) / nrm[ok, np.newaxis]
                 cur[ok] = nrm[ok]
-        obj[live] = cur
-        done = cur - prev <= tol * np.maximum(1.0, np.abs(cur))
-        if done.any():
-            ended = live[done]
-            converged[ended] = True
-            iters[ended] = it
-            for x, r in zip(xs, rows):
-                x[ended] = r[done]
-            live = live[~done]
-            rows = [r[~done] for r in rows]
-    for x, r in zip(xs, rows):
-        x[live] = r
-    return xs, obj, iters, converged
+        state[:] = rows + [cur]
+        return cur - prev <= tol * np.maximum(1.0, np.abs(cur))
+
+    return step
 
 
 # ------------------------------------------------ projected gradient ascent
@@ -311,103 +312,60 @@ def _circle_argmax(c):
     return theta[:, 0]
 
 
-def _pga_sphere(blocks, degree, value, value_and_grad, x0, max_iters, tol):
-    """Ascend |f|^2 on a product of unit spheres from every row of x0; monotone.
+def _pga_sphere(blocks, degree, value, value_and_grad, tol):
+    """Lockstep step of an ascent of |f|^2 on a product of unit spheres; monotone.
 
-    Each round turns every block b of a start by one angle t toward its unit
-    projected gradient u_b, along y_b(t) = cos(t) x_b + sin(t) u_b.  On that
-    great circle |f|^2 is a trigonometric polynomial of degree D = ``degree``
-    in 2t, so its values at 2D+1 angles fix it exactly (``rfft``).  Its
-    maximum over the whole circle comes from a fine zero-padded grid, a
-    parabola and Newton steps; |f|^2 and its gradient are then evaluated
-    there, and the start moves only if that value improves, so every value
-    is attained (and the next round's gradient is already known).  Every
-    evaluated point is renormalised block by block, which also keeps a
-    block whose tangent gradient is 0 at +-x_b.  A start stops when a round
-    does not improve or after two small improvements in a row.
+    The state is the points x (S, dim), one per start, |f|^2 there, its
+    gradient and a count of small gains in a row.  Each round turns every
+    block b of a start by one angle t toward its unit projected gradient
+    u_b, along y_b(t) = cos(t) x_b + sin(t) u_b.  On that great circle |f|^2
+    is a trigonometric polynomial of degree D = ``degree`` in 2t, so its
+    values at 2D+1 angles fix it exactly (``rfft``).  Its maximum over the
+    whole circle comes from a fine zero-padded grid, a parabola and Newton
+    steps; |f|^2 and its gradient are then evaluated there, and the start
+    moves only if that value improves, so every value is attained (and the
+    next round's gradient is already known).  Every evaluated point is
+    renormalised block by block, which also keeps a block whose tangent
+    gradient is 0 at +-x_b.  A start stops when its projected gradient
+    vanishes, when a round does not improve or after two small improvements
+    in a row.
 
-    The starts advance in lockstep: each round's circle samples and its
-    evaluation at the chosen angles are one batched call each over the
-    starts still running, and a start drops out when it converges.
-    ``value`` and ``value_and_grad`` receive the start ids of the rows they
-    evaluate.  A row's arithmetic does not depend on the other rows beyond
-    float rounding, so each start ends where it would alone.
-
-    Returns (x, obj, iterations, converged), one entry per row.
+    A round's circle samples and its evaluation at the chosen angles are one
+    batched call each over the live starts that search.  ``value`` and
+    ``value_and_grad`` receive the start ids of the rows they evaluate.  A
+    row's arithmetic does not depend on the other rows beyond float
+    rounding, so each start ends where it would alone.
     """
-    x = np.array(x0, dtype=float)
-    starts = len(x)
-    obj, grad = value_and_grad(x, np.arange(starts))
-    iters = np.full(starts, max_iters)
-    converged = np.zeros(starts, dtype=bool)
-    stalls = np.zeros(starts, dtype=int)
-    live = np.arange(starts)
-    for it in range(1, max_iters + 1):
-        if not len(live):
-            break
-        xl, ol, u = x[live], obj[live], grad[live]
+
+    def step(state, ids):
+        x, obj, grad, stalls = state
+        u = grad.copy()
         for b in blocks:
-            u[:, b] -= (u[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
-        flat = np.linalg.norm(u, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(ol))
-        if flat.any():
-            converged[live[flat]] = True
-            iters[live[flat]] = it
-            live, xl, ol, u = live[~flat], xl[~flat], ol[~flat], u[~flat]
-            if not len(live):
-                break
+            u[:, b] -= (u[:, b] * x[:, b]).sum(axis=1)[:, np.newaxis] * x[:, b]
+        flat = np.linalg.norm(u, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(obj))
+        if flat.all():
+            return flat
+        rows = np.flatnonzero(~flat)
+        xl, ol, u, ids = x[rows], obj[rows], u[rows], ids[rows]
         for b in blocks:
             nrm = np.linalg.norm(u[:, b], axis=1)[:, np.newaxis]
             u[:, b] /= np.where(nrm > 0.0, nrm, 1.0)
             # near convergence the radial part of the gradient dominates, so
             # the projection leaves rounding error along x_b; remove it again
             u[:, b] -= (u[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
-        c = _interpolant(_circle_samples(xl, u, ol, live, degree, value, blocks))
+        c = _interpolant(_circle_samples(xl, u, ol, ids, degree, value, blocks))
         y = _great_circle(xl, u, _circle_argmax(c)[:, np.newaxis], blocks)[:, 0]
-        oy, gy = value_and_grad(y, live)
+        oy, gy = value_and_grad(y, ids)
         improved = oy > ol
-        moved = live[improved]
+        moved = rows[improved]
         x[moved], obj[moved], grad[moved] = y[improved], oy[improved], gy[improved]
-        small = obj[live] - ol <= tol * np.maximum(1.0, obj[live])
-        stalls[live[small]] += 1
-        stalls[live[~small]] = 0
-        done = ~improved | (stalls[live] >= 2)
-        converged[live[done]] = True
-        iters[live[done]] = it
-        live = live[~done]
-    return x, obj, iters, converged
+        small = obj[rows] - ol <= tol * np.maximum(1.0, obj[rows])
+        stalls[rows[small]] += 1
+        stalls[rows[~small]] = 0
+        flat[rows] = ~improved | (stalls[rows] >= 2)
+        return flat
 
-
-def _sphere_product_many(coeffs, expo, ns, field, cfg, seeds):
-    """Multi-start ascent of |f| over the product of unit spheres in K^ns for
-    every coefficient row of ``coeffs``, all starts in lockstep."""
-    ids = np.repeat(np.arange(len(coeffs)), cfg.starts)
-    blocks, degree, value, value_and_grad, unpack = _realified_objective(
-        coeffs[ids], expo, ns, field
-    )
-    x0 = []
-    for seed, s in product(seeds, range(cfg.starts)):
-        rng = _start_rng(seed, s)
-        x0.append(np.concatenate([_random_unit(rng, b.stop - b.start, REAL) for b in blocks]))
-    x, obj, iters, conv = _pga_sphere(
-        blocks, degree, value, value_and_grad, np.array(x0), cfg.max_iters, cfg.tol
-    )
-    return _best_per_object(
-        cfg.starts,
-        lambda r: SpectralResult(
-            float(np.sqrt(obj[r])), unpack(x[r]), int(iters[r]), bool(conv[r])
-        ),
-        iters,
-    )
-
-
-def _best_per_object(starts, result, iters):
-    """SpectralBatch of the best ``result(row)`` of each consecutive group of
-    ``starts`` rows; ``iters`` holds the iteration count of every row."""
-    best = tuple(
-        _pick_best([result(r) for r in range(a, a + starts)])
-        for a in range(0, len(iters), starts)
-    )
-    return SpectralBatch(best, int(iters.max()))
+    return step
 
 
 def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None):
@@ -475,7 +433,7 @@ def brute_force_uniform_norm(obj, resolution):
     if isinstance(obj, Tensor):
         return _brute_force_tensor(obj, resolution)
     if isinstance(obj, HomogPoly):
-        return _brute_force_single(obj, resolution)
+        obj = multi_from_single(obj)
     if isinstance(obj, MultiHomogPoly):
         return _brute_force_multi(obj, resolution)
     raise TypeError(f"unsupported input {type(obj)!r}")
@@ -496,14 +454,6 @@ def _brute_force_tensor(t, resolution):
     for g in grids:
         cur = np.tensordot(cur, g, axes=([0], [1]))
     return float(np.max(np.abs(cur)))
-
-
-def _brute_force_single(f, resolution):
-    pts = _real_grid_for(f.n, f.field, resolution)
-    _grid_budget_check([pts.shape[0]])
-    coeffs = f.coeffs.astype(np.complex128) if np.iscomplexobj(pts) else f.coeffs
-    vals = evaluate_poly_many(coeffs, f.exponents, pts)
-    return float(np.max(np.abs(vals)))
 
 
 def _brute_force_multi(F, resolution):
@@ -551,12 +501,42 @@ def spectral_value_many(objs, cfg, seeds):
         raise ValueError(f"mixed inputs in one batch: {sorted(map(str, spaces))}")
     if any(total_norm(o) == 0.0 for o in objs):
         raise ZeroInputError("zero input")
-    first = objs[0]
+    first, starts = objs[0], cfg.starts
+    which = np.repeat(np.arange(len(objs)), starts)
     if isinstance(first, Tensor):
-        return _general_many(objs, cfg, seeds)
-    ns = first.ns if isinstance(first, MultiHomogPoly) else (first.n,)
-    coeffs = np.stack([o.coeffs for o in objs])
-    return _sphere_product_many(coeffs, first.exponents, ns, first.field, cfg, seeds)
+        rows = _draw_starts(seeds, starts, first.shape, first.field)
+        step = _alternating(objs, which, cfg.tol)
+        (*xs, values), iters, conv = _lockstep(
+            step, [*rows, np.full(len(which), -np.inf)], cfg.max_iters
+        )
+
+        def maximizer(r):
+            return tuple(x[r] for x in xs)
+
+    else:
+        ns = first.ns if isinstance(first, MultiHomogPoly) else (first.n,)
+        coeffs = np.stack([o.coeffs for o in objs])[which]
+        blocks, degree, value, value_and_grad, unpack = _realified_objective(
+            coeffs, first.exponents, ns, first.field
+        )
+        x = np.hstack(_draw_starts(seeds, starts, [b.stop - b.start for b in blocks], REAL))
+        obj, grad = value_and_grad(x, np.arange(len(x)))
+        step = _pga_sphere(blocks, degree, value, value_and_grad, cfg.tol)
+        (x, obj, _, _), iters, conv = _lockstep(
+            step, [x, obj, grad, np.zeros(len(x), dtype=int)], cfg.max_iters
+        )
+        values = np.sqrt(obj)
+
+        def maximizer(r):
+            return unpack(x[r])
+
+    results = []
+    for a in range(0, len(which), starts):
+        r = a + _pick_best(values[a : a + starts])
+        results.append(
+            SpectralResult(float(values[r]), maximizer(r), int(iters[r]), bool(conv[r]))
+        )
+    return SpectralBatch(tuple(results), int(iters.max()))
 
 
 def total_norm(obj):

@@ -117,31 +117,6 @@ def rank_one(lam, xs):
     return Tensor(out, xs.field)
 
 
-def contract_all_but(t, xs, j):
-    """Vector v with v[i] = <T, x^1 (x) ... e_i ... (x) x^d> in slot j.
-
-    The plain bilinear pairing sum_i v[i] * x^j[i] recovers <T, x^1 (x) ... (x) x^d>
-    for both fields.
-    """
-    return contract_all_but_many(t, [v[np.newaxis] for v in xs.vectors], j)[0]
-
-
-def contract_all_but_many(t, rows, j):
-    """``contract_all_but`` for a batch of vector tuples at once.
-
-    ``rows[k]`` is an (S, n_k) array whose row s is the mode-k vector of tuple
-    s (``rows[j]`` is not read).  Returns the (S, n_j) array whose row s is
-    ``contract_all_but`` of tuple s.
-    """
-    d = t.order
-    if not 0 <= j < d:
-        raise IndexError(f"mode {j} out of range for order {d}")
-    if len(rows) != d:
-        raise DimensionError(f"need {d} row blocks, got {len(rows)}")
-    which = np.zeros(len(rows[0]), dtype=np.intp)
-    return contract_stack(mode_stack([t], j), [*rows[:j], *rows[j + 1 :]], which)
-
-
 def mode_stack(tensors, j):
     """The data of same-shape tensors laid out for ``contract_stack``.
 
@@ -159,14 +134,16 @@ def mode_stack(tensors, j):
 
 
 def contract_stack(stack, rows, which):
-    """``contract_all_but`` of many (tensor, vector tuple) pairs at once.
+    """Contract many (tensor, vector tuple) pairs in every mode but one.
 
     ``stack`` is a ``mode_stack`` of tensors for mode j, and ``rows`` holds
     one (S, n_k) array per other mode, in the stack's mode order.  Row s of
-    the (S, n_j) result contracts tensor ``which[s]`` with row s of every
-    array in ``rows``.  The modes are contracted one at a time from the last,
-    each as a per-row product-sum, so a row's value does not depend on the
-    other rows.
+    the (S, n_j) result is v with v[i] = <T, x^1 (x) ... e_i ... (x) x^d>
+    (e_i in slot j), for T the ``which[s]``-th tensor and x^k the row s of
+    each array in ``rows``; the plain bilinear pairing sum_i v[i] x^j[i]
+    recovers <T, x^1 (x) ... (x) x^d> for both fields.  The modes are
+    contracted one at a time from the last, each as a per-row product-sum,
+    so a row's value does not depend on the other rows.
     """
     cur = stack[..., which]
     for r in reversed(rows):
@@ -246,6 +223,8 @@ def _parse_scalar(s, field):
 def load_tensor(text):
     _, meta, body = _parse_header(text, {"tensor": ("shape", "field")})
     shape = tuple(int(s) for s in meta["shape"].split(","))
+    if min(shape) < 1:
+        raise ValueError(f"bad tensor header shape={meta['shape']}")
     field = meta["field"]
     vals = [_parse_scalar(ln.strip(), field) for ln in body]
     data = np.array(vals, dtype=_dtype_for(field)).reshape(shape)

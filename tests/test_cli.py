@@ -192,8 +192,18 @@ def test_cli_import_loads_no_scipy():
         ("poly n=0 d=2 field=real\n", ()),
         ("", ("verify", "--model", "kostlan", "--n", "2", "--seed", "1")),
         ("", ("verify", "--model", "harmonic", "--n", "2", "--seed", "1")),
+        ("tensor shape=2,-1 field=real\n1.0\n2.0\n3.0\n4.0\n", ()),
+        ("poly n=1500 d=1 field=real\n", ()),
+        ("", ("sample", "--model", "kostlan", "--seed", "1")),
+        ("", ("sample", "--model", "gaussian-tensor", "--seed", "1")),
+        ("", ("bounds", "--sym", "--d", "3")),
+        ("", ("bounds", "--partial", "--ds", "2,3")),
     ],
-    ids=["nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d", "harmonic-no-d"],
+    ids=[
+        "nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d",
+        "harmonic-no-d", "negative-dimension", "many-variables", "sample-kostlan-no-d",
+        "sample-tensor-no-shape", "bounds-sym-no-n", "bounds-partial-no-ns",
+    ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):
     if not argv:

@@ -1,5 +1,8 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankone._kernels import (
     evaluate_poly,
@@ -33,7 +36,16 @@ from rankone.poly import (
     single_from_multi,
     symmetric_tensor_from_poly,
 )
-from rankone.tensor import COMPLEX, REAL, Tensor, frobenius_inner, frobenius_norm, symmetrize
+from rankone.tensor import (
+    COMPLEX,
+    REAL,
+    Tensor,
+    dump_tensor,
+    frobenius_inner,
+    frobenius_norm,
+    load_tensor,
+    symmetrize,
+)
 
 
 def test_monomial_order_graded_lex():
@@ -43,6 +55,13 @@ def test_monomial_order_graded_lex():
     assert num_monomials(2, 3) == 6
     idx = monomial_index(2, 3)
     assert idx[(1, 0, 1)] == 2
+    # the same rows in the same order as the sorted list of all compositions
+    for d in range(7):
+        for n in range(1, 6):
+            ref = sorted((a for a in product(range(d + 1), repeat=n) if sum(a) == d), reverse=True)
+            assert [tuple(r) for r in monomial_exponents(d, n)] == ref, (d, n)
+    # built without recursion, so many variables are fine
+    np.testing.assert_array_equal(monomial_exponents(1, 1500), np.eye(1500, dtype=np.int64))
 
 
 def test_multinomial_values():
@@ -224,6 +243,47 @@ def test_dump_load_round_trip():
     F = multi_from_single(f)
     text = dump_multi_poly(F)
     assert "multipoly" in text.splitlines()[0]
+
+
+def _joined(sizes):
+    return ",".join(map(str, sizes))
+
+
+_SIZES = st.lists(st.integers(-1, 3), min_size=1, max_size=3)
+_FIELDS = st.sampled_from(["real", "complex", "quaternion"])
+_HEADERS = st.one_of(
+    st.builds(lambda s, f: f"tensor shape={_joined(s)} field={f}", _SIZES, _FIELDS),
+    st.builds(lambda n, d, f: f"poly n={n} d={d} field={f}", st.integers(-1, 3), st.integers(-1, 3), _FIELDS),
+    st.builds(lambda ns, ds, f: f"multipoly ns={_joined(ns)} ds={_joined(ds)} field={f}", _SIZES, _SIZES, _FIELDS),
+)
+_NUMBERS = st.one_of(st.floats(-10.0, 10.0), st.floats()).map(str)
+_ENTRIES = (
+    _NUMBERS,
+    st.builds(lambda a, b: f"{a},{b}", _NUMBERS, _NUMBERS),
+    st.builds(lambda key, c: f"{_joined(key)}: {c}", st.lists(st.integers(-1, 3), max_size=3), _NUMBERS),
+)
+_LINES = st.one_of(*_ENTRIES, st.text(alphabet="0123456789-+.,:|e ", max_size=12), st.text(max_size=8))
+# bodies of one kind of entry load more often than mixed ones
+_BODIES = st.one_of(*(st.lists(e, max_size=6) for e in (*_ENTRIES, _LINES)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_HEADERS, _BODIES)
+def test_loaders_load_or_raise_value_error(header, body):
+    # any body under a small header, dimensions <= 0 included; what loads
+    # has the header's dimensions
+    text = "\n".join([header, *body]) + "\n"
+    kind = header.split()[0]
+    load, dump = {
+        "tensor": (load_tensor, dump_tensor),
+        "poly": (load_poly, dump_poly),
+        "multipoly": (load_poly, dump_multi_poly),
+    }[kind]
+    try:
+        obj = load(text)
+    except ValueError:
+        return
+    assert dump(obj).splitlines()[0] == header
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

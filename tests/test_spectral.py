@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankone.bounds import bounds_symmetric
-from rankone.experiments import estimate_ratio_distribution
+from rankone.bounds import bounds_general, bounds_symmetric
+from rankone.experiments import _HARD_TOL, _draw, estimate_ratio_distribution
 from rankone.poly import MultiHomogPoly, multi_from_single, poly_from_coeff_dict
 from rankone.sampling import gaussian_tensor, kostlan_form, kostlan_multi, uniform_sphere
 from rankone.spectral import (
@@ -25,6 +25,7 @@ from rankone.spectral import (
     _circle_samples,
     _great_circle,
     _interpolant,
+    _lockstep,
     _pga_sphere,
     _realified_objective,
     _trig,
@@ -183,6 +184,42 @@ def test_deterministic_given_seed():
 
 
 
+def _ascend(blocks, degree, value, value_and_grad, x0, max_iters):
+    """The sphere ascent from every row of x0: (x, |f|^2, iterations, converged)."""
+    x = np.array(x0, dtype=float)
+    obj, grad = value_and_grad(x, np.arange(len(x)))
+    step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
+    (x, obj, _, _), iters, conv = _lockstep(step, [x, obj, grad, np.zeros(len(x), dtype=int)], max_iters)
+    return x, obj, iters, conv
+
+
+def _alternate(t, x0, max_iters):
+    """Alternating maximization from every row of x0: (xs, objective, iterations, converged)."""
+    rows = [np.array(x) for x in x0]
+    which = np.zeros(len(rows[0]), dtype=int)
+    step = _alternating([t], which, 1e-12)
+    (*xs, obj), iters, conv = _lockstep(step, [*rows, np.full(len(which), -np.inf)], max_iters)
+    return xs, obj, iters, conv
+
+
+def test_lockstep_driver_retires_each_start_at_its_round():
+    # start s stops in round s + 1; the driver alone sets the counts and
+    # flags and writes every start's final rows back
+    def step(live, ids):
+        live[0] += 1.0
+        live[1] = live[1] * 2
+        return live[0][:, 0] > ids
+
+    for max_iters, stopped in ((10, 5), (3, 3)):
+        state = [np.zeros((5, 2)), np.ones(5, dtype=int)]
+        (count, power), iters, conv = _lockstep(step, state, max_iters)
+        rounds = np.minimum(np.arange(1, 6), max_iters)
+        np.testing.assert_array_equal(count, np.repeat(rounds, 2).reshape(5, 2))
+        np.testing.assert_array_equal(power, 2**rounds)
+        np.testing.assert_array_equal(iters, rounds)
+        np.testing.assert_array_equal(conv, np.arange(5) < stopped)
+
+
 @pytest.mark.parametrize(
     "form",
     [
@@ -201,9 +238,9 @@ def test_lockstep_starts_match_single_runs(form):
     for b in blocks:
         x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
     for max_iters in (500, 6):
-        _, obj, iters, conv = _pga_sphere(blocks, degree, value, value_and_grad, x0, max_iters, 1e-12)
+        _, obj, iters, conv = _ascend(blocks, degree, value, value_and_grad, x0, max_iters)
         for s in range(len(x0)):
-            _, o1, i1, c1 = _pga_sphere(blocks, degree, value, value_and_grad, x0[s : s + 1], max_iters, 1e-12)
+            _, o1, i1, c1 = _ascend(blocks, degree, value, value_and_grad, x0[s : s + 1], max_iters)
             assert o1[0] == pytest.approx(obj[s], rel=1e-12)
             assert i1[0] == iters[s]
             assert c1[0] == conv[s]
@@ -227,10 +264,10 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
             x = x + 1j * rng.standard_normal((9, n))
         x0.append(x / np.linalg.norm(x, axis=1)[:, np.newaxis])
     for max_iters in (400, 3):
-        xs, obj, iters, conv = _alternating([t], np.zeros(9, int), x0, max_iters, 1e-12)
+        xs, obj, iters, conv = _alternate(t, x0, max_iters)
         for s in range(9):
             one = [x[s : s + 1] for x in x0]
-            x1, o1, i1, c1 = _alternating([t], np.zeros(1, int), one, max_iters, 1e-12)
+            x1, o1, i1, c1 = _alternate(t, one, max_iters)
             assert o1[0] == pytest.approx(obj[s], rel=1e-12)
             for a, b in zip(x1, xs):
                 np.testing.assert_allclose(a[0], b[s], rtol=0, atol=1e-10)
@@ -248,13 +285,19 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
         (31, (3, 3, 3), REAL, 3.944647356125139, 27),
         (32, (2, 3, 4), COMPLEX, 4.135896386787339, 14),
         (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 18),
+        (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 2),
+        (35, ("kostlan", {"d": 8, "n": 2}), COMPLEX, 1.2948616794233114, 8),
+        (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 14),
+        (37, ("kostlan_multi", {"ds": (2, 3), "ns": (2, 2)}), REAL, 2.2952944200632626, 13),
     ],
 )
 def test_general_values_pinned(seed, shape, field, value, iterations):
-    # values of the one-start-at-a-time alternating method, which the
-    # lockstep run reproduces up to float rounding
+    # values and iteration counts of general tensors (a shape) and of forms
+    # and multi-forms (a model), pinned so that a change to either optimizer
+    # or to their lockstep driver that moves a result shows here
+    model, params = shape if isinstance(shape[0], str) else ("gaussian_tensor", {"shape": shape})
     cfg = MaximizerConfig(starts=8, max_iters=500, seed=seed)
-    res = spectral_norm_general(gaussian_tensor(shape, field, seed), cfg)
+    res = spectral_value(_draw(model, {**params, "field": field}, seed, 0), cfg)
     assert res.value == pytest.approx(value, rel=1e-12)
     assert res.iterations == iterations and res.converged
 
@@ -355,7 +398,7 @@ def test_great_circle_search_is_exact(form):
     dense = on_circle(np.tile(np.linspace(0.0, np.pi, 2001), (rows, 1)))
     assert (best >= dense.max(axis=1) * (1 - 1e-12)).all()
     # every value the ascent accepts is |f|^2 at the point it returns
-    xf, obj, _, conv = _pga_sphere(blocks, degree, value, value_and_grad, x, 400, 1e-12)
+    xf, obj, _, conv = _ascend(blocks, degree, value, value_and_grad, x, 400)
     np.testing.assert_allclose(obj, value(xf, ids), rtol=1e-14, atol=0)
     for b in blocks:
         np.testing.assert_allclose(np.linalg.norm(xf[:, b], axis=1), 1.0, rtol=1e-14)
@@ -399,6 +442,8 @@ def test_extremal_2x2x2_ratios(data, field, anchor):
     assert ratio(Tensor(data, field), CFG) == pytest.approx(anchor, rel=1e-12)
     multi = MultiHomogPoly((2, 2, 2), (1, 1, 1), data.ravel(), field)
     assert ratio(multi, CFG) == pytest.approx(anchor, rel=1e-12)
+    # the closed-form lower bound holds at the anchor up to its rounding
+    assert anchor >= bounds_general((2, 2, 2), field).lower - _HARD_TOL
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])

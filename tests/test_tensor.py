@@ -8,13 +8,13 @@ from rankone.tensor import (
     FieldError,
     Tensor,
     UnitVectorTuple,
-    contract_all_but,
-    contract_all_but_many,
+    contract_stack,
     dump_tensor,
     frobenius_inner,
     frobenius_norm,
     is_symmetric,
     load_tensor,
+    mode_stack,
     rank_one,
     symmetrize,
     tensor_from_array,
@@ -57,14 +57,10 @@ def test_unit_vector_tuple_rejects_non_unit():
         UnitVectorTuple((np.array([1.0, 1.0]),), REAL)
 
 
-def test_contract_all_but_matches_einsum():
-    rng = np.random.default_rng(1)
-    t = Tensor(rng.standard_normal((2, 3, 4)), REAL)
-    vs = [rng.standard_normal(n) for n in (2, 3, 4)]
-    xs = UnitVectorTuple(tuple(v / np.linalg.norm(v) for v in vs), REAL)
-    v = contract_all_but(t, xs, 1)
-    ref = np.einsum("ijk,i,k->j", t.data, xs.vectors[0], xs.vectors[2])
-    np.testing.assert_allclose(v, ref, atol=1e-13)
+def _contract(t, rows, j):
+    """contract_stack of one tensor with every row tuple, all modes but j."""
+    which = np.zeros(len(rows[0]), dtype=np.intp)
+    return contract_stack(mode_stack([t], j), [*rows[:j], *rows[j + 1 :]], which)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -81,7 +77,7 @@ def test_contract_many_rows_match_single(shape, field):
     rows = [r / np.linalg.norm(r, axis=1)[:, np.newaxis] for r in rows]
     letters = "abcd"[: len(shape)]
     for j in range(len(shape)):
-        many = contract_all_but_many(t, rows, j)
+        many = _contract(t, rows, j)
         assert many.shape == (7, shape[j])
         # independent reference: one einsum over all modes but j
         others = [k for k in range(len(shape)) if k != j]
@@ -89,10 +85,19 @@ def test_contract_many_rows_match_single(shape, field):
         ref = np.einsum(f"{spec}->s{letters[j]}", np.conj(t.data), *(rows[k] for k in others))
         np.testing.assert_allclose(many, ref, rtol=0, atol=1e-13)
         for s in range(7):
-            xs = UnitVectorTuple(tuple(r[s] for r in rows), field)
-            np.testing.assert_allclose(many[s], contract_all_but(t, xs, j), rtol=0, atol=1e-13)
-    with pytest.raises(IndexError):
-        contract_all_but_many(t, rows, len(shape))
+            one = _contract(t, [r[s : s + 1] for r in rows], j)[0]
+            np.testing.assert_array_equal(many[s], one)
+
+
+def test_contract_stack_rows_pick_their_tensor():
+    rng = np.random.default_rng(5)
+    ts = [Tensor(rng.standard_normal((2, 3, 4)), REAL) for _ in range(3)]
+    rows = [rng.standard_normal((6, n)) for n in (2, 4)]
+    which = np.array([2, 0, 1, 1, 0, 2])
+    many = contract_stack(mode_stack(ts, 1), rows, which)
+    for s, k in enumerate(which):
+        ref = np.einsum("ijk,i,k->j", ts[k].data, rows[0][s], rows[1][s])
+        np.testing.assert_allclose(many[s], ref, rtol=0, atol=1e-13)
 
 
 def test_contraction_pairing_recovers_full_inner_complex():
@@ -103,7 +108,7 @@ def test_contraction_pairing_recovers_full_inner_complex():
     xs = UnitVectorTuple(tuple(v / np.linalg.norm(v) for v in vs), COMPLEX)
     full = frobenius_inner(t, rank_one(1.0, xs))
     for j in range(3):
-        v = contract_all_but(t, xs, j)
+        v = _contract(t, [x[np.newaxis] for x in xs.vectors], j)[0]
         assert np.sum(v * xs.vectors[j]) == pytest.approx(full)
 
 
