@@ -151,29 +151,21 @@ def bounds_symmetric(d, n, field=REAL):
         )
     if d < 3:
         raise DomainError(f"need d >= 3 (or the d = 2 matrix case), got {d}")
-    log_nb = log_binom(d + n - 1, d)
-    trivial = math.exp(-0.5 * (d - 1) * math.log(n))
-    if field == REAL:
-        lower = max(math.exp(-0.5 * d * math.log(2.0) - 0.5 * log_nb), trivial)
-        upper = 6.0 * math.sqrt(n * math.log(d)) * math.exp(
-            -0.5 * d * math.log(2.0) - 0.5 * log_binom_half(d, n)
-        )
-    else:
-        lower = max(math.exp(-0.5 * log_nb), trivial)
-        upper = 10.0 * math.sqrt(n * math.log(d)) * math.exp(-0.5 * log_nb)
+    lower, upper, sharp = _sandwich((d,), (n,), field)
     extras = {
         "upper_relaxed": symmetric_upper_relaxed(d, n),
         "expectation_upper_kostlan": expectation_bound_kostlan(d, n, field),
+        # the Kostlan constant is the complex one for either field
+        "upper_sharp_kostlan": _sandwich((d,), (n,), COMPLEX)[2],
     }
     if field == REAL:
         extras["expectation_upper_harmonic"] = expectation_bound_harmonic(d, n)
-        extras["upper_sharp_harmonic"] = upper_bound_harmonic_sharp(d, n)
-    extras["upper_sharp_kostlan"] = upper_bound_kostlan_sharp(d, n, field)
+        extras["upper_sharp_harmonic"] = sharp
     return BoundSet(
         problem=f"symmetric d={d} n={n}",
         field=field,
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         provenance=("symmetric-lower", "symmetric-upper"),
         extras=extras,
     )
@@ -198,19 +190,6 @@ def expectation_bound_harmonic(d, n):
     corr = 1.0 + 1.0 / math.log(d) + 1.0 / (n + 1.0)
     lg = -0.5 * d * math.log(2.0) - 0.5 * log_binom_half(d, n)
     return float(2.0 * math.sqrt(6.0) * corr * math.sqrt(n * math.log(d)) * math.exp(lg))
-
-
-def upper_bound_kostlan_sharp(d, n, field=REAL):
-    """2 sqrt(3) e sqrt(1 + 2/ln d) sqrt(n ln d) binom(d+n-1, d)^(-1/2)."""
-    c = 2.0 * math.sqrt(3.0) * math.e * math.sqrt(1.0 + 2.0 / math.log(d))
-    return float(c * math.sqrt(n * math.log(d)) * math.exp(-0.5 * log_binom(d + n - 1, d)))
-
-
-def upper_bound_harmonic_sharp(d, n):
-    """2 sqrt(3) sqrt(1 + 2/ln d) sqrt(n ln d) 2^(-d/2) binom(d+n/2-1, d)^(-1/2)."""
-    c = 2.0 * math.sqrt(3.0) * math.sqrt(1.0 + 2.0 / math.log(d))
-    lg = -0.5 * d * math.log(2.0) - 0.5 * log_binom_half(d, n)
-    return float(c * math.sqrt(n * math.log(d)) * math.exp(lg))
 
 
 def bounds_symmetric_large_d(d, n, field=REAL):
@@ -244,6 +223,29 @@ def bounds_symmetric_large_d(d, n, field=REAL):
 # ------------------------------------------------------- partially symmetric
 
 
+def _sandwich(ds, ns, field):
+    """(lower, upper, sharp upper) bound of the partially symmetric tensors
+    Sym^{d_1}(K^{n_1}) x ... x Sym^{d_m}(K^{n_m}); one block is the
+    symmetric case."""
+    sum_d = sum(ds)
+    log_prod_nb = sum(log_binom(dj + nj - 1, dj) for dj, nj in zip(ds, ns))
+    log_prod_nb_half = sum(log_binom_half(dj, nj) for dj, nj in zip(ds, ns))
+    trivial = math.exp(
+        0.5 * (math.log(max(ns)) - sum(dj * math.log(nj) for dj, nj in zip(ds, ns)))
+    )
+    ln_md = math.log(len(ds) * max(ds))
+    root = math.sqrt(sum(ns) * ln_md)
+    if field == REAL:
+        lower = math.exp(-0.5 * sum_d * math.log(2.0) - 0.5 * log_prod_nb)
+        scale = math.exp(-0.5 * sum_d * math.log(2.0) - 0.5 * log_prod_nb_half)
+        c_upper, c_sharp = 6.0, 2.0 * math.sqrt(3.0)
+    else:
+        lower = scale = math.exp(-0.5 * log_prod_nb)
+        c_upper, c_sharp = 10.0, 2.0 * math.sqrt(3.0) * math.e
+    sharp = c_sharp * math.sqrt(1.0 + 2.0 / ln_md) * root * scale
+    return max(lower, trivial), c_upper * root * scale, sharp
+
+
 def bounds_partially_symmetric(ds, ns, field=REAL):
     ds, ns = tuple(ds), tuple(ns)
     m = len(ds)
@@ -255,42 +257,14 @@ def bounds_partially_symmetric(ds, ns, field=REAL):
         raise DomainError(f"need max degree >= 3, got {ds}")
     if any(nj < 2 for nj in ns):
         raise DomainError(f"need all dimensions >= 2, got {ns}")
-    sum_d = sum(ds)
-    log_prod_nb = sum(log_binom(dj + nj - 1, dj) for dj, nj in zip(ds, ns))
-    log_prod_nb_half = sum(log_binom_half(dj, nj) for dj, nj in zip(ds, ns))
-    trivial = math.exp(
-        0.5 * (math.log(max(ns)) - sum(dj * math.log(nj) for dj, nj in zip(ds, ns)))
-    )
-    ln_md = math.log(m * max(ds))
-    root = math.sqrt(sum(ns) * ln_md)
-    if field == REAL:
-        lower = max(math.exp(-0.5 * sum_d * math.log(2.0) - 0.5 * log_prod_nb), trivial)
-        upper = 6.0 * root * math.exp(-0.5 * sum_d * math.log(2.0) - 0.5 * log_prod_nb_half)
-        sharp = (
-            2.0
-            * math.sqrt(3.0)
-            * math.sqrt(1.0 + 2.0 / ln_md)
-            * root
-            * math.exp(-0.5 * sum_d * math.log(2.0) - 0.5 * log_prod_nb_half)
-        )
-    else:
-        lower = max(math.exp(-0.5 * log_prod_nb), trivial)
-        upper = 10.0 * root * math.exp(-0.5 * log_prod_nb)
-        sharp = (
-            2.0
-            * math.sqrt(3.0)
-            * math.e
-            * math.sqrt(1.0 + 2.0 / ln_md)
-            * root
-            * math.exp(-0.5 * log_prod_nb)
-        )
+    lower, upper, sharp = _sandwich(ds, ns, field)
     return BoundSet(
         problem="partial d=%s n=%s" % (",".join(map(str, ds)), ",".join(map(str, ns))),
         field=field,
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         provenance=("partial-lower", "partial-upper"),
-        extras={"upper_sharp": float(sharp)},
+        extras={"upper_sharp": sharp},
     )
 
 

@@ -16,6 +16,7 @@ from .bounds import (
     bounds_symmetric_large_d,
 )
 from .experiments import (
+    MODELS,
     UsageError,
     _bound_dict,
     _draw,
@@ -30,7 +31,7 @@ from .experiments import (
 )
 from .poly import HomogPoly, dump_multi_poly, dump_poly, load_poly
 from .spectral import MaximizerConfig, spectral_value, total_norm
-from .tensor import REAL, Tensor, dump_tensor, load_tensor
+from .tensor import Tensor, dump_tensor, load_tensor
 
 import numpy as np
 
@@ -45,6 +46,18 @@ def _floats(s):
 
 def _emit(data):
     sys.stdout.write(json.dumps(_fmt(data), sort_keys=True, indent=2) + "\n")
+
+
+def _add_space_flags(p, model=False):
+    """The flags that pick a problem space, and --model if ``model``."""
+    if model:
+        p.add_argument("--model", choices=[name.replace("_", "-") for name in MODELS])
+    p.add_argument("--shape", type=_ints, help="tensor shape, e.g. 2,2,2")
+    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--ds", type=_ints, help="degrees per block, e.g. 2,3")
+    p.add_argument("--ns", type=_ints, help="dimensions per block, e.g. 2,2")
+    p.add_argument("--field", choices=["real", "complex"], default="real")
 
 
 def _build_parser():
@@ -63,26 +76,11 @@ def _build_parser():
     p.add_argument("--sym", action="store_true", help="symmetric tensors Sym^d(K^n)")
     p.add_argument("--partial", action="store_true", help="partially symmetric tensors")
     p.add_argument("--large-d", action="store_true", help="explicit large-degree sandwich")
-    p.add_argument("--shape", type=_ints, help="general tensor shape, e.g. 2,2,2")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ds", type=_ints, help="degrees per block, e.g. 2,3")
-    p.add_argument("--ns", type=_ints, help="dimensions per block, e.g. 2,2")
-    p.add_argument("--field", choices=["real", "complex"], default="real")
+    _add_space_flags(p)
 
     p = subparsers["sample"] = sub.add_parser("sample", help="draw from a probabilistic model")
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=["gaussian-tensor", "kostlan", "kostlan-multi", "harmonic", "multi-harmonic"],
-    )
-    p.add_argument("--shape", type=_ints)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ds", type=_ints)
-    p.add_argument("--ns", type=_ints)
-    p.add_argument("--field", choices=["real", "complex"], default="real")
-    p.add_argument("--seed", type=int, required=True)
+    _add_space_flags(p, model=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", help="output file (stdout when omitted)")
 
@@ -91,17 +89,8 @@ def _build_parser():
     )
     p.add_argument("--in", dest="infile", help="serialized tensor or polynomial")
     p.add_argument("--identity", action="store_true", help="identity-matrix fixture")
-    p.add_argument("--n", type=int)
     p.add_argument("--random", action="store_true", help="draw the input from a model")
-    p.add_argument(
-        "--model",
-        choices=["gaussian-tensor", "kostlan", "kostlan-multi", "harmonic"],
-    )
-    p.add_argument("--shape", type=_ints)
-    p.add_argument("--d", type=int)
-    p.add_argument("--ds", type=_ints)
-    p.add_argument("--ns", type=_ints)
-    p.add_argument("--field", choices=["real", "complex"], default="real")
+    _add_space_flags(p, model=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--starts", type=int, default=32)
 
@@ -125,24 +114,7 @@ def _build_parser():
 
 
 def _add_experiment_flags(p):
-    p.add_argument(
-        "--model",
-        choices=[
-            "gaussian-tensor",
-            "kostlan",
-            "kostlan-multi",
-            "harmonic",
-            "projection",
-            "rank-one",
-            "identity",
-        ],
-    )
-    p.add_argument("--shape", type=_ints)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ds", type=_ints)
-    p.add_argument("--ns", type=_ints)
-    p.add_argument("--field", choices=["real", "complex"], default="real")
+    _add_space_flags(p, model=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("--starts", type=int, default=32)
@@ -151,58 +123,35 @@ def _add_experiment_flags(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-_CONFIG_CONVERTERS = {
-    "shape": _ints,
-    "ds": _ints,
-    "ns": _ints,
-    "d_grid": _ints,
-    "t_grid": _floats,
-    "d": int,
-    "n": int,
-    "N": int,
-    "k": int,
-    "seed": int,
-    "samples": int,
-    "starts": int,
-    "workers": int,
-    "count": int,
-}
-
-
 def _apply_config_file(subparsers, argv):
+    """Set the defaults of every subparser from a --config file, each value
+    converted and checked as the flag of the same name would be."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
         return
-    defaults = {}
-    with open(known.config) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = val.strip()
-    parsed = {
-        k: (_CONFIG_CONVERTERS[k](v) if k in _CONFIG_CONVERTERS else v)
-        for k, v in defaults.items()
-    }
-    for sp in subparsers.values():
-        dests = {a.dest for a in sp._actions}
-        sp.set_defaults(**{k: v for k, v in parsed.items() if k in dests})
-
-
-# flags each --model needs
-_MODEL_FLAGS = {
-    "gaussian_tensor": ("shape", "field"),
-    "kostlan": ("d", "n", "field"),
-    "harmonic": ("d", "n"),
-    "kostlan_multi": ("ds", "ns", "field"),
-    "multi_harmonic": ("ds", "ns"),
-    "projection": ("N", "k", "field"),
-    "rank_one": ("shape", "field"),
-    "identity": ("n",),
-}
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise UsageError(f"{path} line {lineno}: expected key = value, got {line!r}")
+        key = key.replace("-", "_")
+        for sp in subparsers.values():
+            for action in sp._actions:
+                if action.dest != key:
+                    continue
+                try:
+                    value = action.type(text) if action.type else text
+                    if action.choices and value not in action.choices:
+                        raise ValueError
+                except ValueError:
+                    raise UsageError(f"{path} line {lineno}: bad {key} value {text!r}") from None
+                sp.set_defaults(**{key: value})
 
 
 def _required(args, what, keys):
@@ -214,13 +163,17 @@ def _required(args, what, keys):
     return values
 
 
-def _model_params(args):
+def _model_params(args, command=None, part=None):
+    """(table name, {param: flag value}) of --model; UsageError when a flag
+    is missing or the model has no ``part`` entry, which ``command`` needs."""
     if not args.model:
         raise UsageError("--model required")
     name = args.model.replace("-", "_")
-    if name not in _MODEL_FLAGS:
-        raise UsageError(f"unknown model {args.model!r}")
-    return name, _required(args, f"--model {args.model}", _MODEL_FLAGS[name])
+    if part and getattr(MODELS[name], part) is None:
+        raise UsageError(
+            f"{command} cannot serve --model {args.model}: it has no {part.replace('_', ' ')}"
+        )
+    return name, _required(args, f"--model {args.model}", MODELS[name].params)
 
 
 def _cmd_bounds(args):
@@ -246,7 +199,9 @@ def _dump(obj):
 
 
 def _cmd_sample(args):
-    name, params = _model_params(args)
+    name, params = _model_params(args, "sample", "sampler")
+    if args.seed is None:
+        raise UsageError("sample needs an explicit --seed")
     text = "\n".join(_dump(_draw(name, params, args.seed, i)) for i in range(args.count))
     if args.out:
         with open(args.out, "w") as fh:
@@ -259,9 +214,7 @@ def _cmd_sample(args):
 
 def _cmd_ratio(args):
     if args.identity:
-        if not args.n:
-            raise UsageError("--identity needs --n")
-        obj = Tensor(np.eye(args.n), REAL)
+        obj = _draw("identity", _required(args, "--identity", MODELS["identity"].params), 0, 0)
     elif args.infile:
         with open(args.infile) as fh:
             text = fh.read()
@@ -269,7 +222,7 @@ def _cmd_ratio(args):
     elif args.random:
         if args.seed is None:
             raise UsageError("--random needs an explicit --seed")
-        name, params = _model_params(args)
+        name, params = _model_params(args, "ratio --random", "sampler")
         obj = _draw(name, params, args.seed, 0)
     else:
         raise UsageError("pick one of --in, --identity or --random")
@@ -298,9 +251,9 @@ def _finish_report(report, args):
 
 
 def _cmd_verify(args):
+    name, params = _model_params(args, "verify", "bound_set")
     if args.seed is None:
         raise UsageError("verify needs an explicit --seed")
-    name, params = _model_params(args)
     cfg = MaximizerConfig(starts=args.starts)
     report = verify_bounds(name, params, args.samples, cfg, args.seed, args.workers)
     return _finish_report(report, args)
@@ -328,8 +281,6 @@ def _cmd_experiment(args):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
-    _apply_config_file(subparsers, argv)
-    args = parser.parse_args(argv)
     handlers = {
         "bounds": _cmd_bounds,
         "sample": _cmd_sample,
@@ -338,11 +289,10 @@ def main(argv=None):
         "experiment": _cmd_experiment,
     }
     try:
+        _apply_config_file(subparsers, argv)
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

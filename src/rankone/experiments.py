@@ -45,8 +45,8 @@ from .sampling import (
 )
 from .spectral import (
     MaximizerConfig,
-    ratio as ratio_of,
     spectral_norm_symmetric,
+    spectral_value,
     spectral_value_many,
     total_norm,
 )
@@ -96,34 +96,90 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-# ------------------------------------------------------------------ sampling
+# -------------------------------------------------------------------- models
+
+
+def _rank_one_draw(shape, field, seed, index):
+    # test hook: every draw is a rank-one tensor, so every ratio is 1
+    vecs = tuple(
+        uniform_sphere(n, field, SeedSpec(seed, f"rank_one_{j}"), index)
+        for j, n in enumerate(shape)
+    )
+    return rank_one(1.0, UnitVectorTuple(vecs, field))
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A model (or test fixture) of the Monte Carlo layer: the parameters it
+    needs, which are also its CLI flags, ``sampler(params, seed, index)``,
+    ``bound_set(params)`` and the bound set's extra that caps the mean ratio,
+    each None where the model has none.  The callables look samplers and
+    bound functions up among this module's globals at call time, so a wrapper
+    put over such a global (a profiler's, a monkeypatch) sees every call."""
+
+    params: tuple
+    sampler: object = None
+    bound_set: object = None
+    expectation_key: str = None
+
+
+MODELS = {
+    "gaussian_tensor": _Model(
+        ("shape", "field"),
+        lambda p, seed, i: gaussian_tensor(tuple(p["shape"]), p["field"], seed, i),
+        lambda p: bounds_general(tuple(p["shape"]), p["field"]),
+        "expectation_upper",
+    ),
+    "kostlan": _Model(
+        ("d", "n", "field"),
+        lambda p, seed, i: kostlan_form(p["d"], p["n"], p["field"], seed, i),
+        lambda p: bounds_symmetric(p["d"], p["n"], p["field"]),
+        "expectation_upper_kostlan",
+    ),
+    "harmonic": _Model(
+        ("d", "n"),
+        lambda p, seed, i: gaussian_harmonic(p["d"], p["n"], seed, i),
+        lambda p: bounds_symmetric(p["d"], p["n"], REAL),
+        "expectation_upper_harmonic",
+    ),
+    "kostlan_multi": _Model(
+        ("ds", "ns", "field"),
+        lambda p, seed, i: kostlan_multi(tuple(p["ds"]), tuple(p["ns"]), p["field"], seed, i),
+        lambda p: bounds_partially_symmetric(tuple(p["ds"]), tuple(p["ns"]), p["field"]),
+    ),
+    "multi_harmonic": _Model(
+        ("ds", "ns"),
+        lambda p, seed, i: gaussian_multi_harmonic(tuple(p["ds"]), tuple(p["ns"]), seed, i),
+    ),
+    # only the tail experiment serves it, through projection_ratio_sample
+    "projection": _Model(("N", "k", "field")),
+    "rank_one": _Model(
+        ("shape", "field"),
+        lambda p, seed, i: _rank_one_draw(tuple(p["shape"]), p["field"], seed, i),
+        lambda p: bounds_general(tuple(p["shape"]), p["field"]),
+    ),
+    # test hook: identity matrix, ratio is exactly 1/sqrt(n)
+    "identity": _Model(
+        ("n",),
+        lambda p, seed, i: Tensor(np.eye(p["n"]), REAL),
+        lambda p: bounds_symmetric(2, p["n"], REAL),
+    ),
+}
+
+
+def _model_part(model, part):
+    """The ``part`` entry of a model; UsageError if the model is unknown or
+    has none."""
+    if model not in MODELS:
+        raise UsageError(f"unknown model {model!r}")
+    entry = getattr(MODELS[model], part)
+    if entry is None:
+        raise UsageError(f"model {model!r} has no {part.replace('_', ' ')}")
+    return entry
 
 
 def _draw(model, params, seed, index):
-    if model == "gaussian_tensor":
-        return gaussian_tensor(tuple(params["shape"]), params["field"], seed, index)
-    if model == "kostlan":
-        return kostlan_form(params["d"], params["n"], params["field"], seed, index)
-    if model == "harmonic":
-        return gaussian_harmonic(params["d"], params["n"], seed, index)
-    if model == "kostlan_multi":
-        return kostlan_multi(
-            tuple(params["ds"]), tuple(params["ns"]), params["field"], seed, index
-        )
-    if model == "multi_harmonic":
-        return gaussian_multi_harmonic(tuple(params["ds"]), tuple(params["ns"]), seed, index)
-    if model == "rank_one":
-        # test hook: every draw is a rank-one tensor, so every ratio is 1
-        shape, field = tuple(params["shape"]), params["field"]
-        vecs = tuple(
-            uniform_sphere(n, field, SeedSpec(seed, f"rank_one_{j}"), index)
-            for j, n in enumerate(shape)
-        )
-        return rank_one(1.0, UnitVectorTuple(vecs, field))
-    if model == "identity":
-        # test hook: identity matrix, ratio is exactly 1/sqrt(n)
-        return Tensor(np.eye(params["n"]), REAL)
-    raise UsageError(f"unknown model {model!r}")
+    return _model_part(model, "sampler")(params, seed, index)
 
 
 def _cfg_seed(seed, index):
@@ -149,8 +205,6 @@ def _ratio_records(args):
 
 
 def _ratio_with_flag(obj, cfg):
-    from .spectral import spectral_value
-
     res = spectral_value(obj, cfg)
     total = total_norm(obj)
     return res.value / total, bool(res.converged)
@@ -189,27 +243,6 @@ def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
 # ------------------------------------------------------------- verification
 
 
-def _bound_set_for(model, params):
-    field = params.get("field", REAL)
-    if model in ("gaussian_tensor", "rank_one"):
-        return bounds_general(tuple(params["shape"]), field)
-    if model == "kostlan":
-        return bounds_symmetric(params["d"], params["n"], field)
-    if model == "harmonic":
-        return bounds_symmetric(params["d"], params["n"], REAL)
-    if model == "kostlan_multi":
-        return bounds_partially_symmetric(tuple(params["ds"]), tuple(params["ns"]), field)
-    if model == "identity":
-        return bounds_symmetric(2, params["n"], REAL)
-    raise UsageError(f"unknown model {model!r}")
-
-
-_EXPECTATION_KEY = {
-    "gaussian_tensor": "expectation_upper",
-    "kostlan": "expectation_upper_kostlan",
-    "harmonic": "expectation_upper_harmonic",
-}
-
 # slack of the lower-bound checks for the bounds' float rounding: the bounds
 # are evaluated through exp/log, so an attained extremal ratio can sit just
 # below its bound (bounds_general((2, 2, 2), REAL).lower is
@@ -218,7 +251,7 @@ _HARD_TOL = 1e-9
 
 
 def verify_bounds(model, params, samples, cfg, seed, workers=1):
-    bset = _bound_set_for(model, params)
+    bset = _model_part(model, "bound_set")(params)
     stats = estimate_ratio_distribution(model, params, samples, cfg, seed, workers)
     checks = []
 
@@ -239,7 +272,7 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
     )
 
     # (c) mean against the expectation bound, skipped when vacuous
-    key = _EXPECTATION_KEY.get(model)
+    key = MODELS[model].expectation_key
     if key is not None and key in bset.extras:
         eb = bset.extras[key]
         if eb <= 1.0:

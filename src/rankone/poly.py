@@ -9,7 +9,7 @@ fixed degree d, exponent tuples are sorted lexicographically descending, so
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lgamma
+from math import comb, factorial, lgamma, prod
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from .tensor import (
 
 _EXACT_MULTINOMIAL_MAX_D = 20
 
+# most rows a monomial table may have, checked before one is built: loading
+# the header of a form with 42,504 monomials (n=20 d=5) takes about 0.4 s
+_MONOMIAL_BUDGET = 10**5
+
 
 class ShapeError(ValueError):
     pass
@@ -38,9 +42,19 @@ class SymmetryError(ValueError):
     pass
 
 
+def _check_monomial_budget(ds, ns):
+    count = prod(num_monomials(d, n) for d, n in zip(ds, ns))
+    if count > _MONOMIAL_BUDGET:
+        raise ValueError(
+            f"degrees {tuple(ds)} in {tuple(ns)} variables give {count} monomials, "
+            f"over the budget of {_MONOMIAL_BUDGET}"
+        )
+
+
 @lru_cache(maxsize=None)
 def monomial_exponents(d, n):
     """All exponent tuples of degree d in n variables, as an int64 array."""
+    _check_monomial_budget((d,), (n,))
     # each row's successor: move one unit from the last nonzero entry before
     # the final one to its right neighbour, which also takes the final entry
     a = [d] + [0] * (n - 1)
@@ -259,6 +273,7 @@ class MultiHomogPoly:
 @lru_cache(maxsize=None)
 def multi_monomial_exponents(ds, ns):
     """Concatenated exponent rows over the flat coefficient order."""
+    _check_monomial_budget(ds, ns)
     blocks = [monomial_exponents(d, n) for d, n in zip(ds, ns)]
     rows = []
     for combo in product(*[range(b.shape[0]) for b in blocks]):
@@ -271,6 +286,7 @@ def multi_monomial_exponents(ds, ns):
 @lru_cache(maxsize=None)
 def multi_multinomial_weights(ds, ns):
     """prod_j binom(d_j, alpha(j)) over the flat coefficient order."""
+    _check_monomial_budget(ds, ns)
     blocks = [multinomial_weights(d, n) for d, n in zip(ds, ns)]
     w = blocks[0]
     for b in blocks[1:]:

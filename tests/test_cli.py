@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from rankone.cli import main
+from rankone.cli import _build_parser, main
+from rankone.experiments import MODELS
 
 
 def run_cli(capsys, *argv):
@@ -198,21 +199,80 @@ def test_cli_import_loads_no_scipy():
         ("", ("sample", "--model", "gaussian-tensor", "--seed", "1")),
         ("", ("bounds", "--sym", "--d", "3")),
         ("", ("bounds", "--partial", "--ds", "2,3")),
+        ("", ("--config", "{path}.missing", "bounds", "--sym")),
+        ("d = abc\nn = 2\n", ("--config", "{path}", "bounds", "--sym")),
+        ("shape = 2,x\n", ("--config", "{path}", "bounds", "--shape", "2,2,2")),
+        ("n = 2\nd\n", ("--config", "{path}", "bounds", "--sym")),
+        ("poly n=1000 d=6 field=real\n", ()),
+        ("multipoly ns=100,100 ds=5,5 field=real\n", ()),
+        ("", ("sample", "--model", "kostlan", "--d", "40", "--n", "20", "--seed", "1")),
+        ("", ("ratio", "--identity", "--n", "0")),
     ],
     ids=[
         "nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d",
         "harmonic-no-d", "negative-dimension", "many-variables", "sample-kostlan-no-d",
         "sample-tensor-no-shape", "bounds-sym-no-n", "bounds-partial-no-ns",
+        "config-missing-file", "config-bad-int", "config-bad-shape", "config-no-equals",
+        "poly-over-budget", "multipoly-over-budget", "sample-over-budget", "identity-n-zero",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):
-    if not argv:
-        path = tmp_path / "input.txt"
-        path.write_text(text)
-        argv = ("ratio", "--in", str(path))
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = tuple(a.replace("{path}", str(path)) for a in argv) or ("ratio", "--in", str(path))
     proc = subprocess.run(
         [sys.executable, "-m", "rankone.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# smallest flag values that every model of the table accepts
+_MINIMAL_FLAGS = {"shape": "2,2,2", "d": "3", "n": "2", "ds": "2,3", "ns": "2,2"}
+
+
+def test_model_choices_are_the_table():
+    _, subparsers = _build_parser()
+    expected = [name.replace("_", "-") for name in MODELS]
+    for command in ("sample", "ratio", "verify", "experiment"):
+        (action,) = [a for a in subparsers[command]._actions if a.dest == "model"]
+        assert list(action.choices) == expected, command
+    assert not [a for a in subparsers["bounds"]._actions if a.dest == "model"]
+
+
+@pytest.mark.parametrize("model", [m for m, spec in MODELS.items() if spec.sampler])
+def test_every_sampler_model_samples(capsys, model):
+    flags = [f for k in MODELS[model].params if k != "field" for f in ("--" + k, _MINIMAL_FLAGS[k])]
+    code, out, err = run_cli(
+        capsys, "sample", "--model", model.replace("_", "-"), *flags, "--seed", "1"
+    )
+    assert code == 0, err
+    assert out.split(None, 1)[0] in ("tensor", "poly", "multipoly")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "verify --model projection --seed 1",
+            "verify cannot serve --model projection: it has no bound set",
+        ),
+        (
+            "verify --model multi-harmonic --ds 2,3 --ns 2,2 --seed 1",
+            "verify cannot serve --model multi-harmonic: it has no bound set",
+        ),
+        (
+            "sample --model projection --seed 1",
+            "sample cannot serve --model projection: it has no sampler",
+        ),
+        (
+            "ratio --random --model projection --seed 1",
+            "ratio --random cannot serve --model projection: it has no sampler",
+        ),
+    ],
+    ids=["verify-projection", "verify-multi-harmonic", "sample-projection", "ratio-projection"],
+)
+def test_command_that_cannot_serve_a_model_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
