@@ -14,7 +14,6 @@ from .bounds import (
     lower_bound_general,
     projection_moment,
     projection_tail_bound,
-    tail_bounds_models,
     upper_bound_general,
 )
 from .experiments import (

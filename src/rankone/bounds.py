@@ -62,7 +62,6 @@ class TailBound:
     t: float
     ln_constant: float  # ln(3 C)
     rate: float  # bound is exp(ln_constant - rate * t^2)
-    model: str
 
     @property
     def raw(self):
@@ -366,35 +365,43 @@ def subgaussian_min_bound(C, K):
 
 
 # ------------------------------------------------------- model tail bounds
+# ratio tail bounds 3 C exp(-rate t^2), C the covering constant of the spheres
 
 
-def tail_bounds_models(model, params, field, t):
-    """Norm-ratio tail bound 3 C exp(-rate t^2) for the probabilistic models."""
+def _tail_bound(ln_c, rate, t):
+    return TailBound(t=float(t), ln_constant=math.log(3.0) + ln_c, rate=rate)
+
+
+def tail_bound_gaussian_tensor(shape, field, t):
+    """rate = k prod(shape) / (12 e^(k-1)), k = 1 (real) or 2 (complex)."""
     k = _k_for(field)
-    if model == "gaussian_tensor":
-        shape = tuple(params["shape"])
-        d = len(shape)
-        ln_c, _, _ = log_covering_constant(1.0, d, tuple(k * n for n in shape))
-        rate = k * math.exp(sum(math.log(n) for n in shape)) / (12.0 * math.exp(k - 1.0))
-    elif model == "kostlan":
-        d, n = params["d"], params["n"]
-        ln_c, _, _ = log_covering_constant(float(d), 1, (k * n,))
-        rate = k * math.exp(log_binom(d + n - 1, d)) / (12.0 * math.exp(k - 1.0))
-    elif model == "harmonic":
-        if field != REAL:
-            raise DomainError("harmonic model is real only")
-        d, n = params["d"], params["n"]
-        ln_c, _, _ = log_covering_constant(float(d), 1, (n,))
-        rate = math.exp(d * math.log(2.0) + log_binom_half(d, n)) / 12.0
-    elif model == "kostlan_multi":
-        ds, ns = tuple(params["ds"]), tuple(params["ns"])
-        m = len(ds)
-        ln_c, _, _ = log_covering_constant(float(max(ds)), m, tuple(k * n for n in ns))
-        log_n = math.log(k) + sum(log_binom(dj + nj - 1, dj) for dj, nj in zip(ds, ns))
-        rate = math.exp(log_n) / (12.0 * math.exp(k - 1.0))
-    else:
-        raise DomainError(f"unknown model {model!r}")
-    return TailBound(t=float(t), ln_constant=math.log(3.0) + ln_c, rate=rate, model=model)
+    ln_c, _, _ = log_covering_constant(1.0, len(shape), tuple(k * n for n in shape))
+    rate = k * math.exp(sum(math.log(n) for n in shape)) / (12.0 * math.exp(k - 1.0))
+    return _tail_bound(ln_c, rate, t)
+
+
+def tail_bound_kostlan(d, n, field, t):
+    """rate = k binom(d+n-1, d) / (12 e^(k-1))."""
+    k = _k_for(field)
+    ln_c, _, _ = log_covering_constant(float(d), 1, (k * n,))
+    rate = k * math.exp(log_binom(d + n - 1, d)) / (12.0 * math.exp(k - 1.0))
+    return _tail_bound(ln_c, rate, t)
+
+
+def tail_bound_harmonic(d, n, t):
+    """rate = 2^d binom(d+n/2-1, d) / 12; harmonic forms are real."""
+    ln_c, _, _ = log_covering_constant(float(d), 1, (n,))
+    rate = math.exp(d * math.log(2.0) + log_binom_half(d, n)) / 12.0
+    return _tail_bound(ln_c, rate, t)
+
+
+def tail_bound_kostlan_multi(ds, ns, field, t):
+    """rate = k prod_j binom(d_j+n_j-1, d_j) / (12 e^(k-1))."""
+    k = _k_for(field)
+    ln_c, _, _ = log_covering_constant(float(max(ds)), len(ds), tuple(k * n for n in ns))
+    log_n = math.log(k) + sum(log_binom(dj + nj - 1, dj) for dj, nj in zip(ds, ns))
+    rate = math.exp(log_n) / (12.0 * math.exp(k - 1.0))
+    return _tail_bound(ln_c, rate, t)
 
 
 # ----------------------------------------------------- stereographic Jacobian

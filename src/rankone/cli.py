@@ -268,7 +268,7 @@ def _cmd_experiment(args):
         raise UsageError("experiment needs an explicit --seed")
     cfg = MaximizerConfig(starts=args.starts)
     if args.kind == "tail":
-        name, params = _model_params(args)
+        name, params = _model_params(args, "experiment --kind tail", "tail")
         report = tail_empirical_vs_bound(
             name, params, args.samples, args.t_grid, args.seed, cfg, args.workers
         )

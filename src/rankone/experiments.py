@@ -23,7 +23,10 @@ from .bounds import (
     bounds_symmetric_large_d,
     projection_moment,
     projection_tail_bound,
-    tail_bounds_models,
+    tail_bound_gaussian_tensor,
+    tail_bound_harmonic,
+    tail_bound_kostlan,
+    tail_bound_kostlan_multi,
 )
 from .harmonic import (
     harmonic_basis,
@@ -112,15 +115,17 @@ def _rank_one_draw(shape, field, seed, index):
 class _Model:
     """A model (or test fixture) of the Monte Carlo layer: the parameters it
     needs, which are also its CLI flags, ``sampler(params, seed, index)``,
-    ``bound_set(params)`` and the bound set's extra that caps the mean ratio,
-    each None where the model has none.  The callables look samplers and
-    bound functions up among this module's globals at call time, so a wrapper
-    put over such a global (a profiler's, a monkeypatch) sees every call."""
+    ``bound_set(params)``, the bound set's extra that caps the mean ratio and
+    ``tail(params, t)``, the clipped tail bound of the ratio at t, each None
+    where the model has none.  The callables look samplers and bound
+    functions up among this module's globals at call time, so a wrapper put
+    over such a global (a profiler's, a monkeypatch) sees every call."""
 
     params: tuple
     sampler: object = None
     bound_set: object = None
     expectation_key: str = None
+    tail: object = None
 
 
 MODELS = {
@@ -129,30 +134,37 @@ MODELS = {
         lambda p, seed, i: gaussian_tensor(tuple(p["shape"]), p["field"], seed, i),
         lambda p: bounds_general(tuple(p["shape"]), p["field"]),
         "expectation_upper",
+        lambda p, t: tail_bound_gaussian_tensor(p["shape"], p["field"], t).clipped,
     ),
     "kostlan": _Model(
         ("d", "n", "field"),
         lambda p, seed, i: kostlan_form(p["d"], p["n"], p["field"], seed, i),
         lambda p: bounds_symmetric(p["d"], p["n"], p["field"]),
         "expectation_upper_kostlan",
+        lambda p, t: tail_bound_kostlan(p["d"], p["n"], p["field"], t).clipped,
     ),
     "harmonic": _Model(
         ("d", "n"),
         lambda p, seed, i: gaussian_harmonic(p["d"], p["n"], seed, i),
         lambda p: bounds_symmetric(p["d"], p["n"], REAL),
         "expectation_upper_harmonic",
+        lambda p, t: tail_bound_harmonic(p["d"], p["n"], t).clipped,
     ),
     "kostlan_multi": _Model(
         ("ds", "ns", "field"),
         lambda p, seed, i: kostlan_multi(tuple(p["ds"]), tuple(p["ns"]), p["field"], seed, i),
         lambda p: bounds_partially_symmetric(tuple(p["ds"]), tuple(p["ns"]), p["field"]),
+        tail=lambda p, t: tail_bound_kostlan_multi(p["ds"], p["ns"], p["field"], t).clipped,
     ),
     "multi_harmonic": _Model(
         ("ds", "ns"),
         lambda p, seed, i: gaussian_multi_harmonic(tuple(p["ds"]), tuple(p["ns"]), seed, i),
     ),
-    # only the tail experiment serves it, through projection_ratio_sample
-    "projection": _Model(("N", "k", "field")),
+    # no sampler: the tail experiment draws its ratios with projection_ratio_sample
+    "projection": _Model(
+        ("N", "k", "field"),
+        tail=lambda p, t: min(1.0, projection_tail_bound(p["N"], p["k"], t, p.get("field", REAL))),
+    ),
     "rank_one": _Model(
         ("shape", "field"),
         lambda p, seed, i: _rank_one_draw(tuple(p["shape"]), p["field"], seed, i),
@@ -296,8 +308,8 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
                 )
             )
 
-    # (d) complex vs real uniform norm for real symmetric models
-    if model in ("kostlan", "harmonic") and params.get("field", REAL) == REAL:
+    # (d) complex vs real uniform norm for real forms of one degree d
+    if "d" in MODELS[model].params and params.get("field", REAL) == REAL:
         factor = math.sqrt(2.0 ** params["d"])
         # report the measured pair with the smallest margin factor * vr - vc;
         # the real norm is the (recertified) record value times the BW norm
@@ -353,35 +365,22 @@ def _cfg_dict(cfg):
 
 
 def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, workers=1):
+    tail = _model_part(model, "tail")
     if not len(t_grid):
         raise UsageError("empty t grid")
     if samples < 100:
         raise UsageError(f"need samples >= 100, got {samples}")
-    checks = []
-    stats = ()
-    if model == "projection":
-        N, k = params["N"], params["k"]
-        field = params.get("field", REAL)
-        vals = np.array(
-            [projection_ratio_sample(N, k, seed, i, field) for i in range(samples)]
-        )
-        for t in t_grid:
-            emp = float(np.mean(vals >= t))
-            bound = min(1.0, projection_tail_bound(N, k, t, field))
-            se = math.sqrt(max(emp * (1.0 - emp), 1.0 / samples) / samples)
-            checks.append(
-                Check(
-                    f"tail-projection-t={t:g} [projection-tail]",
-                    "<=",
-                    emp,
-                    bound + 3.0 * se,
-                    emp <= bound + 3.0 * se,
-                )
-            )
+    bounds = [tail(params, t) for t in t_grid]
+    stats, moments = (), []
+    if MODELS[model].sampler is None:
+        # the projection law: each ratio is drawn directly, not from an object
+        N, k, field = params["N"], params["k"], params.get("field", REAL)
+        vals = np.array([projection_ratio_sample(N, k, seed, i, field) for i in range(samples)])
+        tag = "projection-tail"
         for ell in (2, 4, 6):
             emp_m = float(np.mean(vals**ell) ** (1.0 / ell))
             theo = projection_moment(N, k, ell, field)
-            checks.append(
+            moments.append(
                 Check(
                     f"moment-l={ell} [projection-moment]",
                     "~",
@@ -392,26 +391,18 @@ def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, work
             )
     else:
         cfg = cfg or MaximizerConfig()
-        rstats = estimate_ratio_distribution(model, params, samples, cfg, seed, workers)
-        stats = (rstats,)
-        vals = np.array([r[1] for r in rstats.records])
-        for t in t_grid:
-            emp = float(np.mean(vals >= t))
-            tb = tail_bounds_models(model, params, params.get("field", REAL), t)
-            bound = tb.clipped
-            se = math.sqrt(max(emp * (1.0 - emp), 1.0 / samples) / samples)
-            checks.append(
-                Check(
-                    f"tail-{model}-t={t:g} [model-tail]",
-                    "<=",
-                    emp,
-                    bound + 3.0 * se,
-                    emp <= bound + 3.0 * se,
-                )
-            )
+        stats = (estimate_ratio_distribution(model, params, samples, cfg, seed, workers),)
+        vals = np.array([r[1] for r in stats[0].records])
+        tag = "model-tail"
+    checks = []
+    for t, bound in zip(t_grid, bounds):
+        emp = float(np.mean(vals >= t))
+        se = math.sqrt(max(emp * (1.0 - emp), 1.0 / samples) / samples)
+        rhs = bound + 3.0 * se
+        checks.append(Check(f"tail-{model}-t={t:g} [{tag}]", "<=", emp, rhs, emp <= rhs))
     return VerificationReport(
         title=f"tail {model}",
-        checks=tuple(checks),
+        checks=tuple(checks + moments),
         stats=stats,
         metadata={"seed": int(seed), "samples": samples, "t_grid": [float(t) for t in t_grid]},
     )
@@ -470,7 +461,6 @@ def trend_large_d(n, d_grid, samples, seed, cfg=None, workers=1):
     cfg = cfg or MaximizerConfig()
     rows = []
     checks = []
-    uppers = []
     for d in d_grid:
         bset = bounds_symmetric_large_d(d, n, REAL)
         stats = estimate_ratio_distribution(
@@ -485,7 +475,6 @@ def trend_large_d(n, d_grid, samples, seed, cfg=None, workers=1):
                 "empirical_mean": stats.mean,
             }
         )
-        uppers.append(bset.upper)
         checks.append(
             Check(
                 f"lower-le-empirical-min-d={d} [large-d-sandwich]",
@@ -495,18 +484,12 @@ def trend_large_d(n, d_grid, samples, seed, cfg=None, workers=1):
                 bset.lower <= stats.min + _HARD_TOL,
             )
         )
-    decreasing = all(b < a for a, b in zip(uppers, uppers[1:]))
+    decreasing = all(b["upper"] < a["upper"] for a, b in zip(rows, rows[1:]))
     checks.append(
         Check("upper-decreasing-in-d [large-d-sandwich]", "<", 0.0, 1.0, decreasing)
     )
     # crossover: first grid d where the large-d lower beats the trivial one
-    crossover = None
-    for d in d_grid:
-        large = bounds_symmetric_large_d(d, n, REAL).lower
-        trivial = n ** (-(d - 1) / 2.0)
-        if large > trivial:
-            crossover = d
-            break
+    crossover = next((r["d"] for r in rows if r["lower"] > n ** (-(r["d"] - 1) / 2.0)), None)
     return VerificationReport(
         title=f"trend-large-d n={n}",
         checks=tuple(checks),

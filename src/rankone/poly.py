@@ -42,12 +42,12 @@ class SymmetryError(ValueError):
     pass
 
 
-def _check_monomial_budget(ds, ns):
+def _check_monomial_budget(ds, ns, budget=_MONOMIAL_BUDGET, what="monomial table"):
     count = prod(num_monomials(d, n) for d, n in zip(ds, ns))
-    if count > _MONOMIAL_BUDGET:
+    if count > budget:
         raise ValueError(
             f"degrees {tuple(ds)} in {tuple(ns)} variables give {count} monomials, "
-            f"over the budget of {_MONOMIAL_BUDGET}"
+            f"over the {what} budget of {budget}"
         )
 
 

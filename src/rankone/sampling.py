@@ -15,6 +15,7 @@ from .harmonic import harmonic_basis
 from .poly import (
     HomogPoly,
     MultiHomogPoly,
+    _check_monomial_budget,
     multi_multinomial_weights,
     multinomial_weights,
     num_monomials,
@@ -108,13 +109,14 @@ def gaussian_multi_harmonic(ds, ns, seed, index=0):
     ds, ns = tuple(ds), tuple(ns)
     if len(ds) != len(ns):
         raise DomainError(f"invalid blocks {(ds, ns)}")
+    _check_monomial_budget(ds, ns)
     mats = [harmonic_basis(dj, nj).coeff_matrix for dj, nj in zip(ds, ns)]
-    full = mats[0]
-    for m in mats[1:]:
-        full = np.kron(full, m)
     rng = _rng_for(seed, index, "multi_harmonic")
-    g = rng.standard_normal(full.shape[1])
-    return MultiHomogPoly(ns, ds, full @ g, REAL)
+    # the Kronecker product of the blocks' bases times g, one block at a time
+    c = rng.standard_normal([m.shape[1] for m in mats])
+    for axis, m in enumerate(mats):
+        c = np.moveaxis(np.tensordot(m, c, axes=(1, axis)), 0, axis)
+    return MultiHomogPoly(ns, ds, c.ravel(), REAL)
 
 
 def uniform_sphere(n, field, seed, index=0):

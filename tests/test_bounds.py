@@ -26,7 +26,10 @@ from rankone.bounds import (
     subgaussian_min_bound,
     subgaussian_moment_bound,
     subgaussian_tail_from_moments,
-    tail_bounds_models,
+    tail_bound_gaussian_tensor,
+    tail_bound_harmonic,
+    tail_bound_kostlan,
+    tail_bound_kostlan_multi,
     upper_bound_general,
 )
 from rankone.tensor import COMPLEX, REAL
@@ -201,25 +204,29 @@ def test_subgaussian_conversions_at_hand_values():
 
 def test_tail_models_rates():
     # kostlan real: rate = binom(d+n-1, d) / 12
-    tb = tail_bounds_models("kostlan", {"d": 3, "n": 2}, REAL, 0.5)
+    tb = tail_bound_kostlan(3, 2, REAL, 0.5)
     assert tb.rate == pytest.approx(4.0 / 12.0)
     exact, _, _ = log_covering_constant(3.0, 1, (2,))
     assert tb.ln_constant == pytest.approx(math.log(3.0) + exact)
     # harmonic: rate = 2^d binom(d+n/2-1, d) / 12, equal to 1/K^2 with
     # K = 2 sqrt(3) 2^(-d/2) binom^( -1/2)
-    tb = tail_bounds_models("harmonic", {"d": 4, "n": 3}, REAL, 0.5)
+    tb = tail_bound_harmonic(4, 3, 0.5)
     K = 2.0 * math.sqrt(3.0) * 2.0**-2 * math.exp(-0.5 * log_binom_half(4, 3))
     assert tb.rate == pytest.approx(1.0 / K**2)
     # gaussian tensor real (2,2,2): rate = 8/12
-    tb = tail_bounds_models("gaussian_tensor", {"shape": (2, 2, 2)}, REAL, 1.0)
+    tb = tail_bound_gaussian_tensor((2, 2, 2), REAL, 1.0)
     assert tb.rate == pytest.approx(8.0 / 12.0)
     exact, _, _ = log_covering_constant(1.0, 3, (2, 2, 2))
     assert tb.ln_constant == pytest.approx(math.log(3.0) + exact)
     # complex kostlan picks up e^{-1} and the factor k = 2
-    tb = tail_bounds_models("kostlan", {"d": 3, "n": 2}, COMPLEX, 0.5)
+    tb = tail_bound_kostlan(3, 2, COMPLEX, 0.5)
     assert tb.rate == pytest.approx(2.0 * 4.0 / (12.0 * math.e))
+    # one block of a partially symmetric form is a Kostlan form
+    one_block = tail_bound_kostlan_multi((3,), (2,), COMPLEX, 0.5)
+    assert one_block.rate == pytest.approx(tb.rate)
+    assert one_block.ln_constant == pytest.approx(tb.ln_constant)
     # clipping
-    tb = tail_bounds_models("kostlan", {"d": 3, "n": 2}, REAL, 0.0)
+    tb = tail_bound_kostlan(3, 2, REAL, 0.0)
     assert tb.clipped == 1.0
 
 

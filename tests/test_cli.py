@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,7 @@ def test_cli_import_loads_no_scipy():
         ("multipoly ns=100,100 ds=5,5 field=real\n", ()),
         ("", ("sample", "--model", "kostlan", "--d", "40", "--n", "20", "--seed", "1")),
         ("", ("ratio", "--identity", "--n", "0")),
+        ("", ("sample", "--model", "harmonic", "--d", "5", "--n", "20", "--seed", "1")),
     ],
     ids=[
         "nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d",
@@ -214,6 +216,7 @@ def test_cli_import_loads_no_scipy():
         "sample-tensor-no-shape", "bounds-sym-no-n", "bounds-partial-no-ns",
         "config-missing-file", "config-bad-int", "config-bad-shape", "config-no-equals",
         "poly-over-budget", "multipoly-over-budget", "sample-over-budget", "identity-n-zero",
+        "harmonic-over-basis-budget",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):
@@ -229,7 +232,14 @@ def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):
 
 
 # smallest flag values that every model of the table accepts
-_MINIMAL_FLAGS = {"shape": "2,2,2", "d": "3", "n": "2", "ds": "2,3", "ns": "2,2"}
+_MINIMAL_FLAGS = {
+    "shape": "2,2,2", "d": "3", "n": "2", "ds": "2,3", "ns": "2,2", "N": "10", "k": "3",
+}  # fmt: skip
+
+
+def _minimal_flags(model):
+    params = [k for k in MODELS[model].params if k != "field"]
+    return [f for k in params for f in ("--" + k, _MINIMAL_FLAGS[k])]
 
 
 def test_model_choices_are_the_table():
@@ -243,7 +253,7 @@ def test_model_choices_are_the_table():
 
 @pytest.mark.parametrize("model", [m for m, spec in MODELS.items() if spec.sampler])
 def test_every_sampler_model_samples(capsys, model):
-    flags = [f for k in MODELS[model].params if k != "field" for f in ("--" + k, _MINIMAL_FLAGS[k])]
+    flags = _minimal_flags(model)
     code, out, err = run_cli(
         capsys, "sample", "--model", model.replace("_", "-"), *flags, "--seed", "1"
     )
@@ -270,9 +280,53 @@ def test_every_sampler_model_samples(capsys, model):
             "ratio --random --model projection --seed 1",
             "ratio --random cannot serve --model projection: it has no sampler",
         ),
+        (
+            "experiment --kind tail --model multi-harmonic --ds 2,3 --ns 2,2 --seed 1",
+            "experiment --kind tail cannot serve --model multi-harmonic: it has no tail",
+        ),
+        (
+            "experiment --kind tail --model rank-one --shape 2,2,2 --seed 1",
+            "experiment --kind tail cannot serve --model rank-one: it has no tail",
+        ),
+        (
+            "experiment --kind tail --model identity --n 3 --seed 1",
+            "experiment --kind tail cannot serve --model identity: it has no tail",
+        ),
     ],
-    ids=["verify-projection", "verify-multi-harmonic", "sample-projection", "ratio-projection"],
+    ids=[
+        "verify-projection", "verify-multi-harmonic", "sample-projection", "ratio-projection",
+        "tail-multi-harmonic", "tail-rank-one", "tail-identity",
+    ],
 )
 def test_command_that_cannot_serve_a_model_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("model", [m for m, spec in MODELS.items() if spec.tail])
+def test_every_tail_model_runs_the_tail_experiment(capsys, model):
+    code, out, err = run_cli(
+        capsys, "experiment", "--kind", "tail", "--model", model.replace("_", "-"),
+        *_minimal_flags(model), "--seed", "1", "--samples", "100", "--starts", "2",
+    )  # fmt: skip
+    assert code == 0, err
+    assert json.loads(out)["title"] == f"tail {model}"
+
+
+def test_readme_model_table_is_the_table():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| model | flags |"))
+    header = [cell.strip() for cell in lines[start].split("|")[1:-1]]
+    assert header[2:] == ["`sample`, `ratio --random`", "`verify`", "`experiment --kind tail`"]
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        name, flags, *cells = (cell.strip() for cell in line.split("|")[1:-1])
+        rows[name.split("`")[1].replace("-", "_")] = (flags.strip("`").split(), cells)
+    assert list(rows) == list(MODELS)
+    for name, (flags, cells) in rows.items():
+        spec = MODELS[name]
+        assert flags == ["--" + p for p in spec.params], name
+        parts = (spec.sampler, spec.bound_set, spec.tail)
+        assert cells == ["no" if part is None else "yes" for part in parts], name

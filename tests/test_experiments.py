@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rankone import experiments
 from rankone.experiments import (
     Check,
     UsageError,
@@ -90,6 +91,14 @@ def test_tail_requires_enough_samples():
         tail_empirical_vs_bound("projection", {"N": 10, "k": 3}, 50, [0.5], 1)
     with pytest.raises(UsageError):
         tail_empirical_vs_bound("projection", {"N": 10, "k": 3}, 500, [], 1)
+
+
+def test_tail_bound_is_checked_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "spectral_value_many", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="need L >= 1"):
+        tail_empirical_vs_bound("kostlan", {"d": 0, "n": 2, "field": REAL}, 100, [0.5], 1)
+    assert calls == []
 
 
 def test_verify_bw_l2_constant_cases():

@@ -1,9 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from rankone.harmonic import harmonic_dimension
+from rankone.harmonic import harmonic_basis, harmonic_dimension
 from rankone.poly import bw_norm, laplacian, multi_bw_norm, multinomial, num_monomials
 from rankone.sampling import (
     DomainError,
@@ -81,6 +82,16 @@ def test_gaussian_multi_harmonic():
         for i in range(2000)
     ]
     assert np.mean(vals) == pytest.approx(dims, rel=0.07)
+
+
+def test_gaussian_multi_harmonic_is_the_kronecker_product():
+    # the sampler applies each block's basis along its own axis; the product
+    # basis it stands for is the Kronecker product of the blocks' matrices
+    for ds, ns in [((2, 3), (2, 2)), ((1, 2, 3), (3, 2, 2)), ((3, 3), (4, 3))]:
+        full = reduce(np.kron, [harmonic_basis(d, n).coeff_matrix for d, n in zip(ds, ns)])
+        expected = full @ SeedSpec(5, "multi_harmonic").rng(3).standard_normal(full.shape[1])
+        got = gaussian_multi_harmonic(ds, ns, 5, 3).coeffs
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 def test_uniform_sphere():
