@@ -15,7 +15,8 @@ from .tensor import COMPLEX, REAL
 
 
 class DomainError(ValueError):
-    pass
+    """A parameter outside a bound's or a model's domain; the one class that
+    ``harmonic`` and ``sampling`` raise too."""
 
 
 def _k_for(field):
@@ -372,9 +373,17 @@ def _tail_bound(ln_c, rate, t):
     return TailBound(t=float(t), ln_constant=math.log(3.0) + ln_c, rate=rate)
 
 
+def _need(ok, what, got):
+    """DomainError in a model's own parameters, raised before the covering
+    constant, whose error would name its arguments L and n instead."""
+    if not ok:
+        raise DomainError(f"need {what}, got {got}")
+
+
 def tail_bound_gaussian_tensor(shape, field, t):
     """rate = k prod(shape) / (12 e^(k-1)), k = 1 (real) or 2 (complex)."""
     k = _k_for(field)
+    _need(len(shape) >= 1 and k * min(shape) >= 2, f"shape dimensions >= {2 // k}", shape)
     ln_c, _, _ = log_covering_constant(1.0, len(shape), tuple(k * n for n in shape))
     rate = k * math.exp(sum(math.log(n) for n in shape)) / (12.0 * math.exp(k - 1.0))
     return _tail_bound(ln_c, rate, t)
@@ -383,6 +392,8 @@ def tail_bound_gaussian_tensor(shape, field, t):
 def tail_bound_kostlan(d, n, field, t):
     """rate = k binom(d+n-1, d) / (12 e^(k-1))."""
     k = _k_for(field)
+    _need(d >= 1, "d >= 1", d)
+    _need(k * n >= 2, f"n >= {2 // k}", n)
     ln_c, _, _ = log_covering_constant(float(d), 1, (k * n,))
     rate = k * math.exp(log_binom(d + n - 1, d)) / (12.0 * math.exp(k - 1.0))
     return _tail_bound(ln_c, rate, t)
@@ -390,6 +401,8 @@ def tail_bound_kostlan(d, n, field, t):
 
 def tail_bound_harmonic(d, n, t):
     """rate = 2^d binom(d+n/2-1, d) / 12; harmonic forms are real."""
+    _need(d >= 1, "d >= 1", d)
+    _need(n >= 2, "n >= 2", n)
     ln_c, _, _ = log_covering_constant(float(d), 1, (n,))
     rate = math.exp(d * math.log(2.0) + log_binom_half(d, n)) / 12.0
     return _tail_bound(ln_c, rate, t)
@@ -398,6 +411,9 @@ def tail_bound_harmonic(d, n, t):
 def tail_bound_kostlan_multi(ds, ns, field, t):
     """rate = k prod_j binom(d_j+n_j-1, d_j) / (12 e^(k-1))."""
     k = _k_for(field)
+    _need(len(ds) == len(ns) >= 1, "one degree per block dimension", f"ds={ds}, ns={ns}")
+    _need(min(ds) >= 1, "ds >= 1", ds)
+    _need(k * min(ns) >= 2, f"ns >= {2 // k}", ns)
     ln_c, _, _ = log_covering_constant(float(max(ds)), len(ds), tuple(k * n for n in ns))
     log_n = math.log(k) + sum(log_binom(dj + nj - 1, dj) for dj, nj in zip(ds, ns))
     rate = math.exp(log_n) / (12.0 * math.exp(k - 1.0))

@@ -48,6 +48,15 @@ def _emit(data):
     sys.stdout.write(json.dumps(_fmt(data), sort_keys=True, indent=2) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are one ``error:`` line and exit 2,
+    without the usage block; its subparsers are of the same class."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _add_space_flags(p, model=False):
     """The flags that pick a problem space, and --model if ``model``."""
     if model:
@@ -61,7 +70,7 @@ def _add_space_flags(p, model=False):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankone",
         description="Spectral/Frobenius norm ratios of tensors and forms, "
         "with closed-form bounds and Monte Carlo verification.",
@@ -106,7 +115,7 @@ def _build_parser():
         "--kind", required=True, choices=["tail", "bw-l2", "trend"]
     )
     p.add_argument("--t-grid", type=_floats, default=(0.3, 0.5, 0.7, 0.9))
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=int, metavar="DIM", help="ambient dimension of the projection model")
     p.add_argument("--k", type=int)
     p.add_argument("--d-grid", type=_ints)
     _add_experiment_flags(p)
@@ -126,7 +135,7 @@ def _add_experiment_flags(p):
 def _apply_config_file(subparsers, argv):
     """Set the defaults of every subparser from a --config file, each value
     converted and checked as the flag of the same name would be."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if not path:

@@ -8,6 +8,7 @@ from math import comb, lgamma
 
 import numpy as np
 
+from .bounds import DomainError
 from .poly import (
     HomogPoly,
     ShapeError,
@@ -25,10 +26,6 @@ _NULLSPACE_RCOND = 1e-10
 # most monomials a harmonic basis may span, checked before one is built: the
 # build time grows about as the cube of the count (7.4 s at 990, 2-vCPU host)
 _BASIS_BUDGET = 1000
-
-
-class DomainError(ValueError):
-    pass
 
 
 def harmonic_dimension(d, n):

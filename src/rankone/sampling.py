@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import DomainError
 from .harmonic import harmonic_basis
 from .poly import (
     HomogPoly,
@@ -23,10 +24,6 @@ from .poly import (
 from .tensor import COMPLEX, REAL, Tensor
 
 _CHI2_DIRECT_MAX = 64
-
-
-class DomainError(ValueError):
-    pass
 
 
 def _tag_int(tag):

@@ -230,6 +230,22 @@ def test_tail_models_rates():
     assert tb.clipped == 1.0
 
 
+@pytest.mark.parametrize(
+    "bound, args, message",
+    [
+        (tail_bound_kostlan, (0, 2, REAL), "need d >= 1, got 0"),
+        (tail_bound_kostlan, (3, 1, REAL), "need n >= 2, got 1"),
+        (tail_bound_harmonic, (3, 1), "need n >= 2, got 1"),
+        (tail_bound_kostlan_multi, ((2, 0), (2, 2), REAL), "need ds >= 1"),
+        (tail_bound_gaussian_tensor, ((2, 1), REAL), "need shape dimensions >= 2"),
+    ],
+)
+def test_tail_domain_errors_name_the_model_parameter(bound, args, message):
+    # checked before the covering constant, whose error names its own L and n
+    with pytest.raises(DomainError, match=message):
+        bound(*args, 0.5)
+
+
 def test_io_jacobian_values():
     assert io_jacobian_det([np.zeros(1), np.zeros(2)]) == pytest.approx(1.0)
     z = [np.array([1.0])]

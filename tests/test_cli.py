@@ -126,6 +126,15 @@ def test_help_exits_zero():
     assert "bounds" in proc.stdout and "verify" in proc.stdout
 
 
+def test_experiment_help_tells_dim_from_n():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "experiment", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ")
+    assert "[--N DIM]" in proc.stdout and "[--n N]" in proc.stdout
+
+
 def test_bad_flags_exit_two():
     proc = subprocess.run(
         [sys.executable, "-m", "rankone.cli", "bounds", "--bogus"],
@@ -209,6 +218,9 @@ def test_cli_import_loads_no_scipy():
         ("", ("sample", "--model", "kostlan", "--d", "40", "--n", "20", "--seed", "1")),
         ("", ("ratio", "--identity", "--n", "0")),
         ("", ("sample", "--model", "harmonic", "--d", "5", "--n", "20", "--seed", "1")),
+        ("", ("experiment", "--kind", "tail", "--model", "kostlan", "--d", "0", "--n", "2", "--seed", "1")),
+        ("", ("experiment", "--kind", "tail", "--t-grid", "abc")),
+        ("", ("verify", "--model", "kostlan", "--bogus")),
     ],
     ids=[
         "nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d",
@@ -216,7 +228,7 @@ def test_cli_import_loads_no_scipy():
         "sample-tensor-no-shape", "bounds-sym-no-n", "bounds-partial-no-ns",
         "config-missing-file", "config-bad-int", "config-bad-shape", "config-no-equals",
         "poly-over-budget", "multipoly-over-budget", "sample-over-budget", "identity-n-zero",
-        "harmonic-over-basis-budget",
+        "harmonic-over-basis-budget", "tail-kostlan-d-zero", "t-grid-not-floats", "unknown-flag",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):

@@ -96,7 +96,7 @@ def test_tail_requires_enough_samples():
 def test_tail_bound_is_checked_before_sampling(monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "spectral_value_many", lambda *a: calls.append(a))
-    with pytest.raises(ValueError, match="need L >= 1"):
+    with pytest.raises(ValueError, match="need d >= 1, got 0"):
         tail_empirical_vs_bound("kostlan", {"d": 0, "n": 2, "field": REAL}, 100, [0.5], 1)
     assert calls == []
 

@@ -105,6 +105,19 @@ def test_uniform_sphere():
         uniform_sphere(0, REAL, 1)
 
 
+def test_one_domain_error_class():
+    import rankone.bounds
+    import rankone.harmonic
+
+    assert DomainError is rankone.bounds.DomainError is rankone.harmonic.DomainError
+    try:
+        kostlan_form(-1, 2, REAL, 1)
+    except rankone.bounds.DomainError as exc:
+        assert "invalid (d, n)" in str(exc)
+    else:
+        pytest.fail("a sampler's domain error escaped rankone.bounds.DomainError")
+
+
 def test_projection_ratio_basics():
     assert projection_ratio_sample(7, 7, 1) == 1.0
     with pytest.raises(DomainError):
