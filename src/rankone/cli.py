@@ -36,12 +36,23 @@ from .tensor import Tensor, dump_tensor, load_tensor
 import numpy as np
 
 
+class _ListError(argparse.ArgumentTypeError, ValueError):
+    """A bad comma-separated list: argparse prints its message as it is, and
+    as a ValueError a --config value fails like any other."""
+
+
 def _ints(s):
-    return tuple(int(x) for x in s.split(","))
+    try:
+        return tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise _ListError(f"expected comma-separated integers, e.g. 2,3, got {s!r}") from None
 
 
 def _floats(s):
-    return tuple(float(x) for x in s.split(","))
+    try:
+        return tuple(float(x) for x in s.split(","))
+    except ValueError:
+        raise _ListError(f"expected comma-separated numbers, e.g. 0.5,0.9, got {s!r}") from None
 
 
 def _emit(data):

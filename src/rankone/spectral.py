@@ -392,16 +392,24 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     return step
 
 
-def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None):
+def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=None):
     """Maximize |f(x)| over the unit sphere (realified for complex).
 
-    ``over_field=COMPLEX`` maximizes a real form over the complex sphere.
+    ``over_field=COMPLEX`` maximizes a real form over the complex sphere
+    (``FieldError`` for a complex form over the reals).  Without ``seeds``
+    this returns the one form's ``SpectralResult``.  With ``seeds``, ``f`` is
+    a sequence of forms of one d, n and field, form i draws its starts from
+    ``seeds[i]``, all of them run in one ``spectral_value_many`` batch and
+    its ``SpectralBatch`` is returned.
     """
-    if over_field not in (None, f.field):
-        if f.field == COMPLEX:
-            raise FieldError("a complex form has no real uniform norm")
-        f = HomogPoly(f.n, f.d, f.coeffs, over_field)
-    return spectral_value_many([f], cfg, [cfg.seed]).results[0]
+    forms = [f] if seeds is None else list(f)
+    for i, g in enumerate(forms):
+        if over_field not in (None, g.field):
+            if g.field == COMPLEX:
+                raise FieldError("a complex form has no real uniform norm")
+            forms[i] = HomogPoly(g.n, g.d, g.coeffs, over_field)
+    batch = spectral_value_many(forms, cfg, [cfg.seed] if seeds is None else seeds)
+    return batch.results[0] if seeds is None else batch
 
 
 def uniform_norm_multi(F, cfg=MaximizerConfig()):

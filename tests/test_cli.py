@@ -243,6 +243,33 @@ def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("experiment", "--kind", "tail", "--t-grid", "abc"), "comma-separated numbers"),
+        (("bounds", "--shape", "2,x"), "comma-separated integers"),
+        (("bounds", "--partial", "--ds", "a", "--ns", "2"), "comma-separated integers"),
+        (("bounds", "--partial", "--ds", "2", "--ns", "2,"), "comma-separated integers"),
+        (("experiment", "--kind", "trend", "--n", "2", "--d-grid", "3,,4"), "comma-separated integers"),
+        (("--config", "{path}", "bounds", "--sym"), "bad shape value '2,x'"),
+    ],
+    ids=["t-grid", "shape", "ds", "ns", "d-grid", "config-shape"],
+)
+def test_bad_list_value_names_the_expected_format(capsys, tmp_path, argv, expected):
+    path = tmp_path / "config.txt"
+    path.write_text("shape = 2,x\n")
+    try:
+        code = main([a.replace("{path}", str(path)) for a in argv])
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert expected in out.err
+    assert "_floats" not in out.err and "_ints" not in out.err
+
+
 # smallest flag values that every model of the table accepts
 _MINIMAL_FLAGS = {
     "shape": "2,2,2", "d": "3", "n": "2", "ds": "2,3", "ns": "2,2", "N": "10", "k": "3",

@@ -173,23 +173,47 @@ def test_complex_real_check_reports_measured_pair():
 def test_complex_real_check_reuses_record_values(monkeypatch):
     import rankone.experiments as ex
 
-    fields = []
+    calls = []
     ascent = ex.spectral_norm_symmetric
 
-    def spy(f, cfg, over_field=None):
-        fields.append(over_field)
-        return ascent(f, cfg, over_field)
+    def spy(f, cfg, over_field=None, seeds=None):
+        calls.append((over_field, len(f), seeds))
+        return ascent(f, cfg, over_field, seeds)
 
     monkeypatch.setattr(ex, "spectral_norm_symmetric", spy)
     params = {"d": 4, "n": 2, "field": REAL}
     rep = verify_bounds("kostlan", params, 6, CFG, 31)
-    assert fields == [COMPLEX] * 5  # no real ascent is run a second time
+    # one complex batch of the first 5 samples; no real ascent is run a second time
+    assert calls == [(COMPLEX, 5, [ex._cfg_seed(31, i) for i in range(5)])]
     (stats,) = rep.stats
     (check,) = [c for c in rep.checks if "real-vs-complex-norm" in c.name]
     real_norms = [
         v * bw_norm(ex._draw("kostlan", params, 31, i)) for i, v, _ in stats.records[:5]
     ]
     assert check.rhs in [4.0 * vr for vr in real_norms]
+
+
+@pytest.mark.parametrize("samples", [1, 3, 16])
+def test_complex_real_check_batch_picks_the_per_sample_pair(samples):
+    # check (d) batches min(5, samples) complex ascents; its pair must be the
+    # one the per-sample ascents give under the smallest-margin rule
+    import dataclasses
+
+    import rankone.experiments as ex
+
+    params, seed = {"d": 6, "n": 2, "field": REAL}, 37
+    rep = verify_bounds("kostlan", params, samples, CFG, seed)
+    (stats,) = rep.stats
+    (check,) = [c for c in rep.checks if "real-vs-complex-norm" in c.name]
+    pairs = []
+    for idx, v, _ in stats.records[:5]:
+        f = ex._draw("kostlan", params, seed, idx)
+        one = ex.spectral_norm_symmetric(
+            f, dataclasses.replace(CFG, seed=ex._cfg_seed(seed, idx)), over_field=COMPLEX
+        )
+        pairs.append((one.value, 8.0 * (v * bw_norm(f))))
+    assert len(pairs) == min(5, samples)
+    assert (check.lhs, check.rhs) == min(pairs, key=lambda p: p[1] - p[0])
 
 
 def test_recertified_values_replace_the_first_ones(monkeypatch):

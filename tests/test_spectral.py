@@ -7,7 +7,13 @@ import pytest
 from rankone.bounds import bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _draw, estimate_ratio_distribution
 from rankone.poly import MultiHomogPoly, multi_from_single, poly_from_coeff_dict
-from rankone.sampling import gaussian_tensor, kostlan_form, kostlan_multi, uniform_sphere
+from rankone.sampling import (
+    gaussian_harmonic,
+    gaussian_tensor,
+    kostlan_form,
+    kostlan_multi,
+    uniform_sphere,
+)
 from rankone.spectral import (
     BudgetError,
     MaximizerConfig,
@@ -31,7 +37,7 @@ from rankone.spectral import (
     _trig,
     uniform_norm_multi,
 )
-from rankone.tensor import COMPLEX, REAL, Tensor, UnitVectorTuple, rank_one
+from rankone.tensor import COMPLEX, REAL, FieldError, Tensor, UnitVectorTuple, rank_one
 
 CFG = MaximizerConfig(starts=8, max_iters=500, seed=0)
 
@@ -355,6 +361,40 @@ def test_batched_samples_match_single_runs(draw):
             assert all(converged) and batch.iterations < max_iters
         else:  # the best starts are cut off unconverged
             assert not any(converged) and batch.iterations == max_iters
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda i: kostlan_form(8, 2, REAL, 45, i), lambda i: gaussian_harmonic(6, 3, 46, i)],
+    ids=["kostlan-d8n2", "harmonic-d6n3"],
+)
+def test_symmetric_batch_over_complex_matches_single_calls(draw):
+    # the seeds form runs every form in one batch; each result must be the
+    # one-form call's exactly, arrays and counts included
+    forms = [draw(i) for i in range(5)]
+    seeds = [2000 + 11 * i for i in range(5)]
+    cfg = MaximizerConfig(starts=12, max_iters=400)
+    batch = spectral_norm_symmetric(forms, cfg, over_field=COMPLEX, seeds=seeds)
+    assert len(batch.results) == 5
+    for f, seed, res in zip(forms, seeds, batch.results):
+        one = spectral_norm_symmetric(f, replace(cfg, seed=seed), over_field=COMPLEX)
+        assert res.value == one.value
+        assert len(res.maximizer) == len(one.maximizer) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(res.maximizer, one.maximizer))
+        assert res.maximizer[0].dtype == np.complex128
+        assert (res.iterations, res.converged) == (one.iterations, one.converged)
+        assert batch.iterations >= res.iterations
+
+
+def test_symmetric_batch_rejects_bad_fields_and_seed_counts():
+    real = [kostlan_form(4, 2, REAL, 47, i) for i in range(3)]
+    cfg = MaximizerConfig(starts=2)
+    with pytest.raises(FieldError):
+        spectral_norm_symmetric(
+            real[:2] + [kostlan_form(4, 2, COMPLEX, 48)], cfg, over_field=REAL, seeds=[0, 1, 2]
+        )
+    with pytest.raises(ValueError, match="one seed per object"):
+        spectral_norm_symmetric(real, cfg, over_field=COMPLEX, seeds=[0, 1])
 
 
 def test_batch_rejects_mixed_inputs():
