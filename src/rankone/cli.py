@@ -7,6 +7,7 @@ Randomness always requires an explicit --seed.
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import (
@@ -50,9 +51,13 @@ def _ints(s):
 
 def _floats(s):
     try:
-        return tuple(float(x) for x in s.split(","))
+        vals = tuple(float(x) for x in s.split(","))
+        # float() also reads nan, inf and overflows such as 1e999 as inf
+        if all(map(math.isfinite, vals)):
+            return vals
     except ValueError:
-        raise _ListError(f"expected comma-separated numbers, e.g. 0.5,0.9, got {s!r}") from None
+        pass
+    raise _ListError(f"expected comma-separated numbers, e.g. 0.5,0.9, got {s!r}")
 
 
 def _emit(data):

@@ -1,23 +1,27 @@
 """Spectral / uniform norm estimation and the rank-one approximation ratio.
 
-General tensors use multi-start alternating maximization (closed-form,
-monotone block updates).  Forms and multi-homogeneous forms use one
-multi-start ascent on a product of spheres (a form is the one-sphere case)
-whose every round is an exact search over a great circle: along the circle
-that turns each block toward its conjugate direction (the projected
-gradient plus a Polak-Ribiere+ multiple of the previous direction), |f|^2
-is a trigonometric polynomial of known degree, so a few batched evaluations
-fix it and its maximum over the whole circle.  ``spectral_value_many`` runs
+General tensors use multi-start alternating maximization: closed-form,
+monotone block updates, each sweep followed by an extrapolation along the
+sweep's move by the ratio of its last two moves, kept only where it raises
+the objective.  Forms and multi-homogeneous forms use one multi-start ascent
+on a product of spheres (a form is the one-sphere case) whose every round is
+an exact search over a great circle: along the circle that turns each block
+toward its conjugate direction (the projected gradient plus a
+Polak-Ribiere+ multiple of the previous direction), |f|^2 is a
+trigonometric polynomial of known degree, so a few batched evaluations fix
+it and its maximum over the whole circle.  ``spectral_value_many`` runs
 every start of many objects of one kind, shape and field in lockstep as one
 batch.  One driver (``_lockstep``) keeps the live starts, their iteration
 counts and convergence flags, and each round calls the method's step: the
-alternating method updates a mode of every live start with one batched
-contraction, the ascent searches the circles of every live start with one
-batched evaluation.  Each object keeps the best of its own starts.  The
-one-object entry points are its calls with one object.  Both methods return
-attained values, so certified LOWER bounds on the true maximum.  A
-deterministic sphere-grid oracle is provided for certification at tiny
-sizes.
+alternating method updates each mode of every live start with one batched
+contraction and evaluates the extrapolated points with one more, the ascent
+searches the circles of every live start with one batched evaluation.  Each
+object keeps the best of its own starts.  The one-object entry points are
+its calls with one object.  Both methods move a start only to a point where
+the objective is at least as large and report the objective at the vectors
+they return, so their values are attained: certified LOWER bounds on the
+true maximum.  A deterministic sphere-grid oracle is provided for
+certification at tiny sizes.
 """
 
 from dataclasses import dataclass
@@ -51,6 +55,11 @@ from .tensor import (
 _TIE_TOL = 1e-14
 _GRID_BUDGET = 10**8
 _FINE = 8  # grid angles per circle sample when locating a circle's maximum
+# window of the rate rho of the alternating sweeps' moves in which a round
+# extrapolates: below it the sweeps converge fast alone and a jump gains
+# little; at its top the moves barely shrink and the jump rho / (1 - rho)
+# of a thousand moves or more is not worth a contraction
+_RHO = (0.3, 0.999)
 
 
 class ZeroInputError(ValueError):
@@ -160,36 +169,74 @@ def spectral_norm_general(t, cfg=MaximizerConfig()):
     return spectral_value_many([t], cfg, [cfg.seed]).results[0]
 
 
+def _sq_norms(x):
+    """Squared norm of each row of x (real or complex)."""
+    return np.add.reduce((x * np.conj(x)).real, axis=1)
+
+
 def _alternating(ts, which, tol):
     """Lockstep step of alternating maximization of |<T, x^1 (x) ... (x) x^d>|.
 
     ``ts`` are tensors of one shape and field and start s maximizes for
     tensor ``ts[which[s]]``.  The state is one (S, n_j) array of unit rows
-    per mode and the objective (S,), -inf before the first round.  Each mode
-    update is the closed form below and never lowers the objective; a round
-    updates each mode of every live start with one batched contraction (the
-    tensors are laid out for it once per mode).  A start stops when a round
-    gains at most ``tol`` (relative).
+    per mode, the objective (S,), -inf before the first round, and the size
+    of each start's last sweep move (S,), 0 before the first round.  A round
+    is a Gauss-Seidel sweep and then an extrapolation.  The sweep updates
+    each mode of every live start by the closed form below, which never
+    lowers the objective, with one batched contraction (the tensors are laid
+    out for it once per mode).  A start stops when its sweep gains at most
+    ``tol`` (relative).
+
+    The sweeps converge linearly, so a start that goes on extrapolates along
+    the sweep's move dx_k = x_k(new) - x_k(old) of every mode: with the rate
+    rho = |dx| / |dx_prev| of its last two moves inside ``_RHO``, the trial
+    point y_k = unit(x_k + rho / (1 - rho) dx_k), the limit of a geometric
+    sequence of moves, is evaluated with one more batched contraction.  The
+    start moves to y only if |<T, y>| beats the sweep's value, so the
+    objective never falls and every value is attained at the start's
+    vectors; the move size is then reset to 0, so the next round measures
+    a fresh rate before it jumps again.  On Gaussian tensors this takes a
+    third to a half of the rounds of the sweeps alone.
     """
     stacks = [mode_stack(ts, j) for j in range(ts[0].order)]
+    lo, hi = _RHO
 
     def step(state, ids):
-        rows, prev = state[:-1], state[-1]
+        rows, prev, last = state[:-2], state[-2], state[-1]
+        old = list(rows)  # the sweep replaces the arrays of rows, never writes into them
         cur = prev.copy()
         owner = which[ids]
         for j, stack in enumerate(stacks):
             v = contract_stack(stack, rows[:j] + rows[j + 1 :], owner)
-            nrm = np.sqrt(np.add.reduce((v * np.conj(v)).real, axis=1))
+            nrm = np.sqrt(_sq_norms(v))
             # bilinear pairing sum_i v_i x_i is maximized in modulus
             # at x = conj(v) / |v|, with objective |v|
             ok = nrm != 0.0
             if ok.all():
                 rows[j], cur = np.conj(v) / nrm[:, np.newaxis], nrm
             else:
+                rows[j] = rows[j].copy()
                 rows[j][ok] = np.conj(v[ok]) / nrm[ok, np.newaxis]
                 cur[ok] = nrm[ok]
-        state[:] = rows + [cur]
-        return cur - prev <= tol * np.maximum(1.0, np.abs(cur))
+        done = cur - prev <= tol * np.maximum(1.0, np.abs(cur))
+        moves = [x - x0 for x, x0 in zip(rows, old)]
+        move = np.sqrt(sum(_sq_norms(m) for m in moves))
+        rho = np.divide(move, last, out=np.zeros_like(move), where=last > 0.0)
+        a = np.flatnonzero(~done & (rho > lo) & (rho < hi))
+        if len(a):
+            beta = (rho[a] / (1.0 - rho[a]))[:, np.newaxis]
+            # |x + beta dx| >= (1 + beta) - beta = 1 for unit x, x_old
+            ys = [x[a] + beta * m[a] for x, m in zip(rows, moves)]
+            ys = [y / np.sqrt(_sq_norms(y))[:, np.newaxis] for y in ys]
+            trial = contract_stack(stacks[0], ys[1:], owner[a])
+            val = np.abs(np.add.reduce(trial * ys[0], axis=1))
+            up = val > cur[a]
+            b = a[up]
+            for x, y in zip(rows, ys):
+                x[b] = y[up]
+            cur[b], move[b] = val[up], 0.0
+        state[:] = rows + [cur, move]
+        return done
 
     return step
 
@@ -538,8 +585,8 @@ def spectral_value_many(objs, cfg, seeds):
     if isinstance(first, Tensor):
         rows = _draw_starts(seeds, starts, first.shape, first.field)
         step = _alternating(objs, which, cfg.tol)
-        (*xs, values), iters, conv = _lockstep(
-            step, [*rows, np.full(len(which), -np.inf)], cfg.max_iters
+        (*xs, values, _), iters, conv = _lockstep(
+            step, [*rows, np.full(len(which), -np.inf), np.zeros(len(which))], cfg.max_iters
         )
 
         def maximizer(r):

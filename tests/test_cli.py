@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankone.cli import _build_parser, main
 from rankone.experiments import MODELS
@@ -268,6 +271,62 @@ def test_bad_list_value_names_the_expected_format(capsys, tmp_path, argv, expect
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert expected in out.err
     assert "_floats" not in out.err and "_ints" not in out.err
+
+
+# each list flag, the command around it and whether it takes floats; the
+# commands would run if the value parsed
+_LIST_FLAGS = {
+    "--shape": (("bounds",), False),
+    "--ds": (("bounds", "--partial", "--ns", "2,2"), False),
+    "--ns": (("bounds", "--partial", "--ds", "2,3"), False),
+    "--t-grid": (
+        ("experiment", "--kind", "tail", "--model", "kostlan", "--d", "3", "--n", "2",
+         "--samples", "100", "--starts", "1", "--seed", "1"),
+        True,
+    ),
+    "--d-grid": (
+        ("experiment", "--kind", "trend", "--n", "2", "--samples", "2", "--seed", "1"), False
+    ),
+}  # fmt: skip
+# parts that no list flag accepts: empty (stray commas), letters, bare or
+# doubled signs, and values that overflow to inf or are not finite
+_BAD_PARTS = st.one_of(
+    st.just(""),
+    st.text(alphabet="abexyz", min_size=1, max_size=4),
+    st.sampled_from(["+", "-", "+-2", "--3", "3-", "1e999", "-1e999", "nan", "inf"]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(
+    st.sampled_from(sorted(_LIST_FLAGS)),
+    st.lists(st.sampled_from(["2", "3"]), max_size=2),
+    _BAD_PARTS,
+    st.lists(st.sampled_from(["2", "3"]), max_size=2),
+)
+@example("--t-grid", ["2"], "1e999", [])
+@example("--t-grid", [], "nan", ["3"])
+@example("--shape", ["2", "2"], "", [])
+@example("--ds", [], "+-2", ["3"])
+@example("--ns", ["2"], "1e999", [])
+@example("--d-grid", ["3"], "abc", ["3"])
+def test_malformed_list_values_exit_two_with_one_line(flag, head, bad, tail):
+    command, floats = _LIST_FLAGS[flag]
+    parts = head + [bad] + tail
+    if floats:
+        parts = [p + ".5" if p in ("2", "3") else p for p in parts]
+    argv = [*command, f"{flag}={','.join(parts)}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    assert code == 2, argv
+    assert out.getvalue() == ""
+    text = err.getvalue()
+    assert text.startswith(f"error: argument {flag}: ") and text.count("\n") == 1
+    assert "Traceback" not in text
 
 
 # smallest flag values that every model of the table accepts

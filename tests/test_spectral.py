@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rankone.bounds import bounds_general, bounds_symmetric
-from rankone.experiments import _HARD_TOL, _draw, estimate_ratio_distribution
+from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
 from rankone.poly import MultiHomogPoly, multi_from_single, poly_from_coeff_dict
 from rankone.sampling import (
     gaussian_harmonic,
@@ -200,12 +200,24 @@ def _ascend(blocks, degree, value, value_and_grad, x0, max_iters):
     return x, obj, iters, conv
 
 
+def _unit_rows(rng, count, shape, field):
+    """``count`` random unit rows per mode of ``shape``, over the field."""
+    rows = []
+    for n in shape:
+        x = rng.standard_normal((count, n))
+        if field == COMPLEX:
+            x = x + 1j * rng.standard_normal((count, n))
+        rows.append(x / np.linalg.norm(x, axis=1)[:, np.newaxis])
+    return rows
+
+
 def _alternate(t, x0, max_iters):
     """Alternating maximization from every row of x0: (xs, objective, iterations, converged)."""
     rows = [np.array(x) for x in x0]
     which = np.zeros(len(rows[0]), dtype=int)
     step = _alternating([t], which, 1e-12)
-    (*xs, obj), iters, conv = _lockstep(step, [*rows, np.full(len(which), -np.inf)], max_iters)
+    state = [*rows, np.full(len(which), -np.inf), np.zeros(len(which))]
+    (*xs, obj, _), iters, conv = _lockstep(step, state, max_iters)
     return xs, obj, iters, conv
 
 
@@ -263,13 +275,7 @@ def test_lockstep_starts_match_single_runs(form):
 def test_lockstep_tensor_starts_match_single_runs(shape, field):
     # every start of a lockstep batch must end exactly where it ends alone
     t = gaussian_tensor(shape, field, 16)
-    rng = np.random.default_rng(4)
-    x0 = []
-    for n in shape:
-        x = rng.standard_normal((9, n))
-        if field == COMPLEX:
-            x = x + 1j * rng.standard_normal((9, n))
-        x0.append(x / np.linalg.norm(x, axis=1)[:, np.newaxis])
+    x0 = _unit_rows(np.random.default_rng(4), 9, shape, field)
     for max_iters in (400, 3):
         xs, obj, iters, conv = _alternate(t, x0, max_iters)
         for s in range(9):
@@ -289,9 +295,9 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
 @pytest.mark.parametrize(
     "seed, shape, field, value, iterations",
     [
-        (31, (3, 3, 3), REAL, 3.944647356125139, 27),
-        (32, (2, 3, 4), COMPLEX, 4.135896386787339, 14),
-        (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 18),
+        (31, (3, 3, 3), REAL, 3.944647356125139, 8),
+        (32, (2, 3, 4), COMPLEX, 4.135896386787339, 13),
+        (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 14),
         (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 2),
         (35, ("kostlan", {"d": 8, "n": 2}), COMPLEX, 1.2948616794233114, 6),
         (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 6),
@@ -329,6 +335,74 @@ def test_conjugate_directions_keep_the_steepest_ascent_values():
     assert batch.iterations == 11
     for res, value in zip(batch.results, steepest):
         assert res.value == pytest.approx(value, rel=1e-12)
+        assert res.converged
+
+
+def _pairing(t, xs):
+    """|<T, x^1 (x) ... (x) x^d>| computed directly from the vectors."""
+    out = np.conj(t.data)
+    for x in xs:
+        out = np.tensordot(x, out, axes=([0], [0]))
+    return abs(complex(out))
+
+
+@pytest.mark.parametrize(
+    "shape, field",
+    [((3, 3, 3), REAL), ((2, 3, 4), REAL), ((4, 4, 4, 4), COMPLEX), ((3, 2, 2, 3), COMPLEX)],
+)
+def test_extrapolated_rounds_are_monotone_and_attained(monkeypatch, shape, field):
+    # the extrapolation may only move a start to a better point, and the
+    # objective it reports must be the value at the vectors it returns
+    t = gaussian_tensor(shape, field, 17)
+    x0 = _unit_rows(np.random.default_rng(5), 12, shape, field)
+    which = np.zeros(12, dtype=int)
+
+    def run():
+        step = _alternating([t], which, 1e-12)
+        history = [[] for _ in range(12)]
+
+        def recorded(live, ids):
+            done = step(live, ids)
+            for s, value in zip(ids, live[-2]):
+                history[s].append(value)
+            return done
+
+        state = [*(x.copy() for x in x0), np.full(12, -np.inf), np.zeros(12)]
+        (*xs, obj, _), iters, conv = _lockstep(recorded, state, 500)
+        assert conv.all()
+        return xs, obj, iters, history
+
+    xs, obj, iters, history = run()
+    for s, values in enumerate(history):
+        assert len(values) == iters[s]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert obj[s] == pytest.approx(_pairing(t, [x[s] for x in xs]), rel=1e-12)
+    # without the extrapolation the same starts take more rounds
+    monkeypatch.setattr("rankone.spectral._RHO", (1.0, 1.0))
+    *_, plain, _ = run()
+    assert iters.sum() < plain.sum()
+
+
+def test_extrapolation_keeps_the_sweep_values():
+    # the values the sweeps alone reached on a batch of the benchmark's
+    # tensors pool; the extrapolated sweeps must reach them in fewer lockstep
+    # rounds (301 with the sweeps alone)
+    sweeps = [
+        5.07891149384516,
+        5.528179868469502,
+        5.36582045113927,
+        5.455019952370208,
+        4.990808017708401,
+        5.707864786417826,
+        5.497854210203173,
+        5.31242674402293,
+    ]
+    objs = [gaussian_tensor((4, 4, 4, 4), COMPLEX, 20100, i) for i in range(8)]
+    cfg = MaximizerConfig(starts=12, max_iters=400)
+    batch = spectral_value_many(objs, cfg, [_cfg_seed(20100, i) for i in range(8)])
+    assert batch.iterations == 110
+    for res, value in zip(batch.results, sweeps):
+        assert res.value >= value * (1.0 - 1e-12)
         assert res.converged
 
 
