@@ -7,6 +7,13 @@ summed along the last axis (no matrix product).  So every real row computes
 exactly what it computes in a one-point call, whatever the batch and whatever
 the coefficient shape.  They take one coefficient vector of shape (N,) for
 every point, or one row of an (m, N) coefficient matrix per point.
+
+A call over many points runs in row blocks, each through the same code, so
+that the largest temporary of a block stays within ``_BLOCK_BYTES``: large
+temporaries, freed and allocated again on every call, are page-faulted back
+in each time, while small ones reuse resident heap pages.  A row's value is
+the value a call over its block alone gives; a call of one block or less is
+a single pass.
 """
 
 import numpy as np
@@ -30,6 +37,14 @@ def _power_table(xs, top):
     return table.reshape((top + 1) * len(xt), len(xs))
 
 
+# byte budget of a row block's largest temporary, the (n, N, rows) array of
+# gradient terms, which also bounds the smaller temporaries of an
+# evaluation; of the budgets from 64 KiB to 1 GiB tried on the kernel calls
+# of verifications of 16 forms, 128 KiB was the fastest
+_BLOCK_BYTES = 128 * 1024
+_MIN_BLOCK_ROWS = 16
+
+
 def _row_sums(terms, weights, shape):
     """Sum over the monomial axis of terms * weights, both laid out
     (..., N, m), through one C-ordered array of ``shape`` = (m, ..., N)."""
@@ -39,7 +54,23 @@ def _row_sums(terms, weights, shape):
 
 
 def _monomial_sums(coeffs, expo, xs, gradient):
-    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum.
+    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum,
+    computed block by block over the rows."""
+    coeffs, xs = _promote(coeffs, xs)
+    (m, n), size = xs.shape, len(expo)
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (n * size * xs.itemsize))
+    if m <= rows:
+        return _block_sums(coeffs, expo, xs, gradient)
+    per_row = coeffs.ndim == 2
+    parts = [
+        _block_sums(coeffs[a : a + rows] if per_row else coeffs, expo, xs[a : a + rows], gradient)
+        for a in range(0, m, rows)
+    ]
+    return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
+
+
+def _block_sums(coeffs, expo, xs, gradient):
+    """``_monomial_sums`` of one row block, in one pass.
 
     A monomial is the running product of the variables' factors x_j^a_j in
     order.  The derivative of x^a in x_i is a_i x^(a - e_i): x_i's factor
@@ -47,7 +78,6 @@ def _monomial_sums(coeffs, expo, xs, gradient):
     it and the product of those after it.  Where a_i = 0 the shifted
     exponent is clipped to 0 and the term carries the weight a_i = 0.
     """
-    coeffs, xs = _promote(coeffs, xs)
     (m, n), size = xs.shape, len(expo)
     table = _power_table(xs, int(expo.max(initial=0)))
     cols = np.arange(n)[:, np.newaxis]

@@ -196,6 +196,8 @@ def bounds_symmetric_large_d(d, n, field=REAL):
     """Explicit large-degree sandwich, valid for d >= n^2 / 4 (real lower)."""
     if d < 3:
         raise DomainError(f"need d >= 3, got {d}")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
     lnd = math.log(float(d))
     if field == REAL:
         if d < n * n / 4.0:

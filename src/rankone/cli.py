@@ -37,16 +37,31 @@ from .tensor import Tensor, dump_tensor, load_tensor
 import numpy as np
 
 
-class _ListError(argparse.ArgumentTypeError, ValueError):
-    """A bad comma-separated list: argparse prints its message as it is, and
-    as a ValueError a --config value fails like any other."""
+class _FlagError(argparse.ArgumentTypeError, ValueError):
+    """A bad flag value: argparse prints its message as it is, and as a
+    ValueError a --config value fails like any other."""
 
 
 def _ints(s):
     try:
         return tuple(int(x) for x in s.split(","))
     except ValueError:
-        raise _ListError(f"expected comma-separated integers, e.g. 2,3, got {s!r}") from None
+        raise _FlagError(f"expected comma-separated integers, e.g. 2,3, got {s!r}") from None
+
+
+def _at_least(name, low):
+    """Type of the integer flag --``name``, whose values are at least ``low``."""
+
+    def parse(s):
+        try:
+            value = int(s)
+        except ValueError:
+            raise _FlagError(f"expected an integer, got {s!r}") from None
+        if value < low:
+            raise _FlagError(f"need {name} >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _floats(s):
@@ -57,7 +72,7 @@ def _floats(s):
             return vals
     except ValueError:
         pass
-    raise _ListError(f"expected comma-separated numbers, e.g. 0.5,0.9, got {s!r}")
+    raise _FlagError(f"expected comma-separated numbers, e.g. 0.5,0.9, got {s!r}")
 
 
 def _emit(data):
@@ -105,8 +120,8 @@ def _build_parser():
 
     p = subparsers["sample"] = sub.add_parser("sample", help="draw from a probabilistic model")
     _add_space_flags(p, model=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--seed", type=_at_least("seed", 0))
+    p.add_argument("--count", type=_at_least("count", 1), default=1)
     p.add_argument("--out", help="output file (stdout when omitted)")
 
     p = subparsers["ratio"] = sub.add_parser(
@@ -116,8 +131,8 @@ def _build_parser():
     p.add_argument("--identity", action="store_true", help="identity-matrix fixture")
     p.add_argument("--random", action="store_true", help="draw the input from a model")
     _add_space_flags(p, model=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--starts", type=int, default=32)
+    p.add_argument("--seed", type=_at_least("seed", 0))
+    p.add_argument("--starts", type=_at_least("starts", 1), default=32)
 
     p = subparsers["verify"] = sub.add_parser(
         "verify", help="sandwich verification for a model"
@@ -140,10 +155,10 @@ def _build_parser():
 
 def _add_experiment_flags(p):
     _add_space_flags(p, model=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=_at_least("samples", 1), default=100)
+    p.add_argument("--seed", type=_at_least("seed", 0))
+    p.add_argument("--starts", type=_at_least("starts", 1), default=32)
+    p.add_argument("--workers", type=_at_least("workers", 1), default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 

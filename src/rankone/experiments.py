@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .bounds import (
+    DomainError,
     bounds_general,
     bounds_partially_symmetric,
     bounds_symmetric,
@@ -111,6 +112,13 @@ def _rank_one_draw(shape, field, seed, index):
     return rank_one(1.0, UnitVectorTuple(vecs, field))
 
 
+def _identity_draw(n):
+    # test hook: the identity matrix, whose ratio is exactly 1/sqrt(n)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    return Tensor(np.eye(n), REAL)
+
+
 @dataclass(frozen=True)
 class _Model:
     """A model (or test fixture) of the Monte Carlo layer: the parameters it
@@ -170,10 +178,9 @@ MODELS = {
         lambda p, seed, i: _rank_one_draw(tuple(p["shape"]), p["field"], seed, i),
         lambda p: bounds_general(tuple(p["shape"]), p["field"]),
     ),
-    # test hook: identity matrix, ratio is exactly 1/sqrt(n)
     "identity": _Model(
         ("n",),
-        lambda p, seed, i: Tensor(np.eye(p["n"]), REAL),
+        lambda p, seed, i: _identity_draw(p["n"]),
         lambda p: bounds_symmetric(2, p["n"], REAL),
     ),
 }
@@ -199,9 +206,10 @@ def _cfg_seed(seed, index):
     return (int(seed) * 0x9E3779B1 + index * 0x85EBCA77) % (2**63)
 
 
-# samples per lockstep batch of the Monte Carlo pass; the chunks are fixed, so
-# the records do not depend on the number of workers
-_CHUNK = 8
+# samples per lockstep batch of the Monte Carlo pass and per worker task; the
+# chunks are fixed, whatever the number of workers or samples, so the records
+# do not depend on either (one batch per verification of 16 samples)
+_CHUNK = 16
 
 
 def _ratio_records(args):
@@ -225,10 +233,14 @@ def _ratio_with_flag(obj, cfg):
 def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
     if samples < 1:
         raise UsageError(f"need samples >= 1, got {samples}")
+    if workers < 1:
+        raise UsageError(f"need workers >= 1, got {workers}")
     tasks = [
         (model, dict(params), cfg, int(seed), range(a, min(a + _CHUNK, samples)))
         for a in range(0, samples, _CHUNK)
     ]
+    # a pool starts all its processes at once: no more than there are tasks
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_ratio_records, tasks))

@@ -48,6 +48,8 @@ def bw_l2_constant(d, n):
     harmonic forms: 2^(d-1) Gamma(d + n/2) / (pi^(n/2) Gamma(d + 1))."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if d < 0:
+        raise DomainError(f"need d >= 0, got {d}")
     lg = (
         (d - 1) * np.log(2.0)
         + lgamma(d + 0.5 * n)

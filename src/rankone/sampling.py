@@ -38,6 +38,10 @@ class SeedSpec:
     master_seed: int
     purpose_tag: str = "default"
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise DomainError(f"need seed >= 0, got {self.master_seed}")
+
     def rng(self, index):
         ss = np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(index, _tag_int(self.purpose_tag))
@@ -73,8 +77,10 @@ def gaussian_tensor(shape, field, seed, index=0):
 def kostlan_form(d, n, field, seed, index=0):
     """Coefficient at alpha is sqrt(binom(d, alpha)) times a standard Gaussian,
     so the normalized coefficients are i.i.d. and E |f|_bw^2 = binom(d+n-1, d)."""
-    if d < 0 or n < 1:
-        raise DomainError(f"invalid (d, n) = {(d, n)}")
+    if d < 0:
+        raise DomainError(f"invalid d: need d >= 0, got {d}")
+    if n < 1:
+        raise DomainError(f"invalid n: need n >= 1, got {n}")
     rng = _rng_for(seed, index, "kostlan")
     w = multinomial_weights(d, n)
     g = _standard_gaussians(rng, num_monomials(d, n), field)

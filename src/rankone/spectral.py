@@ -84,6 +84,8 @@ class MaximizerConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,9 +160,10 @@ def test_stdout_deterministic_across_processes():
 
 
 def test_tensor_report_identical_across_workers():
+    # 32 samples: two chunks, one per worker
     args = [
         sys.executable, "-m", "rankone.cli", "verify", "--model", "gaussian-tensor",
-        "--shape", "3,3,3", "--samples", "16", "--seed", "7", "--starts", "6",
+        "--shape", "3,3,3", "--samples", "32", "--seed", "7", "--starts", "6",
     ]  # fmt: skip
     p1 = subprocess.run(args + ["--workers", "1"], capture_output=True)
     p2 = subprocess.run(args + ["--workers", "2"], capture_output=True)
@@ -179,14 +181,14 @@ def test_tensor_report_identical_across_workers():
     ids=["harmonic", "kostlan-multi-complex"],
 )
 def test_form_reports_identical_across_workers(model_args):
-    # 19 samples: two full chunks of 8 and a short one
+    # 35 samples: two full chunks of 16 and a short one, so three tasks
     args = [
         sys.executable, "-m", "rankone.cli", "verify", *model_args,
-        "--samples", "19", "--seed", "5", "--starts", "6",
+        "--samples", "35", "--seed", "5", "--starts", "6",
     ]  # fmt: skip
     outs = [subprocess.run(args + ["--workers", w], capture_output=True) for w in "123"]
     assert all(p.returncode == 0 for p in outs)
-    assert len(json.loads(outs[0].stdout)["stats"][0]["records"]) == 19
+    assert len(json.loads(outs[0].stdout)["stats"][0]["records"]) == 35
     assert outs[0].stdout == outs[1].stdout == outs[2].stdout
 
 
@@ -327,6 +329,94 @@ def test_malformed_list_values_exit_two_with_one_line(flag, head, bad, tail):
     text = err.getvalue()
     assert text.startswith(f"error: argument {flag}: ") and text.count("\n") == 1
     assert "Traceback" not in text
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --model kostlan --d 3 --n 2 --seed 1 --workers 0",
+         "argument --workers: need workers >= 1, got 0"),
+        ("verify --model kostlan --d 3 --n 2 --seed 1 --workers -2",
+         "argument --workers: need workers >= 1, got -2"),
+        ("sample --model kostlan --d 3 --n 2 --seed 1 --count 0",
+         "argument --count: need count >= 1, got 0"),
+        ("sample --model kostlan --d 3 --n 2 --seed 1 --count -1",
+         "argument --count: need count >= 1, got -1"),
+        ("experiment --kind bw-l2 --d -1 --n 2", "need d >= 0, got -1"),
+        ("verify --model kostlan --d 3 --n 2 --seed -1", "argument --seed: need seed >= 0, got -1"),
+        ("sample --model kostlan --d 3 --n 2 --seed 1 --count 2.5",
+         "argument --count: expected an integer, got '2.5'"),
+    ],
+    ids=[
+        "workers-0", "workers-minus-2", "count-0", "count-minus-1", "bw-l2-d", "seed",
+        "count-float",
+    ],
+)  # fmt: skip
+def test_bad_scalar_value_names_the_flag(argv, message):
+    assert _run_in_process(argv.split()) == (2, "", f"error: {message}\n")
+
+
+# each scalar flag: a command that runs when the flag's value is good, the
+# parameter an error must name and the least good value; --workers is drawn
+# in 0..2 only, so no test can ask a pool for many processes
+_VERIFY = ("verify", "--model", "kostlan", "--d", "3", "--n", "2", "--seed", "1", "--starts", "1")
+_SCALAR_FLAGS = {
+    "--samples": (_VERIFY, "samples", 1),
+    "--starts": (_VERIFY[:-2] + ("--samples", "2"), "starts", 1),
+    "--seed": (_VERIFY[:-4] + ("--starts", "1", "--samples", "2"), "seed", 0),
+    "--count": (
+        ("sample", "--model", "kostlan", "--d", "3", "--n", "2", "--seed", "1"), "count", 1
+    ),
+    "--d": (("experiment", "--kind", "bw-l2", "--n", "2"), "d", 1),
+    "--n": (("experiment", "--kind", "bw-l2", "--d", "2"), "n", 2),
+    "--k": (
+        ("experiment", "--kind", "tail", "--model", "projection", "--N", "10", "--seed", "1"),
+        "k", 1,
+    ),
+    "--N": (
+        ("experiment", "--kind", "tail", "--model", "projection", "--k", "3", "--seed", "1"),
+        "N", 3,
+    ),
+    "--workers": (_VERIFY + ("--samples", "2"), "workers", 1),
+}  # fmt: skip
+# values that no integer flag takes: empty, letters, fractions, bare or
+# doubled signs, exponents and hex
+_NOT_INTEGERS = st.one_of(
+    st.text(alphabet="abexyz", max_size=4),
+    st.sampled_from(["1.5", "-0.5", "+", "-", "+-2", "--3", "3-", "1e3", "0x10", "nan", "inf"]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_SCALAR_FLAGS)), st.integers(0, 2))
+def test_bad_scalar_values_exit_two_with_one_line(data, flag, workers):
+    command, name, least = _SCALAR_FLAGS[flag]
+    if flag == "--workers":
+        bad = data.draw(st.one_of(st.just("0"), _NOT_INTEGERS))
+    else:
+        below = st.integers(-(10**12), least - 1).map(str)
+        bad = data.draw(st.one_of(below, _NOT_INTEGERS))
+    argv, names = [*command, f"{flag}={bad}"], [name]
+    if flag != "--workers" and command[0] in ("verify", "experiment"):
+        argv += ["--workers", str(workers)]
+        names += ["workers"] if workers == 0 else []  # two bad flags: either may be named
+    code, out, err = _run_in_process(argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert any(re.search(rf"\b{n}\b", err) for n in names), err
 
 
 # smallest flag values that every model of the table accepts

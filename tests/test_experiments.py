@@ -47,10 +47,73 @@ def test_unknown_model_is_usage_error():
 
 
 def test_stats_are_schedule_independent():
-    kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=8, cfg=CFG, seed=3)
+    # 20 samples: two chunks, so workers=4 runs them in a pool of two
+    kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=20, cfg=CFG, seed=3)
     s1 = estimate_ratio_distribution(**kw, workers=1)
     s2 = estimate_ratio_distribution(**kw, workers=4)
     assert s1.records == s2.records
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("kostlan", {"d": 8, "n": 2, "field": REAL}),
+        ("kostlan", {"d": 4, "n": 3, "field": COMPLEX}),
+        ("kostlan_multi", {"ds": (2, 3), "ns": (2, 2), "field": REAL}),
+        ("gaussian_tensor", {"shape": (3, 3, 3), "field": REAL}),
+    ],
+    ids=["real-form", "complex-form", "multi-form", "tensor"],
+)
+def test_records_do_not_depend_on_the_chunk(monkeypatch, model, params):
+    # every start's rows run the same arithmetic in a batch of 8 samples as
+    # in one of 16, so the records are equal, not merely close
+    cfg = MaximizerConfig(starts=4, max_iters=300)
+    records = []
+    for chunk in (8, 16):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        records.append(estimate_ratio_distribution(model, params, 20, cfg, 41).records)
+    assert records[0] == records[1]
+
+
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "samples, workers, made", [(33, 100_000, [3]), (33, 2, [2]), (16, 8, []), (5, 1, [])]
+)
+def test_pool_starts_no_more_processes_than_tasks(monkeypatch, samples, workers, made):
+    # a pool starts all of its max_workers processes at once, so a large
+    # --workers must not reach it: 33 samples are three tasks, 16 are one
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(_PoolSpy, "made", [])
+    kw = dict(model="identity", params={"n": 3}, samples=samples, cfg=CFG, seed=1)
+    stats = estimate_ratio_distribution(**kw, workers=workers)
+    assert _PoolSpy.made == made
+    assert stats.records == estimate_ratio_distribution(**kw).records
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_is_usage_error(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(_PoolSpy, "made", [])
+    with pytest.raises(UsageError, match=f"need workers >= 1, got {workers}"):
+        estimate_ratio_distribution("identity", {"n": 3}, 40, CFG, 1, workers)
+    assert _PoolSpy.made == []
 
 
 def test_verify_bounds_gaussian_tensor_passes():
@@ -145,7 +208,8 @@ def test_export_csv_row_count(tmp_path):
 
 
 def test_reports_identical_across_workers():
-    kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=8, cfg=CFG, seed=23)
+    # 20 samples: two chunks, so workers=4 runs them in a pool of two
+    kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=20, cfg=CFG, seed=23)
     r1 = verify_bounds(**kw, workers=1)
     r2 = verify_bounds(**kw, workers=4)
     assert render_report(r1, "json") == render_report(r2, "json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankone import _kernels
 from rankone._kernels import (
     evaluate_poly,
     evaluate_poly_many,
@@ -340,3 +341,38 @@ def test_fused_value_and_gradient_match_separate_kernels(field, shared):
     v, g = value_and_gradient_poly_many(c, expo, xs)
     np.testing.assert_array_equal(v, evaluate_poly_many(c, expo, xs))
     np.testing.assert_array_equal(g, gradient_poly_many(c, expo, xs))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_row_blocks_match_one_block_calls(monkeypatch, field, shared):
+    # a call over more points than one row block holds runs block by block,
+    # and each row is exactly what a call over its block alone returns
+    rng = np.random.default_rng(8)
+    expo = monomial_exponents(6, 3)
+    m, rows = 53, _kernels._MIN_BLOCK_ROWS
+    c = rng.standard_normal(len(expo) if shared else (m, len(expo)))
+    xs = rng.standard_normal((m, 3))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.shape)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    one_pass = value_and_gradient_poly_many(c, expo, xs)
+    blocks, block_sums = [], _kernels._block_sums
+
+    def counted(c, e, xs, grad):
+        blocks.append(len(xs))
+        return block_sums(c, e, xs, grad)
+
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)  # blocks of _MIN_BLOCK_ROWS rows
+    monkeypatch.setattr(_kernels, "_block_sums", counted)
+    v, g = value_and_gradient_poly_many(c, expo, xs)
+    assert blocks == [16, 16, 16, 5]
+    for a in range(0, m, rows):
+        b = slice(a, a + rows)
+        vb, gb = value_and_gradient_poly_many(c if shared else c[b], expo, xs[b])
+        np.testing.assert_array_equal(v[b], vb)
+        np.testing.assert_array_equal(g[b], gb)
+    np.testing.assert_array_equal(evaluate_poly_many(c, expo, xs), v)
+    if field == REAL:  # real rows do not depend on the batch at all
+        np.testing.assert_array_equal(v, one_pass[0])
+        np.testing.assert_array_equal(g, one_pass[1])
