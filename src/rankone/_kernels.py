@@ -58,19 +58,31 @@ def _monomial_sums(coeffs, expo, xs, gradient):
     computed block by block over the rows."""
     coeffs, xs = _promote(coeffs, xs)
     (m, n), size = xs.shape, len(expo)
+    index = _factor_index(expo, n, gradient)
     rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (n * size * xs.itemsize))
     if m <= rows:
-        return _block_sums(coeffs, expo, xs, gradient)
+        return _block_sums(coeffs, index, xs, gradient)
     per_row = coeffs.ndim == 2
     parts = [
-        _block_sums(coeffs[a : a + rows] if per_row else coeffs, expo, xs[a : a + rows], gradient)
+        _block_sums(coeffs[a : a + rows] if per_row else coeffs, index, xs[a : a + rows], gradient)
         for a in range(0, m, rows)
     ]
     return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
 
 
-def _block_sums(coeffs, expo, xs, gradient):
-    """``_monomial_sums`` of one row block, in one pass.
+def _factor_index(expo, n, gradient):
+    """What every row block of one call reads from the exponents: the top
+    power, expo.T (n, N), the power-table rows of each factor x_j^a_j and,
+    for a gradient, those of x_j^(a_j - 1) clipped at 0 (else None)."""
+    et = expo.T
+    cols = np.arange(n)[:, np.newaxis]
+    shifted = np.maximum(et - 1, 0) * n + cols if gradient else None
+    return int(expo.max(initial=0)), et, et * n + cols, shifted
+
+
+def _block_sums(coeffs, index, xs, gradient):
+    """``_monomial_sums`` of one row block, in one pass; ``index`` is the
+    call's ``_factor_index``.
 
     A monomial is the running product of the variables' factors x_j^a_j in
     order.  The derivative of x^a in x_i is a_i x^(a - e_i): x_i's factor
@@ -78,13 +90,12 @@ def _block_sums(coeffs, expo, xs, gradient):
     it and the product of those after it.  Where a_i = 0 the shifted
     exponent is clipped to 0 and the term carries the weight a_i = 0.
     """
-    (m, n), size = xs.shape, len(expo)
-    table = _power_table(xs, int(expo.max(initial=0)))
-    cols = np.arange(n)[:, np.newaxis]
-    factors = expo.T * n + cols  # (n, N): table rows of x_j^a_j
+    top, et, factors, shifted = index
+    (m, n), size = xs.shape, et.shape[1]
+    table = _power_table(xs, top)
     ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, m) or (N, 1)
     # (n, N, m): x_j^(a_j - 1), to be multiplied by the factors before and after
-    terms = table[np.maximum(expo.T - 1, 0) * n + cols] if gradient else None
+    terms = table[shifted] if gradient else None
     mono = table[factors[0]]
     for i in range(1, n):
         if gradient:
@@ -97,7 +108,7 @@ def _block_sums(coeffs, expo, xs, gradient):
     for i in range(n - 2, -1, -1):
         terms[i] *= after
         after *= table[factors[i]]
-    weights = expo.T[:, :, np.newaxis] * ct  # (i, N, m or 1): a_i * c_a
+    weights = et[:, :, np.newaxis] * ct  # (i, N, m or 1): a_i * c_a
     return value, _row_sums(terms, weights, (m, n, size))
 
 
