@@ -7,9 +7,9 @@ the objective.  Forms and multi-homogeneous forms use one multi-start ascent
 on a product of spheres (a form is the one-sphere case) whose every round is
 an exact search over a great circle: along the circle that turns each block
 toward its conjugate direction (the projected gradient plus a
-Polak-Ribiere+ multiple of the previous direction), |f|^2 is a
-trigonometric polynomial of known degree, so a few batched evaluations fix
-it and its maximum over the whole circle.  ``spectral_value_many`` runs
+Polak-Ribiere+ multiple of the previous direction), f is a binary form of
+known degree D in (cos t, sin t), so f at x and D batched evaluations fix
+|f|^2 and its maximum over the whole circle.  ``spectral_value_many`` runs
 every start of many objects of one kind, shape and field in lockstep as one
 batch.  One driver (``_lockstep``) keeps the live starts, their iteration
 counts and convergence flags, and each round calls the method's step: the
@@ -26,7 +26,6 @@ certification at tiny sizes.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -200,19 +199,18 @@ def _draw_starts(seeds, starts, sizes, field):
         }
         rng.standard_normal(out=z[row])
     out, a = [], 0
+    # each vector's norm as np.linalg.norm takes it: one BLAS dot of the row
+    # (of the strided real and imaginary views of a complex row), whose
+    # rounding depends on the stride, so it stays one call per row
     for n in sizes:
         v = z[:, a : a + n]
         if field == COMPLEX:
             v = v + 1j * z[:, a + n : a + 2 * n]
-        a += k * n
-        # each vector's norm as np.linalg.norm takes it: one BLAS dot of the
-        # row (of the strided real and imaginary views of a complex row),
-        # whose rounding depends on the stride, so it stays one call per row
-        if field == COMPLEX:
             sq = [re.dot(re) + im.dot(im) for re, im in zip(v.real, v.imag)]
         else:
             sq = [x.dot(x) for x in v]
         out.append(v / np.sqrt(sq)[:, np.newaxis])
+        a += k * n
     return out
 
 
@@ -339,7 +337,7 @@ def _alternating(ts, which, tol):
 
 
 def _realified_objective(coeffs, expo, ns, field):
-    """Return (blocks, degree, value_fn, value_and_grad_fn, unpack) for
+    """Return (blocks, degree, value_fn, value_and_grad_fn, unpack) for f and
     |f|^2 on a product of (realified) spheres.
 
     A point y holds one contiguous block per variable block; a complex block
@@ -347,9 +345,10 @@ def _realified_objective(coeffs, expo, ns, field):
     the slices of y that each lie on a unit sphere and ``degree`` is the total
     degree of f.  ``coeffs`` holds one coefficient row per start.
     ``value(ys, ids)`` and ``value_and_grad(ys, ids)`` take a batch of
-    points, one per row, and the start ids of the rows; the latter returns
-    |f|^2 and its gradient from one fused kernel call.  ``unpack(y)``
-    returns the per-block vectors over the field of one point.
+    points, one per row, and the start ids of the rows.  ``value`` returns f
+    itself (complex for a complex field); ``value_and_grad`` returns f, |f|^2
+    and the gradient of |f|^2, all from one fused kernel call.
+    ``unpack(y)`` returns the per-block vectors over the field of one point.
     """
     k = 2 if field == COMPLEX else 1
     offsets = np.cumsum((0,) + tuple(k * n for n in ns))
@@ -358,12 +357,11 @@ def _realified_objective(coeffs, expo, ns, field):
     if field == REAL:
 
         def value(ys, ids):
-            v = evaluate_poly_many(coeffs[ids], expo, ys)
-            return v * v
+            return evaluate_poly_many(coeffs[ids], expo, ys)
 
         def value_and_grad(ys, ids):
             v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys)
-            return v * v, 2.0 * v[:, np.newaxis] * g
+            return v, v * v, 2.0 * v[:, np.newaxis] * g
 
         def unpack(y):
             return tuple(y[b] for b in blocks)
@@ -375,9 +373,7 @@ def _realified_objective(coeffs, expo, ns, field):
     im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
     def value(ys, ids):
-        z = ys[:, re] + 1j * ys[:, im]
-        v = evaluate_poly_many(ccoeffs[ids], expo, z)
-        return (v * np.conj(v)).real
+        return evaluate_poly_many(ccoeffs[ids], expo, ys[:, re] + 1j * ys[:, im])
 
     def value_and_grad(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
@@ -386,7 +382,7 @@ def _realified_objective(coeffs, expo, ns, field):
         g = np.empty(ys.shape)
         g[:, re] = 2.0 * gz.real
         g[:, im] = -2.0 * gz.imag
-        return (v * np.conj(v)).real, g
+        return v, (v * np.conj(v)).real, g
 
     def unpack(y):
         z = y[re] + 1j * y[im]
@@ -395,33 +391,49 @@ def _realified_objective(coeffs, expo, ns, field):
     return blocks, degree, value, value_and_grad, unpack
 
 
-def _great_circle(x, u, theta, blocks):
-    """Points cos(t) x + sin(t) u, renormalised block by block, for the
-    angles ``theta``: (J,) for every row of x, u (L, dim) or (L, J), one
-    row each.  Returns (L, J, dim)."""
+def _great_circle(x, u, theta):
+    """Points cos(t) x + sin(t) u for the angles ``theta``: (J,) for every
+    row of x, u (L, dim) or (L, J), one row each.  Returns (L, J, dim)."""
     t = theta[..., np.newaxis]
-    y = np.cos(t) * x[:, np.newaxis] + np.sin(t) * u[:, np.newaxis]
+    return np.cos(t) * x[:, np.newaxis] + np.sin(t) * u[:, np.newaxis]
+
+
+def _on_spheres(y, blocks):
+    """The rows of y (L, dim) renormalised block by block, in place."""
     for b in blocks:
-        y[:, :, b] /= np.sqrt(np.add.reduce(y[:, :, b] * y[:, :, b], axis=2))[:, :, np.newaxis]
+        y[:, b] /= np.sqrt(np.add.reduce(y[:, b] * y[:, b], axis=1))[:, np.newaxis]
     return y
 
 
-def _circle_samples(x, u, ol, ids, degree, value, blocks):
-    """|f|^2 at the 2D+1 angles t_j = pi j / (2D+1) of each row's great
-    circle, D = ``degree``, shape (L, 2D+1).  t_0 = 0 is x itself, whose
-    value ``ol`` is known; the other 2D angles are one batched evaluation."""
-    k = 2 * degree + 1
-    y = _great_circle(x, u, np.pi * np.arange(1, k) / k, blocks)
-    samples = np.empty((len(x), k))
-    samples[:, 0] = ol
+def _circle_samples(x, u, fx, ids, degree, value):
+    """f at the D+1 angles s_j = pi j / (D+1) of each row's great circle
+    cos(t) x + sin(t) u, D = ``degree``, shape (L, D+1).  s_0 = 0 is x
+    itself, whose value ``fx`` is known; the other D angles are one batched
+    evaluation.  The points are not renormalised: f along them is a binary
+    form of degree D in (cos t, sin t) whatever x and u are."""
+    k = degree + 1
+    y = _great_circle(x, u, np.pi * np.arange(1, k) / k)
+    samples = np.empty((len(x), k), dtype=fx.dtype)
+    samples[:, 0] = fx
     samples[:, 1:] = value(y.reshape(-1, x.shape[1]), np.repeat(ids, k - 1)).reshape(len(x), k - 1)
     return samples
 
 
 def _interpolant(samples):
-    """Coefficients c (L, D+1) of p(t) = Re sum_k c_k e^{2ikt}, the
-    trigonometric polynomial through the samples at t_j = pi j / (2D+1)."""
-    c = np.fft.rfft(samples, axis=1) * (2.0 / samples.shape[1])
+    """Coefficients c (L, D+1) of p(t) = |f|^2 = Re sum_k c_k e^{2ikt} on
+    each row's circle, from the samples of f at s_j = pi j / (D+1).
+
+    f(t) = sum_m b_m e^{i(2m-D)t}, so f(s_j) e^{iD s_j} = sum_m b_m
+    e^{2 pi i jm / (D+1)} and b is their FFT over D+1.  The zero-padded
+    inverse FFT of b over 2D+1 gives f(t_j) e^{iD t_j} at t_j = pi j /
+    (2D+1), so |f|^2 at the 2D+1 angles that fix p, and their real FFT
+    gives c.  Each row is transformed on its own."""
+    n = samples.shape[1]
+    k = 2 * n - 1
+    # the FFT's 1 / (D+1) and the inverse FFT's 2D+1, folded into e^{iD s_j}
+    mod = np.exp(1j * np.pi * (n - 1) / n * np.arange(n)) * (k / n)
+    g = np.fft.ifft(np.fft.fft(samples * mod, axis=1), n=k, axis=1)
+    c = np.fft.rfft(g.real * g.real + g.imag * g.imag, axis=1) * (2.0 / k)
     c[:, 0] *= 0.5
     return c
 
@@ -457,28 +469,33 @@ def _circle_argmax(c):
 def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     """Lockstep step of an ascent of |f|^2 on a product of unit spheres; monotone.
 
-    The state is the points x (S, dim), one per start, |f|^2 there, its
-    gradient, a count of small gains in a row, and the search direction and
-    projected gradient of the round that last moved the start (0 before the
-    first).  Each round searches along a Polak-Ribiere+ conjugate direction
-    (Absil, Mahony & Sepulchre 2008, section 8.3): d = g + beta P(d_prev),
-    with g the projected gradient, P the projection onto the tangent space at
-    x (block by block, the vector transport) and beta = max(0, <g, g -
-    P(g_prev)> / |g_prev|^2); d = g when <d, g> <= 0.  Reusing the previous
-    direction stops the zigzag of steepest ascent, which took several times
-    as many rounds on complex forms.  The round turns every block b by one
-    angle t toward its unit direction u_b = d_b / |d_b|, along
-    y_b(t) = cos(t) x_b + sin(t) u_b.  On that great circle |f|^2
-    is a trigonometric polynomial of degree D = ``degree`` in 2t, so its
-    values at 2D+1 angles fix it exactly (``rfft``).  Its maximum over the
-    whole circle comes from a fine zero-padded grid, a parabola and Newton
-    steps; |f|^2 and its gradient are then evaluated there, and the start
-    moves only if that value improves, so every value is attained (and the
-    next round's gradient is already known).  Every evaluated point is
-    renormalised block by block, which also keeps a block whose tangent
-    gradient is 0 at +-x_b.  A start stops when its projected gradient
-    vanishes, when a round does not improve or after two small improvements
-    in a row.
+    The state is the points x (S, dim), one per start, f and |f|^2 there, the
+    gradient of |f|^2, a count of small gains in a row, and the search
+    direction and projected gradient of the round that last moved the start
+    (0 before the first).  Each round searches along a Polak-Ribiere+
+    conjugate direction (Absil, Mahony & Sepulchre 2008, section 8.3):
+    d = g + beta P(d_prev), with g the projected gradient, P the projection
+    onto the tangent space at x (block by block, the vector transport) and
+    beta = max(0, <g, g - P(g_prev)> / |g_prev|^2); d = g when <d, g> <= 0.
+    Reusing the previous direction stops the zigzag of steepest ascent, which
+    took several times as many rounds on complex forms.  The round turns
+    every block b by one angle t toward its unit direction u_b = d_b / |d_b|,
+    along y(t) = cos(t) x + sin(t) u.  On that curve f is a binary form of
+    degree D = ``degree`` in (cos t, sin t), sum_m b_m e^{i(2m-D)t}, so its
+    values at D+1 angles fix it exactly: the one at t = 0 is the f(x) the
+    state carries, the other D are one batched evaluation, and the FFTs of
+    ``_interpolant`` turn them into |f|^2 along the whole curve.  Its
+    maximum comes from a fine zero-padded grid, a parabola and Newton steps;
+    the point there is renormalised block by block, f, |f|^2 and its
+    gradient are evaluated at it, and the start moves only if that value
+    improves, so every value is attained (and the next round's gradient and
+    f(x) are already known).  A block whose direction is 0 (its tangent
+    gradient vanished) keeps u_b = 0: its part of the curve, cos(t) x_b, is
+    off the sphere, so the curve's |f|^2 is only a guide to the chosen
+    angle, where renormalising puts the block back at +-x_b, and the
+    attained-value rule keeps such rows safe.  A start stops when its
+    projected gradient vanishes, when a round does not improve or after two
+    small improvements in a row.
 
     A round's circle samples and its evaluation at the chosen angles are one
     batched call each over the live starts that search.  ``value`` and
@@ -495,7 +512,7 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
         return v
 
     def step(state, ids):
-        x, obj, grad, stalls, d_prev, g_prev = state
+        x, fx, obj, grad, stalls, d_prev, g_prev = state
         g = tangent(grad, x)
         flat = np.linalg.norm(g, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(obj))
         if flat.all():
@@ -517,13 +534,13 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
             # near convergence the radial part of the gradient dominates, so
             # the projection leaves rounding error along x_b; remove it again
             u[:, b] -= (u[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
-        c = _interpolant(_circle_samples(xl, u, ol, ids, degree, value, blocks))
-        y = _great_circle(xl, u, _circle_argmax(c)[:, np.newaxis], blocks)[:, 0]
-        oy, gy = value_and_grad(y, ids)
+        c = _interpolant(_circle_samples(xl, u, fx[rows], ids, degree, value))
+        y = _on_spheres(_great_circle(xl, u, _circle_argmax(c)[:, np.newaxis])[:, 0], blocks)
+        fy, oy, gy = value_and_grad(y, ids)
         improved = oy > ol
         moved = rows[improved]
-        x[moved], obj[moved], grad[moved] = y[improved], oy[improved], gy[improved]
-        d_prev[moved], g_prev[moved] = d[improved], g[improved]
+        x[moved], fx[moved], obj[moved] = y[improved], fy[improved], oy[improved]
+        grad[moved], d_prev[moved], g_prev[moved] = gy[improved], d[improved], g[improved]
         small = obj[rows] - ol <= tol * np.maximum(1.0, obj[rows])
         stalls[rows[small]] += 1
         stalls[rows[~small]] = 0
@@ -697,11 +714,11 @@ def spectral_value_many(objs, cfg, seeds):
             coeffs, first.exponents, ns, first.field
         )
         x = np.hstack(_draw_starts(seeds, starts, [b.stop - b.start for b in blocks], REAL))
-        obj, grad = value_and_grad(x, np.arange(len(x)))
+        fx, obj, grad = value_and_grad(x, np.arange(len(x)))
         step = _pga_sphere(blocks, degree, value, value_and_grad, cfg.tol)
-        (x, obj, *_), iters, conv = _lockstep(
+        (x, _, obj, *_), iters, conv = _lockstep(
             step,
-            [x, obj, grad, np.zeros(len(x), dtype=int), np.zeros_like(x), np.zeros_like(x)],
+            [x, fx, obj, grad, np.zeros(len(x), dtype=int), np.zeros_like(x), np.zeros_like(x)],
             cfg.max_iters,
         )
         values = np.sqrt(obj)

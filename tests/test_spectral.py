@@ -6,7 +6,12 @@ import pytest
 
 from rankone.bounds import bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
-from rankone.poly import MultiHomogPoly, multi_from_single, poly_from_coeff_dict
+from rankone.poly import (
+    MultiHomogPoly,
+    multi_from_single,
+    multi_monomial_exponents,
+    poly_from_coeff_dict,
+)
 from rankone.sampling import (
     gaussian_harmonic,
     gaussian_tensor,
@@ -29,6 +34,7 @@ from rankone.spectral import (
     _alternating,
     _circle_argmax,
     _circle_samples,
+    _draw_starts,
     _great_circle,
     _interpolant,
     _lockstep,
@@ -190,13 +196,43 @@ def test_deterministic_given_seed():
 
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("sizes", [(2,), (2, 2), (3, 3, 3), (4, 4, 4, 4)], ids=str)
+def test_start_rows_match_numpy_per_start_generators(sizes, field):
+    # row i * starts + s is bit for bit what start s of seeds[i] draws from
+    # its own generator, also for seeds of more than four 32-bit words
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**130 + 5]
+    rows = _draw_starts(seeds, 12, sizes, field)
+    for i, seed in enumerate(seeds):
+        for s in range(12):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+            for x, n in zip(rows, sizes):
+                v = rng.standard_normal(n)
+                if field == COMPLEX:
+                    v = v + 1j * rng.standard_normal(n)
+                want = v / np.linalg.norm(v)
+                assert x.dtype == want.dtype and x[i * 12 + s].tobytes() == want.tobytes()
+    # recertification's 48 starts begin with the 12 starts' rows
+    many = _draw_starts(seeds, 48, sizes, field)
+    for x, y in zip(rows, many):
+        prefix = y.reshape(len(seeds), 48, -1)[:, :12].reshape(x.shape)
+        assert prefix.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_seeds_are_refused(seed):
+    f = kostlan_form(3, 2, REAL, 1)
+    with pytest.raises(ValueError, match=f"got {seed}$"):
+        spectral_value_many([f], CFG, [seed])
+
+
 def _ascend(blocks, degree, value, value_and_grad, x0, max_iters):
     """The sphere ascent from every row of x0: (x, |f|^2, iterations, converged)."""
     x = np.array(x0, dtype=float)
-    obj, grad = value_and_grad(x, np.arange(len(x)))
+    fx, obj, grad = value_and_grad(x, np.arange(len(x)))
     step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
-    state = [x, obj, grad, np.zeros(len(x), dtype=int), np.zeros_like(x), np.zeros_like(x)]
-    (x, obj, *_), iters, conv = _lockstep(step, state, max_iters)
+    state = [x, fx, obj, grad, np.zeros(len(x), dtype=int), np.zeros_like(x), np.zeros_like(x)]
+    (x, _, obj, *_), iters, conv = _lockstep(step, state, max_iters)
     return x, obj, iters, conv
 
 
@@ -510,8 +546,9 @@ def _units_and_tangents(rng, rows, blocks):
     ids=["real", "complex", "multi"],
 )
 def test_great_circle_search_is_exact(form):
-    # |f|^2 on a great circle is a trigonometric polynomial of degree D in
-    # 2t, so its 2D+1 samples fix it at every angle
+    # f on a great circle is a binary form of degree D in (cos t, sin t), so
+    # its D+1 samples fix |f|^2, a trigonometric polynomial of degree D in
+    # 2t, at every angle
     ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
     rows = 5
     blocks, degree, value, value_and_grad, _ = _realified_objective(
@@ -522,25 +559,83 @@ def test_great_circle_search_is_exact(form):
     x, u = _units_and_tangents(rng, rows, blocks)
 
     def on_circle(theta):
-        y = _great_circle(x, u, theta, blocks).reshape(-1, x.shape[1])
-        return value(y, np.repeat(ids, theta.shape[1])).reshape(theta.shape)
+        y = _great_circle(x, u, theta).reshape(-1, x.shape[1])
+        f = value(y, np.repeat(ids, theta.shape[1])).reshape(theta.shape)
+        return (f * np.conj(f)).real
 
-    samples = _circle_samples(x, u, value(x, ids), ids, degree, value, blocks)
-    assert samples.shape == (rows, 2 * degree + 1)
+    samples = _circle_samples(x, u, value(x, ids), ids, degree, value)
+    assert samples.shape == (rows, degree + 1)
     c = _interpolant(samples)
-    scale = samples.max(axis=1, keepdims=True)
+    scale = (np.abs(samples) ** 2).max(axis=1, keepdims=True)
     theta = rng.uniform(0.0, np.pi, (rows, 7))
     assert (np.abs(_trig(c, theta)[0] - on_circle(theta)) <= 1e-12 * scale).all()
     # the located angle is the circle's maximum
     best = on_circle(_circle_argmax(c)[:, np.newaxis])[:, 0]
     dense = on_circle(np.tile(np.linspace(0.0, np.pi, 2001), (rows, 1)))
     assert (best >= dense.max(axis=1) * (1 - 1e-12)).all()
+    # one round evaluates f at the D angles other than x's on every circle,
+    # and f, |f|^2 and the gradient at the one chosen point of each
+    points = []
+
+    def counted(evaluate):
+        def spy(ys, ids):
+            points.append(len(ys))
+            return evaluate(ys, ids)
+
+        return spy
+
+    fx, obj, grad = value_and_grad(x, ids)
+    step = _pga_sphere(blocks, degree, counted(value), counted(value_and_grad), 1e-12)
+    step([x.copy(), fx, obj, grad, np.zeros(rows, dtype=int), np.zeros_like(x), np.zeros_like(x)], ids)
+    assert points == [rows * degree, rows]
     # every value the ascent accepts is |f|^2 at the point it returns
     xf, obj, _, conv = _ascend(blocks, degree, value, value_and_grad, x, 400)
-    np.testing.assert_allclose(obj, value(xf, ids), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(obj, np.abs(value(xf, ids)) ** 2, rtol=1e-14, atol=0)
     for b in blocks:
         np.testing.assert_allclose(np.linalg.norm(xf[:, b], axis=1), 1.0, rtol=1e-14)
     assert conv.all()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_zero_direction_block_keeps_values_monotone_and_attained(field):
+    # F(x, y) = x_1 q(y): at x = +-e_1 the x block's tangent gradient is 0
+    # (over the reals exactly), so its circle direction is 0 and the curve
+    # cos(t) x + sin(t) u leaves that sphere; the ascent must still only take
+    # attained, larger values, keep x_2 = 0 and reach max |q| on the y circle
+    q = {(2, 0): 3.0, (1, 1): 2.0, (0, 2): -1.0}  # eigenvalues 1 +- sqrt(5)
+    expo = multi_monomial_exponents((1, 2), (2, 2))
+    coeffs = np.array([q[tuple(e[2:])] if e[0] == 1 else 0.0 for e in expo])
+    form = MultiHomogPoly((2, 2), (1, 2), coeffs, field)
+    rows = 6
+    blocks, degree, value, value_and_grad, _ = _realified_objective(
+        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns, form.field
+    )
+    x0 = np.random.default_rng(9).standard_normal((rows, blocks[-1].stop))
+    x0[:, blocks[0]] = 0.0
+    x0[:, blocks[0].start] = 1.0
+    x0[:, blocks[1]] /= np.linalg.norm(x0[:, blocks[1]], axis=1)[:, np.newaxis]
+    ids = np.arange(rows)
+    fx, obj, grad = value_and_grad(x0, ids)
+    step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
+    history = [[o] for o in obj]
+
+    def recorded(live, ids):
+        done = step(live, ids)
+        for s, o in zip(ids, live[2]):
+            history[s].append(o)
+        return done
+
+    state = [x0.copy(), fx, obj, grad, np.zeros(rows, dtype=int), np.zeros_like(x0), np.zeros_like(x0)]
+    (xf, _, obj, *_), iters, conv = _lockstep(recorded, state, 400)
+    assert conv.all()
+    for values in history:
+        assert all(b >= a for a, b in zip(values, values[1:]))
+    np.testing.assert_allclose(obj, np.abs(value(xf, ids)) ** 2, rtol=1e-14, atol=0)
+    x_2 = np.arange(blocks[0].start + 1, blocks[0].stop, 2)  # its real (and imaginary) part
+    assert (xf[:, x_2] == 0.0).all()
+    if field == REAL:
+        assert (np.abs(xf[:, blocks[0].start]) == 1.0).all()
+    assert np.sqrt(obj.max()) == pytest.approx(1.0 + np.sqrt(5.0), rel=1e-12)
 
 
 def _chebyshev_form(d):
