@@ -13,15 +13,16 @@ known degree D in (cos t, sin t), so f at x and D batched evaluations fix
 every start of many objects of one kind, shape and field in lockstep as one
 batch.  One driver (``_lockstep``) keeps the live starts, their iteration
 counts and convergence flags, and each round calls the method's step: the
-alternating method updates each mode of every live start with one batched
-contraction and evaluates the extrapolated points with one more, the ascent
-searches the circles of every live start with one batched evaluation.  Each
-object keeps the best of its own starts.  The one-object entry points are
-its calls with one object.  Both methods move a start only to a point where
-the objective is at least as large and report the objective at the vectors
-they return, so their values are attained: certified LOWER bounds on the
-true maximum.  A deterministic sphere-grid oracle is provided for
-certification at tiny sizes.
+alternating method gathers every live start's tensor once per sweep from a
+row-first stack, shares the suffix contractions between the modes of the
+sweep and runs each contraction as one batched matmul over the starts; the
+ascent searches the circles of every live start with one batched
+evaluation.  Each object keeps the best of its own starts.  The one-object
+entry points are its calls with one object.  Both methods move a start only
+to a point where the objective is at least as large and report the
+objective at the vectors they return, so their values are attained:
+certified LOWER bounds on the true maximum.  A deterministic sphere-grid
+oracle is provided for certification at tiny sizes.
 """
 
 from dataclasses import dataclass
@@ -46,9 +47,10 @@ from .tensor import (
     REAL,
     FieldError,
     Tensor,
-    contract_stack,
+    contract_back,
+    contract_front,
     frobenius_norm,
-    mode_stack,
+    row_stack,
 )
 
 _TIE_TOL = 1e-14
@@ -275,22 +277,29 @@ def _alternating(ts, which, tol):
     of each start's last sweep move (S,), 0 before the first round.  A round
     is a Gauss-Seidel sweep and then an extrapolation.  The sweep updates
     each mode of every live start by the closed form below, which never
-    lowers the objective, with one batched contraction (the tensors are laid
-    out for it once per mode).  A start stops when its sweep gains at most
-    ``tol`` (relative).
+    lowers the objective.  The tensors are laid out row-first and conjugated
+    once per call (``row_stack``), and a sweep gathers each live start's
+    tensor once.  Mode j needs T contracted with the new x_0 ... x_{j-1}
+    and the old x_{j+1} ... x_{d-1}, so the suffixes R_{j+1} = T x_{d-1}
+    ... x_{j+1} of the vectors from before the sweep come from one pass
+    (``contract_back``, d - 1 contractions), and mode j contracts R_{j+1}
+    with the new vectors from the front (``contract_front``): a sweep is
+    d (d - 1) / 2 + d - 1 batched matmuls (9 for d = 4).  A start stops
+    when its sweep gains at most ``tol`` (relative).
 
     The sweeps converge linearly, so a start that goes on extrapolates along
     the sweep's move dx_k = x_k(new) - x_k(old) of every mode: with the rate
     rho = |dx| / |dx_prev| of its last two moves inside ``_RHO``, the trial
     point y_k = unit(x_k + rho / (1 - rho) dx_k), the limit of a geometric
-    sequence of moves, is evaluated with one more batched contraction.  The
+    sequence of moves, is evaluated by contracting the start's tensor with
+    y (``contract_back``) and pairing the result with y_0.  The
     start moves to y only if |<T, y>| beats the sweep's value, so the
     objective never falls and every value is attained at the start's
     vectors; the move size is then reset to 0, so the next round measures
     a fresh rate before it jumps again.  On Gaussian tensors this takes a
     third to a half of the rounds of the sweeps alone.
     """
-    stacks = [mode_stack(ts, j) for j in range(ts[0].order)]
+    data = row_stack(ts)
     lo, hi = _RHO
 
     def step(state, ids):
@@ -298,8 +307,10 @@ def _alternating(ts, which, tol):
         old = list(rows)  # the sweep replaces the arrays of rows, never writes into them
         cur = prev.copy()
         owner = which[ids]
-        for j, stack in enumerate(stacks):
-            v = contract_stack(stack, rows[:j] + rows[j + 1 :], owner)
+        # R_{j+1}, the tensors contracted with the modes after j, from the
+        # vectors before the sweep: the modes after j have not moved yet
+        for j, suffix in enumerate(contract_back(data[owner], rows[1:])):
+            v = contract_front(suffix, rows[:j])
             nrm = np.sqrt(_sq_norms(v))
             # bilinear pairing sum_i v_i x_i is maximized in modulus
             # at x = conj(v) / |v|, with objective |v|
@@ -320,7 +331,7 @@ def _alternating(ts, which, tol):
             # |x + beta dx| >= (1 + beta) - beta = 1 for unit x, x_old
             ys = [x[a] + beta * m[a] for x, m in zip(rows, moves)]
             ys = [y / np.sqrt(_sq_norms(y))[:, np.newaxis] for y in ys]
-            trial = contract_stack(stacks[0], ys[1:], owner[a])
+            trial = contract_back(data[owner[a]], ys[1:])[0]
             val = np.abs(np.add.reduce(trial * ys[0], axis=1))
             up = val > cur[a]
             b = a[up]

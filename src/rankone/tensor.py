@@ -1,4 +1,12 @@
-"""Dense tensors, Frobenius geometry and multilinear contractions."""
+"""Dense tensors, Frobenius geometry and multilinear contractions.
+
+The batched contractions work on a row-first stack (``row_stack``): the
+conjugated data of many same-shape tensors, one per row, shape
+(S, n_0, ..., n_{d-1}).  ``contract_back`` contracts the last modes with
+one vector per row and keeps every partial result (the suffix contractions
+a Gauss-Seidel sweep shares between its modes), ``contract_front`` the
+first modes; each mode is one batched matmul over the rows.
+"""
 
 from dataclasses import dataclass
 from itertools import permutations
@@ -117,38 +125,56 @@ def rank_one(lam, xs):
     return Tensor(out, xs.field)
 
 
-def mode_stack(tensors, j):
-    """The data of same-shape tensors laid out for ``contract_stack``.
+def row_stack(tensors):
+    """The data of same-shape tensors laid out for the ``contract_*`` functions.
 
-    Conjugated for complex tensors, with mode j first, the other modes in
-    their order after it and the tensor index last: shape
-    (n_j, n_0, ..., n_{j-1}, n_{j+1}, ..., n_{d-1}, K).
+    Conjugated for complex tensors and stacked row-first, one tensor per row:
+    shape (K, n_0, ..., n_{d-1}).  A batch gathers its rows from it with one
+    fancy index, ``stack[which]``.
     """
     fields = {t.field for t in tensors}
     if len(fields) != 1:
         raise FieldError(f"need one field, got {sorted(fields)}")
-    data = np.stack([t.data for t in tensors], axis=-1)
-    if COMPLEX in fields:
-        data = np.conj(data)
-    return np.ascontiguousarray(np.moveaxis(data, j, 0))
+    data = np.stack([t.data for t in tensors])
+    return np.conj(data) if COMPLEX in fields else data
 
 
-def contract_stack(stack, rows, which):
-    """Contract many (tensor, vector tuple) pairs in every mode but one.
+def contract_back(rows, xs):
+    """Contract row-first tensors in their last modes, the last mode first.
 
-    ``stack`` is a ``mode_stack`` of tensors for mode j, and ``rows`` holds
-    one (S, n_k) array per other mode, in the stack's mode order.  Row s of
-    the (S, n_j) result is v with v[i] = <T, x^1 (x) ... e_i ... (x) x^d>
-    (e_i in slot j), for T the ``which[s]``-th tensor and x^k the row s of
-    each array in ``rows``; the plain bilinear pairing sum_i v[i] x^j[i]
-    recovers <T, x^1 (x) ... (x) x^d> for both fields.  The modes are
-    contracted one at a time from the last, each as a per-row product-sum,
-    so a row's value does not depend on the other rows.
+    ``rows`` (S, n_0, ..., n_{d-1}) holds one tensor per row and ``xs`` one
+    (S, n_k) array for each of the last m = len(xs) modes, in mode order.
+    Returns [R_{d-m}, ..., R_{d-1}, R_d]: R_d = ``rows`` and R_k, of shape
+    (S, n_0, ..., n_{k-1}), is R_{k+1} contracted in its last mode with x_k,
+    row s with row s, so every R_k that a Gauss-Seidel sweep needs comes from
+    one pass.  Each contraction is one batched matmul (a matrix-vector
+    product per row), so a row's result does not depend on the other rows.
     """
-    cur = stack[..., which]
-    for r in reversed(rows):
-        cur = np.einsum("...ks,sk->...s", cur, r)
-    return cur.T
+    out = [rows]
+    for x in reversed(xs):
+        cur = out[-1]
+        prod = np.matmul(cur.reshape(len(x), -1, x.shape[1]), x[:, :, np.newaxis])
+        out.append(prod.reshape(cur.shape[:-1]))
+    return out[::-1]
+
+
+def contract_front(rows, xs):
+    """Contract row-first tensors in their first modes, the first mode first.
+
+    ``rows`` (S, n_0, ..., n_k) and ``xs`` one (S, n_i) array for each of the
+    first m = len(xs) modes: returns the (S, n_m, ..., n_k) array whose row s
+    is row s of ``rows`` contracted with row s of x_0, ..., x_{m-1}.  With
+    A = ``row_stack`` of tensors T, v = ``contract_front(contract_back(A,
+    x_{j+1:})[0], x_{:j})`` has v[i] = <T, x^0 (x) ... e_i ... (x) x^{d-1}>
+    (e_i in slot j) in each row, and the plain bilinear pairing
+    sum_i v[i] x^j[i] recovers <T, x^0 (x) ... (x) x^{d-1}> for both fields.
+    One batched matmul (a vector-matrix product per row) per mode, so a
+    row's result does not depend on the other rows.
+    """
+    for x in xs:
+        prod = np.matmul(x[:, np.newaxis], rows.reshape(len(x), x.shape[1], -1))
+        rows = prod.reshape(rows.shape[:1] + rows.shape[2:])
+    return rows
 
 
 def _is_cubical(t):

@@ -442,6 +442,90 @@ def test_extrapolation_keeps_the_sweep_values():
         assert res.converged
 
 
+# the benchmark's `tensors` pool: the lockstep rounds of each batch (8
+# samples, 12 starts) and the value of each sample
+_TENSOR_POOL = {
+    20000: ((3, 3, 3), REAL, 34, [
+        3.9299464825135635,
+        3.7236412852595056,
+        3.4316292436358307,
+        4.6567848885942675,
+        3.7796024045627066,
+        2.968752087594501,
+        3.620625476542149,
+        3.6378471710084668,
+    ]),
+    20001: ((3, 3, 3), REAL, 41, [
+        2.9514916208488486,
+        3.880005017771939,
+        3.497110475879629,
+        3.029688137192365,
+        2.934045262569987,
+        3.279869124918222,
+        3.5733308719286097,
+        3.8525399923024604,
+    ]),
+    20100: ((4, 4, 4, 4), COMPLEX, 110, [
+        5.078911493863687,
+        5.528179868472939,
+        5.365820451144396,
+        5.455019952373348,
+        4.9908080177130705,
+        5.707864786419781,
+        5.497854210216121,
+        5.312426744056094,
+    ]),
+    20101: ((4, 4, 4, 4), COMPLEX, 81, [
+        5.6048398797128876,
+        5.464790632290605,
+        5.502586538813871,
+        5.310929915642648,
+        5.399724825290565,
+        5.391985659816995,
+        5.74342304606871,
+        5.615137416759552,
+    ]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_TENSOR_POOL))
+def test_tensor_pool_batches_keep_their_rounds(seed):
+    # the order of the contractions sets their rounding; a change to it may
+    # move a value by rounding but not a batch's round count
+    shape, field, rounds, values = _TENSOR_POOL[seed]
+    objs = [gaussian_tensor(shape, field, seed, i) for i in range(8)]
+    cfg = MaximizerConfig(starts=12, max_iters=400)
+    batch = spectral_value_many(objs, cfg, [_cfg_seed(seed, i) for i in range(8)])
+    assert batch.iterations == rounds
+    for res, value in zip(batch.results, values):
+        assert res.value == pytest.approx(value, rel=1e-12)
+        assert res.converged
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_edge_order_tensors(field):
+    # an order-1 tensor is a vector v, whose value is |v|; a mode of size 1
+    # only scales by a unit scalar, so (2, 5, 1, 3) has the value of its
+    # (2, 5, 3) squeeze (both run to a tighter tolerance than CFG's, which
+    # stops a start up to about 1e-12 short of its maximum)
+    cfg = MaximizerConfig(starts=8, max_iters=2000, tol=1e-15)
+    rng = np.random.default_rng(9)
+
+    def draw(*size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if field == COMPLEX else x
+
+    v = draw(5)
+    res = spectral_value_many([Tensor(v, field)], cfg, [3]).results[0]
+    assert res.value == pytest.approx(np.linalg.norm(v), rel=1e-12)
+    data = draw(2, 5, 1, 3)
+    value, squeezed = (
+        spectral_value_many([Tensor(a, field)], cfg, [4]).results[0].value
+        for a in (data, data[:, :, 0])
+    )
+    assert value == pytest.approx(squeezed, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "draw",
     [

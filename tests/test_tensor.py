@@ -8,14 +8,15 @@ from rankone.tensor import (
     FieldError,
     Tensor,
     UnitVectorTuple,
-    contract_stack,
+    contract_back,
+    contract_front,
     dump_tensor,
     frobenius_inner,
     frobenius_norm,
     is_symmetric,
     load_tensor,
-    mode_stack,
     rank_one,
+    row_stack,
     symmetrize,
     tensor_from_array,
 )
@@ -58,9 +59,11 @@ def test_unit_vector_tuple_rejects_non_unit():
 
 
 def _contract(t, rows, j):
-    """contract_stack of one tensor with every row tuple, all modes but j."""
-    which = np.zeros(len(rows[0]), dtype=np.intp)
-    return contract_stack(mode_stack([t], j), [*rows[:j], *rows[j + 1 :]], which)
+    """One tensor contracted with every row tuple in all modes but j: the
+    modes after j by ``contract_back``, then the modes before j by
+    ``contract_front``."""
+    stack = row_stack([t])[np.zeros(len(rows[0]), dtype=np.intp)]
+    return contract_front(contract_back(stack, rows[j + 1 :])[0], rows[:j])
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -89,12 +92,13 @@ def test_contract_many_rows_match_single(shape, field):
             np.testing.assert_array_equal(many[s], one)
 
 
-def test_contract_stack_rows_pick_their_tensor():
+def test_row_stack_rows_pick_their_tensor():
     rng = np.random.default_rng(5)
     ts = [Tensor(rng.standard_normal((2, 3, 4)), REAL) for _ in range(3)]
     rows = [rng.standard_normal((6, n)) for n in (2, 4)]
     which = np.array([2, 0, 1, 1, 0, 2])
-    many = contract_stack(mode_stack(ts, 1), rows, which)
+    stack = row_stack(ts)[which]
+    many = contract_front(contract_back(stack, rows[1:])[0], rows[:1])
     for s, k in enumerate(which):
         ref = np.einsum("ijk,i,k->j", ts[k].data, rows[0][s], rows[1][s])
         np.testing.assert_allclose(many[s], ref, rtol=0, atol=1e-13)
@@ -110,6 +114,35 @@ def test_contraction_pairing_recovers_full_inner_complex():
     for j in range(3):
         v = _contract(t, [x[np.newaxis] for x in xs.vectors], j)[0]
         assert np.sum(v * xs.vectors[j]) == pytest.approx(full)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4, 4), (2, 5, 1, 3), (4, 4, 4, 4)])
+def test_contraction_rows_do_not_depend_on_the_batch(shape, field):
+    # a batched matmul hands each row to its own BLAS call, whatever the
+    # batch size and wherever the row sits in the gathered stack: every
+    # partial result and every mode's vector of a row equal its one-row call
+    # bit for bit
+    rng = np.random.default_rng(sum(shape))
+
+    def draw(*size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if field == COMPLEX else x
+
+    stack = row_stack([Tensor(draw(*shape), field) for _ in range(5)])
+
+    def sweep(which, xs):
+        suffixes = contract_back(stack[which], xs[1:])
+        return suffixes + [contract_front(r, xs[:j]) for j, r in enumerate(suffixes)]
+
+    for size in (1, 2, 7, 96, 97):
+        which = rng.permutation(np.arange(size) % len(stack))
+        xs = [draw(size, n) for n in shape]
+        many = sweep(which, xs)
+        for s in range(size):
+            one = sweep(which[s : s + 1], [x[s : s + 1] for x in xs])
+            for a, b in zip(many, one):
+                np.testing.assert_array_equal(a[s], b[0])
 
 
 def test_symmetrize_and_check():
