@@ -165,7 +165,9 @@ def _add_experiment_flags(p):
 
 def _apply_config_file(subparsers, argv):
     """Set the defaults of every subparser from a --config file, each value
-    converted and checked as the flag of the same name would be."""
+    converted and checked as the flag of the same name would be; a switch
+    such as ``sym`` reads ``true`` or ``false``.  A key that is no flag of
+    any subcommand is refused; a flag of another subcommand is not."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -180,18 +182,26 @@ def _apply_config_file(subparsers, argv):
         key, eq, text = (part.strip() for part in line.partition("="))
         if not eq:
             raise UsageError(f"{path} line {lineno}: expected key = value, got {line!r}")
-        key = key.replace("-", "_")
-        for sp in subparsers.values():
-            for action in sp._actions:
-                if action.dest != key:
-                    continue
-                try:
+        flag = "--" + key.replace("_", "-")
+        found = [
+            (sp, action)
+            for sp in subparsers.values()
+            for action in sp._actions
+            if flag in action.option_strings and not isinstance(action, argparse._HelpAction)
+        ]
+        if not found:
+            raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
+        for sp, action in found:
+            try:
+                if isinstance(action, argparse._StoreTrueAction):
+                    value = {"true": True, "false": False}[text]
+                else:
                     value = action.type(text) if action.type else text
                     if action.choices and value not in action.choices:
                         raise ValueError
-                except ValueError:
-                    raise UsageError(f"{path} line {lineno}: bad {key} value {text!r}") from None
-                sp.set_defaults(**{key: value})
+            except (KeyError, ValueError):
+                raise UsageError(f"{path} line {lineno}: bad {key} value {text!r}") from None
+            sp.set_defaults(**{action.dest: value})
 
 
 def _required(args, what, keys):

@@ -1,9 +1,14 @@
 """Probabilistic models: Gaussian tensors, Kostlan forms, Gaussian harmonic
-forms, sphere sampling and the projection-ratio law.
+forms, sphere sampling and the projection-ratio law, and the random unit
+starts of the spectral optimizers.
 
 All samplers are stateless given (master seed, sample index, purpose tag);
 the per-sample generator is derived with a counter-based rule, so results do
-not depend on how work is scheduled across processes.
+not depend on how work is scheduled across processes.  Seeds and indices are
+integers >= 0 (``DomainError`` otherwise).  Start s of an optimizer seed
+draws from ``default_rng(SeedSequence(entropy=seed, spawn_key=(s,)))``;
+``_draw_starts`` derives the generator states of all starts of a batch in
+one pass, from the pool numpy hashes for each seed.
 """
 
 import hashlib
@@ -24,6 +29,12 @@ from .poly import (
 from .tensor import COMPLEX, REAL, Tensor
 
 _CHI2_DIRECT_MAX = 64
+# numpy's SeedSequence hash constants (pool of 4 words) and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 def _tag_int(tag):
@@ -39,20 +50,99 @@ class SeedSpec:
     purpose_tag: str = "default"
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise DomainError(f"need seed >= 0, got {self.master_seed}")
+        _nonnegative_int(self.master_seed, "seeds")
 
     def rng(self, index):
         ss = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(index, _tag_int(self.purpose_tag))
+            entropy=self.master_seed,
+            spawn_key=(_nonnegative_int(index, "indices"), _tag_int(self.purpose_tag)),
         )
         return np.random.default_rng(ss)
+
+
+def _nonnegative_int(value, what):
+    """``value`` if it is an integer >= 0 (a numpy integer too, a bool not);
+    ``DomainError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise DomainError(f"need integer {what} >= 0, got {value!r}")
+    return value
 
 
 def _rng_for(seed, index=0, tag="default"):
     if isinstance(seed, SeedSpec):
         return seed.rng(index)
-    return SeedSpec(int(seed), tag).rng(index)
+    return SeedSpec(seed, tag).rng(index)
+
+
+def _pcg64_states(seeds, starts):
+    """The PCG64 (state, inc) of ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(s,)))`` for every seed and start s, seed-major.  numpy hashes
+    each seed into its pool of 4 words; here each row's spawn word s is mixed
+    into its seed's pool, the pool is hashed out as ``generate_state(4,
+    uint64)`` and the state is seeded as ``pcg64_set_seed`` does."""
+    ints = [int(seed) for seed in seeds]
+    pool = np.repeat([np.random.SeedSequence(i).pool for i in ints], starts, axis=0).T
+    # a seed of w words has advanced the hash constant 16 + 4 max(0, w - 4)
+    # steps: 4 for its first words (padded with zeros), 12 for their cross
+    # mixing and 4 for each further word
+    steps = [16 + 4 * max(0, -(-i.bit_length() // 32) - 4) for i in ints]
+    const = np.repeat([_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in steps], starts)
+    const, word = const.astype(np.uint32), np.tile(np.arange(starts, dtype=np.uint32), len(ints))
+    for dst in range(4):
+        v = word ^ const
+        const = const * np.uint32(_MULT_A)
+        v = v * const
+        r = pool[dst] * np.uint32(_MIX_L) - (v ^ v >> 16) * np.uint32(_MIX_R)
+        pool[dst] = r ^ r >> 16
+    const, w = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        v = v * np.uint32(const)
+        w.append((v ^ v >> 16).astype(np.uint64))
+    # the 8 words, read as 4 little-endian uint64, are the high and low
+    # halves of the 128-bit seed and increment
+    s0, s1, i0, i1 = ((w[j] | w[j + 1] << np.uint64(32)).astype(object) for j in range(0, 8, 2))
+    seed = s0 << 64 | s1
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    # pcg64_set_seed: state 0, step, add the seed, step
+    state = ((seed + inc) * _PCG_MULT + inc) & _MASK128
+    return zip(state.tolist(), inc.tolist())
+
+
+def _draw_starts(seeds, starts, sizes, field):
+    """Random unit start vectors, one (len(seeds) * starts, n) array per size
+    n; row i * starts + s is exactly what start s of ``seeds[i]`` draws from
+    ``default_rng(SeedSequence(entropy=seeds[i], spawn_key=(s,)))``: for
+    each size in turn n normals (and n more for the imaginary parts), each
+    vector divided by its ``np.linalg.norm``.  One PCG64 is reseeded for
+    every row and draws the row's normals in one call."""
+    k = 2 if field == COMPLEX else 1
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    z = np.empty((len(seeds) * starts, k * sum(sizes)))
+    for row, (state, inc) in enumerate(_pcg64_states(seeds, starts)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=z[row])
+    out, a = [], 0
+    # each vector's norm as np.linalg.norm takes it: one BLAS dot of the row
+    # (of the strided real and imaginary views of a complex row), whose
+    # rounding depends on the stride, so it stays one call per row
+    for n in sizes:
+        v = z[:, a : a + n]
+        if field == COMPLEX:
+            v = v + 1j * z[:, a + n : a + 2 * n]
+            sq = [re.dot(re) + im.dot(im) for re, im in zip(v.real, v.imag)]
+        else:
+            sq = [x.dot(x) for x in v]
+        out.append(v / np.sqrt(sq)[:, np.newaxis])
+        a += k * n
+    return out
 
 
 def _standard_gaussians(rng, size, field):

@@ -17,12 +17,14 @@ alternating method gathers every live start's tensor once per sweep from a
 row-first stack, shares the suffix contractions between the modes of the
 sweep and runs each contraction as one batched matmul over the starts; the
 ascent searches the circles of every live start with one batched
-evaluation.  Each object keeps the best of its own starts.  The one-object
-entry points are its calls with one object.  Both methods move a start only
-to a point where the objective is at least as large and report the
-objective at the vectors they return, so their values are attained:
-certified LOWER bounds on the true maximum.  A deterministic sphere-grid
-oracle is provided for certification at tiny sizes.
+evaluation.  Each object keeps the best of its own starts, which
+``sampling._draw_starts`` draws from the object's seed (this module holds
+no seeding code).  The one-object entry points are its calls with one
+object.  Both methods move a start only to a point where the objective is
+at least as large and report the objective at the vectors they return, so
+their values are attained: certified LOWER bounds on the true maximum.  A
+deterministic sphere-grid oracle is provided for certification at tiny
+sizes.
 """
 
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ from .poly import (
     multi_bw_norm,
     multi_from_single,
 )
+from .sampling import _draw_starts, _nonnegative_int
 from .tensor import (
     COMPLEX,
     REAL,
@@ -108,112 +111,6 @@ class SpectralBatch:
 
 
 # ------------------------------------------------------------- lockstep runs
-
-
-# numpy's SeedSequence hash constants (pool of 4 words) and PCG64's multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _words(n):
-    """A non-negative int as little-endian 32-bit words, as SeedSequence reads it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_pools(entropy):
-    """SeedSequence's pool of 4 words for each row of assembled entropy
-    (R, L >= 4) uint32: the same hash-and-mix rounds, one array op per word."""
-    const = _INIT_A
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return r ^ (r >> 16)
-
-    pool = [hashmix(entropy[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, entropy.shape[1]):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    return pool
-
-
-def _pcg64_states(seeds, starts):
-    """The PCG64 (state, inc) of ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(s,)))`` for every seed and start s, seed-major."""
-    entropy = []
-    for seed in seeds:
-        run = _words(int(seed))
-        run += [0] * (4 - len(run))  # a spawned SeedSequence pads to its pool size
-        entropy += [run + _words(s) for s in range(starts)]
-    states = [None] * len(entropy)
-    for length in set(map(len, entropy)):
-        rows = [r for r, e in enumerate(entropy) if len(e) == length]
-        pool = _seed_pools(np.array([entropy[r] for r in rows], dtype=np.uint32))
-        # generate_state(4, uint64): 8 hashed pool words, little-endian pairs
-        const, words = _INIT_B, []
-        for i in range(8):
-            v = pool[i % 4] ^ np.uint32(const)
-            const = const * _MULT_B & _MASK32
-            v = v * np.uint32(const)
-            words.append((v ^ (v >> 16)).astype(np.uint64))
-        halves = [words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)]
-        for r, (s0, s1, i0, i1) in zip(rows, zip(*(h.tolist() for h in halves))):
-            # pcg64_set_seed: state = 0, step, add the seed, step
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            states[r] = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc
-    return states
-
-
-def _draw_starts(seeds, starts, sizes, field):
-    """Random unit start vectors, one (len(seeds) * starts, n) array per size
-    n; row i * starts + s is exactly what start s of ``seeds[i]`` draws from
-    ``default_rng(SeedSequence(entropy=seeds[i], spawn_key=(s,)))``: for
-    each size in turn n normals (and n more for the imaginary parts), each
-    vector divided by its ``np.linalg.norm``.  One PCG64 is reseeded for
-    every row and draws the row's normals in one call."""
-    k = 2 if field == COMPLEX else 1
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    z = np.empty((len(seeds) * starts, k * sum(sizes)))
-    for row, (state, inc) in enumerate(_pcg64_states(seeds, starts)):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.standard_normal(out=z[row])
-    out, a = [], 0
-    # each vector's norm as np.linalg.norm takes it: one BLAS dot of the row
-    # (of the strided real and imaginary views of a complex row), whose
-    # rounding depends on the stride, so it stays one call per row
-    for n in sizes:
-        v = z[:, a : a + n]
-        if field == COMPLEX:
-            v = v + 1j * z[:, a + n : a + 2 * n]
-            sq = [re.dot(re) + im.dot(im) for re, im in zip(v.real, v.imag)]
-        else:
-            sq = [x.dot(x) for x in v]
-        out.append(v / np.sqrt(sq)[:, np.newaxis])
-        a += k * n
-    return out
 
 
 def _pick_best(values):
@@ -689,7 +586,7 @@ def spectral_value_many(objs, cfg, seeds):
 
     The objects share a kind, a shape and a field (``ValueError`` otherwise).
     Object i draws its starts from ``seeds[i]``, an integer >= 0
-    (``ValueError`` otherwise; ``cfg.seed`` is not read),
+    (``DomainError``, a ``ValueError``, otherwise; ``cfg.seed`` is not read),
     every start of every object advances in one batch, and each object's
     result is the best of its own starts: the result ``spectral_value``
     gives with ``cfg.seed = seeds[i]``, up to float rounding.  Returns a
@@ -699,8 +596,7 @@ def spectral_value_many(objs, cfg, seeds):
     if not objs or len(seeds) != len(objs):
         raise ValueError(f"need one seed per object, got {len(seeds)} for {len(objs)}")
     for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"need integer seeds >= 0, got {seed!r}")
+        _nonnegative_int(seed, "seeds")
     spaces = {_space(o) for o in objs}
     if len(spaces) != 1:
         raise ValueError(f"mixed inputs in one batch: {sorted(map(str, spaces))}")

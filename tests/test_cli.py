@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,18 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     # explicit flag wins over the file value
     code, out, _ = run_cli(capsys, "--config", str(cfg), "bounds", "--sym", "--d", "4")
     assert json.loads(out)["problem"] == "symmetric d=4 n=2"
+
+
+@pytest.mark.parametrize(
+    "text, problem", [("false", "general 2x2x2"), ("true", "symmetric d=4 n=2")]
+)
+def test_config_switches_read_true_or_false(capsys, tmp_path, text, problem):
+    cfg = tmp_path / "run.cfg"
+    # a key of another subcommand (samples) is allowed
+    cfg.write_text(f"sym = {text}\npartial = false\nd = 4\nn = 2\nsamples = 5\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "bounds", "--shape", "2,2,2")
+    assert code == 0
+    assert json.loads(out)["problem"] == problem
 
 
 def test_help_exits_zero():
@@ -417,6 +430,72 @@ def test_bad_scalar_values_exit_two_with_one_line(data, flag, workers):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert any(re.search(rf"\b{n}\b", err) for n in names), err
+
+
+# config keys that convert their value, each with values it refuses
+_TEXT = st.text(alphabet="abexyz", max_size=4)
+_CONFIG_BAD_VALUES = {
+    **dict.fromkeys(["d", "n", "N", "k"], _NOT_INTEGERS),
+    **dict.fromkeys(
+        ["samples", "starts", "count", "workers"],
+        st.one_of(st.sampled_from(["0", "-1"]), _NOT_INTEGERS),
+    ),
+    "seed": st.one_of(st.just("-1"), _NOT_INTEGERS),
+    **dict.fromkeys(
+        ["shape", "ds", "ns", "d-grid"], st.sampled_from(["", "2,x", "2,,3", "2.5", "+-2"])
+    ),
+    "t-grid": st.sampled_from(["", "nan", "0.5,inf", "0.5,abc", "1e999"]),
+    **dict.fromkeys(["field", "model", "kind", "format"], _TEXT),
+}
+_SWITCHES = ["sym", "partial", "large-d", "identity", "random"]
+_FLAGS = {
+    s for sp in _build_parser()[1].values() for a in sp._actions for s in a.option_strings
+} - {"-h", "--help"}
+_BAD_CONFIG_LINES = st.one_of(
+    st.sampled_from(sorted(_CONFIG_BAD_VALUES)).flatmap(
+        lambda key: _CONFIG_BAD_VALUES[key].map(lambda value: f"{key} = {value}")
+    ),
+    st.tuples(
+        st.sampled_from(_SWITCHES),
+        st.one_of(_TEXT, st.sampled_from(["True", "FALSE", "1", "0", "yes", "no", "on"])),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.one_of(
+        st.sampled_from(["help", "config", "h", "infile", "command", "smaples"]),
+        st.text(alphabet="abdknsxz_-", min_size=1, max_size=8).filter(
+            lambda key: "--" + key.replace("_", "-") not in _FLAGS
+        ),
+    ).map(lambda key: f"{key} = 5"),
+    st.text(alphabet="abdnxz _-,.12", min_size=1, max_size=10).filter(str.strip),
+)
+_GOOD_CONFIG_LINES = st.sampled_from(
+    ["field = real", "samples = 5", "seed = 3", "sym = false", "large-d = true", "# note", ""]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.lists(_GOOD_CONFIG_LINES, max_size=3),
+    _BAD_CONFIG_LINES,
+    st.lists(_GOOD_CONFIG_LINES, max_size=2),
+)
+@example([], "sym = maybe", [])
+@example(["d = 4"], "partial = no", [])
+@example(["d = 4", ""], "smaples = 5", [])
+@example([], "help = true", [])
+@example([], "config = other.cfg", [])
+@example(["n = 2"], "d", ["sym = true"])
+def test_malformed_config_lines_exit_two_with_one_line(head, bad, tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("\n".join([*head, bad, *tail]) + "\n")
+        code, out, err = _run_in_process(["--config", str(path), "bounds", "--shape", "2,2,2"])
+    assert code == 2, bad
+    assert out == ""
+    assert err.startswith(f"error: {path} line {len(head) + 1}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    key, eq, value = (part.strip() for part in bad.partition("="))
+    if eq:
+        assert err.endswith((f"bad {key} value {value!r}\n", f"unknown key {key!r}\n")), err
 
 
 # smallest flag values that every model of the table accepts

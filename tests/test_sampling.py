@@ -143,6 +143,25 @@ def test_seedspec_matches_plain_int_seed():
     np.testing.assert_array_equal(t1.data, t2.data)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, -1, np.int64(-3)], ids=repr)
+def test_bad_seeds_and_indices_are_refused(bad):
+    # refused with one message, never truncated to another seed's draw
+    with pytest.raises(DomainError, match=r"^need integer seeds >= 0, got "):
+        SeedSpec(bad)
+    with pytest.raises(DomainError, match=r"^need integer seeds >= 0, got "):
+        kostlan_form(4, 2, REAL, bad)
+    with pytest.raises(DomainError, match=r"^need integer indices >= 0, got "):
+        SeedSpec(1).rng(bad)
+    with pytest.raises(DomainError, match=r"^need integer indices >= 0, got "):
+        kostlan_form(4, 2, REAL, 1, index=bad)
+
+
+def test_numpy_integer_seeds_and_indices_are_accepted():
+    want = kostlan_form(4, 2, REAL, 7, index=3).coeffs
+    got = kostlan_form(4, 2, REAL, np.int64(7), index=np.uint32(3)).coeffs
+    assert got.tobytes() == want.tobytes()
+
+
 # coefficients of gaussian_harmonic(6, 3, 5, 0), drawn with the harmonic basis
 # built from scipy's null space; the draw must stay bit-identical
 HARMONIC_6_3_5_0 = [

@@ -13,6 +13,7 @@ from rankone.poly import (
     poly_from_coeff_dict,
 )
 from rankone.sampling import (
+    _draw_starts,
     gaussian_harmonic,
     gaussian_tensor,
     kostlan_form,
@@ -34,7 +35,6 @@ from rankone.spectral import (
     _alternating,
     _circle_argmax,
     _circle_samples,
-    _draw_starts,
     _great_circle,
     _interpolant,
     _lockstep,
@@ -201,7 +201,7 @@ def test_deterministic_given_seed():
 def test_start_rows_match_numpy_per_start_generators(sizes, field):
     # row i * starts + s is bit for bit what start s of seeds[i] draws from
     # its own generator, also for seeds of more than four 32-bit words
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**130 + 5]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 - 1, 2**128, 2**130 + 5, 2**160 + 3]
     rows = _draw_starts(seeds, 12, sizes, field)
     for i, seed in enumerate(seeds):
         for s in range(12):
