@@ -8,6 +8,7 @@ Randomness always requires an explicit --seed.
 import argparse
 import json
 import math
+import re
 import sys
 
 from .bounds import (
@@ -167,7 +168,9 @@ def _apply_config_file(subparsers, argv):
     """Set the defaults of every subparser from a --config file, each value
     converted and checked as the flag of the same name would be; a switch
     such as ``sym`` reads ``true`` or ``false``.  A key that is no flag of
-    any subcommand is refused; a flag of another subcommand is not."""
+    any subcommand is refused; a flag of another subcommand is not.  A ``#``
+    at the start of a line or after whitespace starts a comment; one inside
+    a value (``out = run#1.json``) is part of it."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -176,7 +179,7 @@ def _apply_config_file(subparsers, argv):
     with open(path) as fh:
         lines = fh.read().splitlines()
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, eq, text = (part.strip() for part in line.partition("="))

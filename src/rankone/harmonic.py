@@ -4,7 +4,7 @@ bases, exact sphere integrals and zonal (reproducing) harmonics.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lgamma
+from math import comb, lgamma, prod
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .tensor import REAL, FieldError
 _NULLSPACE_RCOND = 1e-10
 
 # most monomials a harmonic basis may span, checked before one is built: the
-# build time grows about as the cube of the count (7.4 s at 990, 2-vCPU host)
+# build time grows about as the cube of the count (4.2-6.0 s at 990 on a
+# 2-vCPU host, of which the SVD takes 0.02 s and the Gram-Schmidt pass 4 s)
 _BASIS_BUDGET = 1000
 
 
@@ -59,18 +60,33 @@ def bw_l2_constant(d, n):
     return float(np.exp(lg))
 
 
+def _mantissa_exponent(ints):
+    """Each positive integer as (m, e) with m in [1, 2] and int == m 2^e; m is
+    rounded once, so an integer past the float range splits too."""
+    exps = [v.bit_length() - 1 for v in ints]
+    mants = [v / (1 << e) for v, e in zip(ints, exps)]
+    return np.array(mants), np.array(exps)
+
+
 @lru_cache(maxsize=None)
 def _sphere_monomial_gram(d, n):
-    """Matrix of integrals over S^(n-1) of x^(alpha+beta) for |alpha|=|beta|=d."""
-    # scipy is imported where it is used: at module level it would more than
-    # double the import time of the package
-    from scipy.special import gammaln
-
+    """Matrix of integrals over S^(n-1) of x^(alpha+beta) for |alpha|=|beta|=d:
+    |S^(n-1)| prod_i (2k_i - 1)!! / (n (n+2) ... (n+2d-2)) where
+    alpha + beta = 2k, and 0 where alpha + beta has an odd entry."""
     expo = monomial_exponents(d, n)
     s = expo[:, np.newaxis, :] + expo[np.newaxis, :, :]
     all_even = np.all(s % 2 == 0, axis=2)
-    logs = np.sum(gammaln((s + 1) / 2.0), axis=2)
-    vals = 2.0 * np.exp(logs - gammaln((2 * d + n) / 2.0))
+    # the double factorials (2k - 1)!!, k = 0..d, and the denominator are
+    # exact integers; split into mantissas and powers of two, the products
+    # neither overflow nor take more than one rounding per factor
+    dfact = [1]
+    for k in range(1, d + 1):
+        dfact.append(dfact[-1] * (2 * k - 1))
+    mant, expn = _mantissa_exponent(dfact)
+    (den_mant,), (den_exp,) = _mantissa_exponent([prod(range(n, n + 2 * d, 2))])
+    k = s // 2
+    scaled = sphere_surface(n) * np.prod(mant[k], axis=2) / den_mant
+    vals = np.ldexp(scaled, np.sum(expn[k], axis=2) - den_exp)
     gram = np.where(all_even, vals, 0.0)
     gram.setflags(write=False)
     return gram
@@ -134,10 +150,11 @@ def harmonic_basis(d, n):
     if d == 1:
         cols = np.eye(n)
     else:
-        from scipy.linalg import null_space  # see _sphere_monomial_gram
-
-        lap = laplacian_matrix(d, n)
-        cols = null_space(lap, rcond=_NULLSPACE_RCOND)
+        # the right singular vectors past the numerical rank, the rule of
+        # scipy.linalg.null_space with the same LAPACK routine (gesdd)
+        _, sing, vh = np.linalg.svd(laplacian_matrix(d, n), full_matrices=True)
+        rank = int(np.sum(sing > sing.max() * _NULLSPACE_RCOND))
+        cols = vh[rank:].T
     cols = _mgs_bw(cols, d, n)
     polys = tuple(HomogPoly(n, d, cols[:, i], REAL) for i in range(cols.shape[1]))
     return HarmonicBasis(d, n, len(polys), polys)

@@ -60,11 +60,11 @@ class SeedSpec:
         return np.random.default_rng(ss)
 
 
-def _nonnegative_int(value, what):
-    """``value`` if it is an integer >= 0 (a numpy integer too, a bool not);
-    ``DomainError`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise DomainError(f"need integer {what} >= 0, got {value!r}")
+def _nonnegative_int(value, what, least=0):
+    """``value`` if it is an integer >= ``least`` (a numpy integer too, a bool
+    not); ``DomainError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"need integer {what} >= {least}, got {value!r}")
     return value
 
 

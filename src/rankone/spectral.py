@@ -29,6 +29,8 @@ sizes.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from ._kernels import (  # noqa: F401  perfbench's tracer test looks up spectral
     evaluate_poly_many,
     value_and_gradient_poly_many,
 )
+from .bounds import DomainError
 from .poly import (
     HomogPoly,
     MultiHomogPoly,
@@ -82,14 +85,12 @@ class MaximizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _nonnegative_int(self.starts, "starts", least=1)
+        _nonnegative_int(self.max_iters, "max_iters", least=1)
+        _nonnegative_int(self.seed, "seed")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not (isfinite(tol) and tol > 0):
+            raise DomainError(f"need a finite tol > 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

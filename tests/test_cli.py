@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rankone.cli import _build_parser, main
+from rankone.cli import _apply_config_file, _build_parser, main
 from rankone.experiments import MODELS
 
 
@@ -123,6 +123,17 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert json.loads(out)["problem"] == "symmetric d=4 n=2"
 
 
+def test_config_hash_starts_a_comment_only_after_whitespace(tmp_path):
+    parser, subparsers = _build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "# note\n  # indented note\nout = run#1.json\nsamples = 5  # five\nseed = 7\t# tab\n"
+    )
+    _apply_config_file(subparsers, ["--config", str(cfg), "verify"])
+    args = parser.parse_args(["verify"])
+    assert (args.out, args.samples, args.seed) == ("run#1.json", 5, 7)
+
+
 @pytest.mark.parametrize(
     "text, problem", [("false", "general 2x2x2"), ("true", "symmetric d=4 n=2")]
 )
@@ -206,10 +217,23 @@ def test_form_reports_identical_across_workers(model_args):
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, rankone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # the import, and runs that build a harmonic basis and the sphere Gram
+    # matrix, each in a fresh interpreter
+    code = (
+        "import contextlib, io, sys\n"
+        "from rankone.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    for argv in (
+        [],
+        ["verify", "--model", "harmonic", "--d", "6", "--n", "3", "--samples", "2", "--seed", "1"],
+        ["experiment", "--kind", "bw-l2", "--d", "4", "--n", "3"],
+    ):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []", argv
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from rankone.harmonic import (
+    _BASIS_BUDGET,
+    _NULLSPACE_RCOND,
     DomainError,
+    _mgs_bw,
+    _sphere_monomial_gram,
     harmonic_basis,
     harmonic_dimension,
     l2_sphere_inner,
@@ -13,7 +17,16 @@ from rankone.harmonic import (
     zonal,
     zonal_pole_value,
 )
-from rankone.poly import bw_inner, evaluate, laplacian, multinomial, poly_from_coeff_dict
+from rankone.poly import (
+    bw_inner,
+    evaluate,
+    laplacian,
+    laplacian_matrix,
+    monomial_exponents,
+    multinomial,
+    num_monomials,
+    poly_from_coeff_dict,
+)
 
 
 def test_harmonic_dimension_oracle():
@@ -62,6 +75,56 @@ def test_basis_is_bw_orthonormal_and_harmonic():
             for j, bj in enumerate(basis.basis):
                 expected = 1.0 if i == j else 0.0
                 assert bw_inner(bi, bj) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    [(d, n) for n in (2, 3) for d in range(2, 13)] + [(19, 3), (10, 4), (12, 4), (4, 6), (3, 8)],
+)
+def test_basis_matches_scipy_null_space(d, n):
+    # scipy is the test-only reference: the package takes the null space from
+    # numpy's SVD by scipy's rule, so the bases (and the Gaussian harmonic
+    # samples drawn from them) are bit-identical at n <= 3, d <= 12, and
+    # within rounding at larger sizes
+    from scipy.linalg import null_space
+
+    assert num_monomials(d, n) <= _BASIS_BUDGET
+    ref = _mgs_bw(null_space(laplacian_matrix(d, n), rcond=_NULLSPACE_RCOND), d, n)
+    got = harmonic_basis(d, n).coeff_matrix
+    if n <= 3 and d <= 12:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (2, 3), (4, 3), (6, 3), (8, 5), (12, 3), (3, 7)])
+def test_sphere_gram_matches_gammaln(d, n):
+    from scipy.special import gammaln
+
+    expo = monomial_exponents(d, n)
+    s = expo[:, np.newaxis, :] + expo[np.newaxis, :, :]
+    logs = np.sum(gammaln((s + 1) / 2.0), axis=2)
+    ref = np.where(
+        np.all(s % 2 == 0, axis=2), 2.0 * np.exp(logs - gammaln((2 * d + n) / 2.0)), 0.0
+    )
+    gram = _sphere_monomial_gram(d, n)
+    assert np.array_equal(gram == 0, ref == 0)
+    assert np.all(np.abs(gram - ref) <= 1e-13 * ref)
+
+
+def test_sphere_gram_is_finite_at_high_degree():
+    # the integral of x^(2k) y^(2d-2k) over the circle is
+    # 2 pi C(2k, k) C(2d-2k, d-k) / (4^d C(d, k)); at d = 200 the double
+    # factorials and Gamma(d + n/2) overflow a float
+    d = 200
+    gram = _sphere_monomial_gram(d, 2)
+    assert np.all(np.isfinite(gram))
+    rows = monomial_exponents(d, 2)
+    for k in (0, 1, 57, 100, 200):
+        a = int(np.flatnonzero(rows[:, 0] == k)[0])
+        exact = math.comb(2 * k, k) * math.comb(2 * d - 2 * k, d - k) / (4**d * math.comb(d, k))
+        assert gram[a, a] == pytest.approx(2 * math.pi * exact, rel=1e-14)
 
 
 def test_bw_l2_identity_on_random_harmonic_pairs():

@@ -162,8 +162,8 @@ def test_numpy_integer_seeds_and_indices_are_accepted():
     assert got.tobytes() == want.tobytes()
 
 
-# coefficients of gaussian_harmonic(6, 3, 5, 0), drawn with the harmonic basis
-# built from scipy's null space; the draw must stay bit-identical
+# coefficients of gaussian_harmonic(6, 3, 5, 0), pinned when the harmonic basis
+# came from scipy's null space; numpy's SVD must keep the draw bit-identical
 HARMONIC_6_3_5_0 = [
     -0.1824284686782105,
     -1.9674578422884434,

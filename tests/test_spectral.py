@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankone.bounds import bounds_general, bounds_symmetric
+from rankone.bounds import DomainError, bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
 from rankone.poly import (
     MultiHomogPoly,
@@ -174,10 +174,37 @@ def test_grid_budget_error():
         brute_force_uniform_norm(t, 10**4)
 
 
-@pytest.mark.parametrize("kw", [{"starts": 0}, {"max_iters": 0}, {"tol": 0.0}])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"starts": 0},
+        {"max_iters": 0},
+        {"tol": 0.0},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+        {"starts": 2.5},
+        {"starts": True},
+        {"max_iters": 2.5},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": -1e-12},
+        {"tol": True},
+        {"tol": "1e-12"},
+    ],
+)
 def test_config_rejects_empty_search(kw):
-    with pytest.raises(ValueError):
+    # a DomainError (a ValueError) naming the field, at construction
+    (name,) = kw
+    with pytest.raises(DomainError, match=rf"^need (integer|a finite) {name} "):
         MaximizerConfig(**kw)
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = MaximizerConfig(
+        starts=np.int64(3), max_iters=np.int32(50), tol=np.float64(1e-9), seed=np.uint8(2)
+    )
+    assert spectral_value(kostlan_form(3, 2, REAL, 1), cfg).value > 0
 
 
 def test_zero_tensor_rejected():
