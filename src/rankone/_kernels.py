@@ -9,14 +9,49 @@ the coefficient shape.  They take one coefficient vector of shape (N,) for
 every point, or one row of an (m, N) coefficient matrix per point.
 
 A call over many points runs in row blocks, each through the same code, so
-that the largest temporary of a block stays within ``_BLOCK_BYTES``: large
-temporaries, freed and allocated again on every call, are page-faulted back
-in each time, while small ones reuse resident heap pages.  A row's value is
-the value a call over its block alone gives; a call of one block or less is
-a single pass.
+that the largest temporary of a block stays within ``_BLOCK_BYTES``.  A row's
+value is the value a call over its block alone gives; a call of one block or
+less is a single pass.
+
+The kernels and the optimizers that call them allocate and free many numpy
+temporaries of a few KiB to a few hundred KiB in every round.  glibc's malloc
+serves the ones above its mmap threshold (128 KiB by default) by mmap and
+returns the free top of its heap to the system once it exceeds the trim
+threshold (also 128 KiB), so with the defaults those pages are faulted back
+in on every call.  Importing this module sets both thresholds once, for the
+whole process (see ``_keep_heap_resident``).
 """
 
+import ctypes
+
 import numpy as np
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_resident():
+    """Serve blocks under 1 MiB from the heap and trim its free top only past
+    2 MiB, through glibc's ``mallopt``; True if libc took both settings.
+
+    These are the values glibc's own dynamic rule reaches once a 1 MiB mmap'd
+    block is freed, so the hot loop's temporaries stay resident whatever else
+    the process imported or freed.  Pool workers forked later inherit the
+    setting (spawned ones import this module and set it again).  A libc
+    without ``mallopt`` (or one that refuses it) is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    trimmed = mallopt(_M_TRIM_THRESHOLD, 2 << 20)
+    mapped = mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+    return trimmed == 1 and mapped == 1
+
+
+_HEAP_KEPT = _keep_heap_resident()
 
 
 def _promote(coeffs, x):
@@ -39,8 +74,11 @@ def _power_table(xs, top):
 
 # byte budget of a row block's largest temporary, the (n, N, rows) array of
 # gradient terms, which also bounds the smaller temporaries of an
-# evaluation; of the budgets from 64 KiB to 1 GiB tried on the kernel calls
-# of verifications of 16 forms, 128 KiB was the fastest
+# evaluation.  Replaying the kernel calls of verifications of 16 forms and
+# of 32 bi-forms with the heap kept resident, no budget from 64 KiB to 1 MiB
+# and not one block per call was reliably faster than 128 KiB (best times
+# within 8%, medians within the host's noise), while one block per call
+# raised the forms peak RSS by 1.7%
 _BLOCK_BYTES = 128 * 1024
 _MIN_BLOCK_ROWS = 16
 

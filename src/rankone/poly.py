@@ -370,13 +370,18 @@ def dump_multi_poly(f):
 
 
 def _parse_coeffs(lines, index, field):
-    """Dense coefficients from ``exponents: value`` lines (blocks split by |)."""
+    """Dense coefficients from ``exponents: value`` lines (blocks split by |);
+    each monomial may be given once."""
     coeffs = np.zeros(len(index), dtype=_dtype_for(field))
+    seen = set()
     for ln in lines:
         key, _, val = ln.partition(":")
         alpha = tuple(int(a) for part in key.split("|") for a in part.split(","))
         if alpha not in index:
             raise ValueError(f"monomial {key.strip()} does not fit the header")
+        if alpha in seen:
+            raise ValueError(f"monomial {key.strip()} given twice")
+        seen.add(alpha)
         coeffs[index[alpha]] = _parse_scalar(val.strip(), field)
     return coeffs
 

@@ -300,79 +300,110 @@ def _realified_objective(coeffs, expo, ns, field):
     return blocks, degree, value, value_and_grad, unpack
 
 
-def _great_circle(x, u, theta):
-    """Points cos(t) x + sin(t) u for the angles ``theta``: (J,) for every
-    row of x, u (L, dim) or (L, J), one row each.  Returns (L, J, dim)."""
-    t = theta[..., np.newaxis]
-    return np.cos(t) * x[:, np.newaxis] + np.sin(t) * u[:, np.newaxis]
+class _CircleSearch:
+    """The exact search of |f|^2 along great circles for forms of degree D,
+    with the constants every round shares built once: the sample angles'
+    cos and sin, the interpolant's modulation, the frequencies of p' and p''
+    and the zero-padded grid of the argmax."""
+
+    def __init__(self, degree):
+        n = degree + 1
+        self.k = 2 * n - 1
+        angles = np.pi * np.arange(1, n) / n
+        self.cos, self.sin = np.cos(angles)[:, np.newaxis], np.sin(angles)[:, np.newaxis]
+        # the FFT's 1 / (D+1) and the inverse FFT's 2D+1, folded into e^{iD s_j}
+        self.mod = np.exp(1j * np.pi * (n - 1) / n * np.arange(n)) * (self.k / n)
+        self.freq = 2j * np.arange(n)
+        self.freq2 = self.freq**2
+        self.fine = _FINE * self.k
+        self.step = np.pi / self.fine
+        self.offsets = np.arange(-1, 2)
+
+    def samples(self, x, u, fx, ids, value):
+        """f at the D+1 angles s_j = pi j / (D+1) of each row's great circle
+        cos(t) x + sin(t) u, shape (L, D+1).  s_0 = 0 is x itself, whose
+        value ``fx`` is known; the other D angles are one batched evaluation.
+        The points are not renormalised: f along them is a binary form of
+        degree D in (cos t, sin t) whatever x and u are."""
+        (rows, dim), d = x.shape, len(self.cos)
+        y = self.cos * x[:, np.newaxis] + self.sin * u[:, np.newaxis]
+        samples = np.empty((rows, d + 1), dtype=fx.dtype)
+        samples[:, 0] = fx
+        samples[:, 1:] = value(y.reshape(-1, dim), np.repeat(ids, d)).reshape(rows, d)
+        return samples
+
+    def interpolant(self, samples):
+        """Coefficients c (L, D+1) of p(t) = |f|^2 = Re sum_k c_k e^{2ikt} on
+        each row's circle, from the samples of f at s_j = pi j / (D+1).
+
+        f(t) = sum_m b_m e^{i(2m-D)t}, so f(s_j) e^{iD s_j} = sum_m b_m
+        e^{2 pi i jm / (D+1)} and b is their FFT over D+1.  The zero-padded
+        inverse FFT of b over 2D+1 gives f(t_j) e^{iD t_j} at t_j = pi j /
+        (2D+1), so |f|^2 at the 2D+1 angles that fix p, and their real FFT
+        gives c.  Each row is transformed on its own."""
+        g = np.fft.ifft(np.fft.fft(samples * self.mod, axis=1), n=self.k, axis=1)
+        c = np.fft.rfft(g.real * g.real + g.imag * g.imag, axis=1) * (2.0 / self.k)
+        c[:, 0] *= 0.5
+        return c
+
+    def argmax(self, c):
+        """Angle (L,) of the maximum of each row's p: the best point of a
+        zero-padded grid of _FINE (2D+1) angles in [0, pi), refined by a
+        parabola through it and its neighbours and then two Newton steps on
+        p' and p''."""
+        fine, step = self.fine, self.step
+        # p - c_0 / 2 at the angles step * i, up to a positive factor
+        grid = np.fft.irfft(c, n=fine, axis=1)
+        i = grid.argmax(axis=1)
+        near = (i[:, np.newaxis] + self.offsets) % fine
+        lo, mid, hi = grid[np.arange(len(c))[:, np.newaxis], near].T
+        curv = lo - 2.0 * mid + hi
+        shift = np.divide(0.5 * (lo - hi), curv, out=np.zeros(len(c)), where=curv < 0.0)
+        theta = step * (i + shift)
+        for _ in range(2):  # one step stopped up to ~1e-11 short of sharp peaks
+            terms = c * np.exp(theta[:, np.newaxis] * self.freq)
+            d1, d2 = (terms * self.freq).real.sum(axis=1), (terms * self.freq2).real.sum(axis=1)
+            newton = np.divide(-d1, d2, out=np.zeros(len(c)), where=d2 < 0.0)
+            theta += np.minimum(np.maximum(newton, -step), step)
+        return theta
 
 
-def _on_spheres(y, blocks):
-    """The rows of y (L, dim) renormalised block by block, in place."""
-    for b in blocks:
-        y[:, b] /= np.sqrt(np.add.reduce(y[:, b] * y[:, b], axis=1))[:, np.newaxis]
-    return y
+class _Blocks:
+    """Block-wise sums, tangent projections and normalisations of rows
+    (L, dim) whose columns split into the contiguous slices ``blocks``, each
+    one segmented sum over all blocks at once.
 
+    The blocks are summed as the rows of one (L * blocks, width) array, so a
+    block adds its entries in the order a sum over its own columns does.
+    Blocks of unequal sizes are first padded with zeros to the largest size,
+    ``width``; a padded block of fewer than 8 entries in a width of 8 or more
+    then adds them pairwise, which differs in rounding."""
 
-def _circle_samples(x, u, fx, ids, degree, value):
-    """f at the D+1 angles s_j = pi j / (D+1) of each row's great circle
-    cos(t) x + sin(t) u, D = ``degree``, shape (L, D+1).  s_0 = 0 is x
-    itself, whose value ``fx`` is known; the other D angles are one batched
-    evaluation.  The points are not renormalised: f along them is a binary
-    form of degree D in (cos t, sin t) whatever x and u are."""
-    k = degree + 1
-    y = _great_circle(x, u, np.pi * np.arange(1, k) / k)
-    samples = np.empty((len(x), k), dtype=fx.dtype)
-    samples[:, 0] = fx
-    samples[:, 1:] = value(y.reshape(-1, x.shape[1]), np.repeat(ids, k - 1)).reshape(len(x), k - 1)
-    return samples
+    def __init__(self, blocks):
+        sizes = [b.stop - b.start for b in blocks]
+        self.width = max(sizes)
+        self.column_block = np.repeat(np.arange(len(blocks)), sizes)
+        self.keep = self.slots = None
+        if len(set(sizes)) > 1:
+            pos = np.arange(self.width)
+            self.keep = np.concatenate([pos < n for n in sizes])
+            self.slots = np.concatenate([np.minimum(b.start + pos, b.stop - 1) for b in blocks])
 
+    def sums(self, v):
+        """Each row's sum over each block, repeated on the block's columns."""
+        if self.keep is not None:
+            v = np.where(self.keep, np.take(v, self.slots, axis=1), 0.0)
+        sums = v.reshape(-1, self.width).sum(axis=1).reshape(len(v), -1)
+        return np.take(sums, self.column_block, axis=1)
 
-def _interpolant(samples):
-    """Coefficients c (L, D+1) of p(t) = |f|^2 = Re sum_k c_k e^{2ikt} on
-    each row's circle, from the samples of f at s_j = pi j / (D+1).
+    def tangent(self, v, x):
+        """v projected onto the tangent space at x, block by block."""
+        return v - self.sums(v * x) * x
 
-    f(t) = sum_m b_m e^{i(2m-D)t}, so f(s_j) e^{iD s_j} = sum_m b_m
-    e^{2 pi i jm / (D+1)} and b is their FFT over D+1.  The zero-padded
-    inverse FFT of b over 2D+1 gives f(t_j) e^{iD t_j} at t_j = pi j /
-    (2D+1), so |f|^2 at the 2D+1 angles that fix p, and their real FFT
-    gives c.  Each row is transformed on its own."""
-    n = samples.shape[1]
-    k = 2 * n - 1
-    # the FFT's 1 / (D+1) and the inverse FFT's 2D+1, folded into e^{iD s_j}
-    mod = np.exp(1j * np.pi * (n - 1) / n * np.arange(n)) * (k / n)
-    g = np.fft.ifft(np.fft.fft(samples * mod, axis=1), n=k, axis=1)
-    c = np.fft.rfft(g.real * g.real + g.imag * g.imag, axis=1) * (2.0 / k)
-    c[:, 0] *= 0.5
-    return c
-
-
-def _trig(c, theta):
-    """p, p' and p'' of p(t) = Re sum_k c_k e^{2ikt} at the angles of a row
-    of ``theta`` (L, J)."""
-    k = 2j * np.arange(c.shape[1])
-    terms = c[:, np.newaxis] * np.exp(theta[:, :, np.newaxis] * k)
-    return terms.real.sum(axis=2), (terms * k).real.sum(axis=2), (terms * k**2).real.sum(axis=2)
-
-
-def _circle_argmax(c):
-    """Angle of the maximum of each row's p: the best point of a zero-padded
-    grid of _FINE (2D+1) angles in [0, pi), refined by a parabola through it
-    and its neighbours and then two Newton steps."""
-    fine = _FINE * (2 * c.shape[1] - 1)
-    step = np.pi / fine
-    # p - c_0 / 2 at the angles step * i, up to a positive factor
-    grid = np.fft.irfft(c, n=fine, axis=1)
-    i = np.argmax(grid, axis=1)[:, np.newaxis]
-    lo, mid, hi = np.take_along_axis(grid, (i + np.arange(-1, 2)) % fine, axis=1).T
-    curv = lo - 2.0 * mid + hi
-    shift = np.divide(0.5 * (lo - hi), curv, out=np.zeros(len(c)), where=curv < 0.0)
-    theta = step * (i + shift[:, np.newaxis])
-    for _ in range(2):  # one step stopped up to ~1e-11 short of sharp peaks
-        _, d1, d2 = _trig(c, theta)
-        newton = np.divide(-d1, d2, out=np.zeros_like(d1), where=d2 < 0.0)
-        theta += np.clip(newton, -step, step)
-    return theta[:, 0]
+    def unit(self, v):
+        """v with each block scaled to norm 1; a zero block stays 0."""
+        nrm = np.sqrt(self.sums(v * v))
+        return v / np.where(nrm > 0.0, nrm, 1.0)
 
 
 def _pga_sphere(blocks, degree, value, value_and_grad, tol):
@@ -393,67 +424,59 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     degree D = ``degree`` in (cos t, sin t), sum_m b_m e^{i(2m-D)t}, so its
     values at D+1 angles fix it exactly: the one at t = 0 is the f(x) the
     state carries, the other D are one batched evaluation, and the FFTs of
-    ``_interpolant`` turn them into |f|^2 along the whole curve.  Its
-    maximum comes from a fine zero-padded grid, a parabola and Newton steps;
-    the point there is renormalised block by block, f, |f|^2 and its
-    gradient are evaluated at it, and the start moves only if that value
-    improves, so every value is attained (and the next round's gradient and
-    f(x) are already known).  A block whose direction is 0 (its tangent
-    gradient vanished) keeps u_b = 0: its part of the curve, cos(t) x_b, is
-    off the sphere, so the curve's |f|^2 is only a guide to the chosen
-    angle, where renormalising puts the block back at +-x_b, and the
+    ``_CircleSearch.interpolant`` turn them into |f|^2 along the whole
+    curve.  Its maximum comes from a fine zero-padded grid, a parabola and
+    Newton steps; the point there is renormalised block by block, f, |f|^2
+    and its gradient are evaluated at it, and the start moves only if that
+    value improves, so every value is attained (and the next round's
+    gradient and f(x) are already known).  A block whose direction is 0 (its
+    tangent gradient vanished) keeps u_b = 0: its part of the curve, cos(t)
+    x_b, is off the sphere, so the curve's |f|^2 is only a guide to the
+    chosen angle, where renormalising puts the block back at +-x_b, and the
     attained-value rule keeps such rows safe.  A start stops when its
     projected gradient vanishes, when a round does not improve or after two
     small improvements in a row.
 
     A round's circle samples and its evaluation at the chosen angles are one
     batched call each over the live starts that search.  ``value`` and
-    ``value_and_grad`` receive the start ids of the rows they evaluate.  A
-    row's arithmetic does not depend on the other rows beyond float
-    rounding, so each start ends where it would alone.
+    ``value_and_grad`` receive the start ids of the rows they evaluate.  The
+    block-wise projections and normalisations are one segmented sum each
+    (``_Blocks``) and the circle search's constants are built once per run
+    (``_CircleSearch``).  A row's arithmetic does not depend on the other rows
+    beyond float rounding, so each start ends where it would alone.
     """
-
-    def tangent(v, x):
-        """v projected onto the tangent space at x, block by block."""
-        v = v.copy()
-        for b in blocks:
-            v[:, b] -= (v[:, b] * x[:, b]).sum(axis=1)[:, np.newaxis] * x[:, b]
-        return v
+    circles, seg = _CircleSearch(degree), _Blocks(blocks)
 
     def step(state, ids):
         x, fx, obj, grad, stalls, d_prev, g_prev = state
-        g = tangent(grad, x)
-        flat = np.linalg.norm(g, axis=1) <= 1e-15 * np.maximum(1.0, np.abs(obj))
+        g = seg.tangent(grad, x)
+        flat = np.sqrt(np.add.reduce(g * g, axis=1)) <= 1e-15 * np.maximum(1.0, np.abs(obj))
         if flat.all():
             return flat
         rows = np.flatnonzero(~flat)
-        xl, ol, g, ids = x[rows], obj[rows], g[rows], ids[rows]
+        xl, ol, g, gp, ids = x[rows], obj[rows], g[rows], g_prev[rows], ids[rows]
         # Polak-Ribiere+ with transport by projection; beta = 0 on the first
         # round, where the previous gradient is 0
-        num = (g * (g - tangent(g_prev[rows], xl))).sum(axis=1)
-        den = (g_prev[rows] * g_prev[rows]).sum(axis=1)
+        num = (g * (g - seg.tangent(gp, xl))).sum(axis=1)
+        den = (gp * gp).sum(axis=1)
         beta = np.divide(num, den, out=np.zeros(len(rows)), where=den > 0.0)
-        d = g + np.maximum(beta, 0.0)[:, np.newaxis] * tangent(d_prev[rows], xl)
+        d = g + np.maximum(beta, 0.0)[:, np.newaxis] * seg.tangent(d_prev[rows], xl)
         uphill = (d * g).sum(axis=1) > 0.0
         d[~uphill] = g[~uphill]
-        u = d.copy()
-        for b in blocks:
-            nrm = np.linalg.norm(u[:, b], axis=1)[:, np.newaxis]
-            u[:, b] /= np.where(nrm > 0.0, nrm, 1.0)
-            # near convergence the radial part of the gradient dominates, so
-            # the projection leaves rounding error along x_b; remove it again
-            u[:, b] -= (u[:, b] * xl[:, b]).sum(axis=1)[:, np.newaxis] * xl[:, b]
-        c = _interpolant(_circle_samples(xl, u, fx[rows], ids, degree, value))
-        y = _on_spheres(_great_circle(xl, u, _circle_argmax(c)[:, np.newaxis])[:, 0], blocks)
+        # near convergence the radial part of the gradient dominates, so the
+        # projection leaves rounding error along x_b; remove it again
+        u = seg.tangent(seg.unit(d), xl)
+        t = circles.argmax(circles.interpolant(circles.samples(xl, u, fx[rows], ids, value)))
+        y = seg.unit(np.cos(t)[:, np.newaxis] * xl + np.sin(t)[:, np.newaxis] * u)
         fy, oy, gy = value_and_grad(y, ids)
         improved = oy > ol
         moved = rows[improved]
         x[moved], fx[moved], obj[moved] = y[improved], fy[improved], oy[improved]
         grad[moved], d_prev[moved], g_prev[moved] = gy[improved], d[improved], g[improved]
-        small = obj[rows] - ol <= tol * np.maximum(1.0, obj[rows])
-        stalls[rows[small]] += 1
-        stalls[rows[~small]] = 0
-        flat[rows] = ~improved | (stalls[rows] >= 2)
+        after = np.where(improved, oy, ol)
+        streak = np.where(after - ol <= tol * np.maximum(1.0, after), stalls[rows] + 1, 0)
+        stalls[rows] = streak
+        flat[rows] = ~improved | (streak >= 2)
         return flat
 
     return step

@@ -253,5 +253,9 @@ def load_tensor(text):
         raise ValueError(f"bad tensor header shape={meta['shape']}")
     field = meta["field"]
     vals = [_parse_scalar(ln.strip(), field) for ln in body]
+    size = int(np.prod(shape))
+    if len(vals) != size:
+        shown = ",".join(map(str, shape))
+        raise ValueError(f"tensor shape={shown} needs {size} entries, got {len(vals)}")
     data = np.array(vals, dtype=_dtype_for(field)).reshape(shape)
     return Tensor(data, field)

@@ -263,6 +263,8 @@ def test_cli_import_loads_no_scipy():
         ("", ("experiment", "--kind", "tail", "--model", "kostlan", "--d", "0", "--n", "2", "--seed", "1")),
         ("", ("experiment", "--kind", "tail", "--t-grid", "abc")),
         ("", ("verify", "--model", "kostlan", "--bogus")),
+        ("poly n=2 d=3 field=real\n3,0: 1\n3,0: 2\n", ()),
+        ("tensor shape=2,2 field=real\n1.0\n2.0\n3.0\n", ()),
     ],
     ids=[
         "nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d",
@@ -271,6 +273,7 @@ def test_cli_import_loads_no_scipy():
         "config-missing-file", "config-bad-int", "config-bad-shape", "config-no-equals",
         "poly-over-budget", "multipoly-over-budget", "sample-over-budget", "identity-n-zero",
         "harmonic-over-basis-budget", "tail-kostlan-d-zero", "t-grid-not-floats", "unknown-flag",
+        "repeated-monomial", "short-tensor",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):

@@ -1,10 +1,12 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rankone import experiments
+from rankone import _kernels, experiments
 from rankone.experiments import (
     Check,
     UsageError,
@@ -315,3 +317,24 @@ def test_recertified_values_replace_the_first_ones(monkeypatch):
     assert check.passed
     assert check.lhs == min(others + [0.99])
     assert check.lhs < 0.99
+
+
+@pytest.mark.skipif(not _kernels._HEAP_KEPT, reason="libc without glibc's mallopt")
+def test_repeated_verification_faults_in_almost_no_pages():
+    # in a fresh interpreter, where no import (scipy's, say) has raised
+    # glibc's mmap and trim thresholds: with the defaults every round's
+    # temporaries were page-faulted back in, about 2,400 minor faults for
+    # the third of these verifications
+    code = (
+        "import resource\n"
+        "from rankone.experiments import render_report, verify_bounds\n"
+        "from rankone.spectral import MaximizerConfig\n"
+        "cfg = MaximizerConfig(starts=12, max_iters=400)\n"
+        "for _ in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    render_report(verify_bounds('harmonic', {'d': 6, 'n': 3}, 16, cfg, 10200))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200

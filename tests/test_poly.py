@@ -287,6 +287,23 @@ def test_loaders_load_or_raise_value_error(header, body):
     assert dump(obj).splitlines()[0] == header
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("poly n=2 d=3 field=real\n3,0: 1\n3,0: 2\n", "monomial 3,0 given twice"),
+        ("poly n=2 d=3 field=real\n3,0: 1\n1,2: 5\n 3,0 : 2\n", "monomial 3,0 given twice"),
+        ("multipoly ns=2,2 ds=1,1 field=complex\n1,0|0,1: 1,0\n1,0|0,1: 0,1\n", "monomial 1,0|0,1 given twice"),
+        ("tensor shape=2,2 field=real\n1\n2\n3\n", "tensor shape=2,2 needs 4 entries, got 3"),
+        ("tensor shape=1,2 field=complex\n1,0\n2,0\n3,0\n", "tensor shape=1,2 needs 2 entries, got 3"),
+    ],
+    ids=["poly-repeat", "poly-repeat-later", "multipoly-repeat", "tensor-short", "tensor-long"],
+)
+def test_loaders_refuse_repeated_monomials_and_miscounted_entries(text, message):
+    load = load_tensor if text.startswith("tensor") else load_poly
+    with pytest.raises(ValueError, match=f"^{message.replace('|', '[|]')}$"):
+        load(text)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_data_rejected(bad):
     field = COMPLEX if isinstance(bad, complex) else REAL

@@ -33,14 +33,11 @@ from rankone.spectral import (
     sphere_grid,
     total_norm,
     _alternating,
-    _circle_argmax,
-    _circle_samples,
-    _great_circle,
-    _interpolant,
+    _Blocks,
+    _CircleSearch,
     _lockstep,
     _pga_sphere,
     _realified_objective,
-    _trig,
     uniform_norm_multi,
 )
 from rankone.tensor import COMPLEX, REAL, FieldError, Tensor, UnitVectorTuple, rank_one
@@ -308,8 +305,9 @@ def test_lockstep_driver_retires_each_start_at_its_round():
         kostlan_form(6, 3, REAL, 13),
         kostlan_form(5, 2, COMPLEX, 14),
         kostlan_multi((2, 3), (2, 3), REAL, 15),
+        kostlan_multi((2, 3), (2, 2), COMPLEX, 17),
     ],
-    ids=["real", "complex", "multi"],
+    ids=["real", "complex", "multi", "complex-multi"],
 )
 def test_lockstep_starts_match_single_runs(form):
     # every start of a lockstep batch must end exactly where it ends alone
@@ -670,18 +668,22 @@ def test_great_circle_search_is_exact(form):
     x, u = _units_and_tangents(rng, rows, blocks)
 
     def on_circle(theta):
-        y = _great_circle(x, u, theta).reshape(-1, x.shape[1])
+        t = theta[..., np.newaxis]
+        y = (np.cos(t) * x[:, np.newaxis] + np.sin(t) * u[:, np.newaxis]).reshape(-1, x.shape[1])
         f = value(y, np.repeat(ids, theta.shape[1])).reshape(theta.shape)
         return (f * np.conj(f)).real
 
-    samples = _circle_samples(x, u, value(x, ids), ids, degree, value)
+    circles = _CircleSearch(degree)
+    samples = circles.samples(x, u, value(x, ids), ids, value)
     assert samples.shape == (rows, degree + 1)
-    c = _interpolant(samples)
+    c = circles.interpolant(samples)
     scale = (np.abs(samples) ** 2).max(axis=1, keepdims=True)
     theta = rng.uniform(0.0, np.pi, (rows, 7))
-    assert (np.abs(_trig(c, theta)[0] - on_circle(theta)) <= 1e-12 * scale).all()
+    # p(t) = Re sum_k c_k e^{2ikt}
+    p = (c[:, np.newaxis] * np.exp(2j * theta[:, :, np.newaxis] * np.arange(degree + 1))).real.sum(axis=2)
+    assert (np.abs(p - on_circle(theta)) <= 1e-12 * scale).all()
     # the located angle is the circle's maximum
-    best = on_circle(_circle_argmax(c)[:, np.newaxis])[:, 0]
+    best = on_circle(circles.argmax(c)[:, np.newaxis])[:, 0]
     dense = on_circle(np.tile(np.linspace(0.0, np.pi, 2001), (rows, 1)))
     assert (best >= dense.max(axis=1) * (1 - 1e-12)).all()
     # one round evaluates f at the D angles other than x's on every circle,
@@ -705,6 +707,29 @@ def test_great_circle_search_is_exact(form):
     for b in blocks:
         np.testing.assert_allclose(np.linalg.norm(xf[:, b], axis=1), 1.0, rtol=1e-14)
     assert conv.all()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("ns", [(5,), (2, 4), (3, 1, 2), (1, 5, 3)], ids=["1", "2", "3", "3-wide"])
+def test_segmented_block_ops_match_the_per_block_loop(field, ns):
+    # each block's projection and normalisation, one segmented sum over all
+    # blocks, against the loop over the blocks it replaced
+    ends = np.cumsum([0] + [(2 if field == COMPLEX else 1) * n for n in ns])
+    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    rng = np.random.default_rng(11)
+    x, v = rng.standard_normal((2, 40, blocks[-1].stop))
+    v[:3, blocks[-1]] = 0.0  # zero blocks stay 0
+    for b in blocks:
+        x[:, b] /= np.linalg.norm(x[:, b], axis=1)[:, np.newaxis]
+    tangent, unit = v.copy(), v.copy()
+    for b in blocks:
+        tangent[:, b] -= (v[:, b] * x[:, b]).sum(axis=1)[:, np.newaxis] * x[:, b]
+        nrm = np.linalg.norm(v[:, b], axis=1)[:, np.newaxis]
+        unit[:, b] /= np.where(nrm > 0.0, nrm, 1.0)
+    seg = _Blocks(blocks)
+    np.testing.assert_allclose(seg.tangent(v, x), tangent, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(seg.unit(v), unit, rtol=0, atol=1e-15)
+    assert (seg.unit(v)[:3, blocks[-1]] == 0.0).all()
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
