@@ -63,11 +63,9 @@ from .spectral import (
     approx_error,
     brute_force_uniform_norm,
     ratio,
-    spectral_norm_general,
     spectral_norm_symmetric,
     spectral_value,
     total_norm,
-    uniform_norm_multi,
 )
 from .tensor import (
     COMPLEX,

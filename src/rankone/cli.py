@@ -23,7 +23,6 @@ from .experiments import (
     _bound_dict,
     _draw,
     _fmt,
-    estimate_ratio_distribution,
     export_report,
     render_report,
     verify_bw_l2_constant,
@@ -31,7 +30,7 @@ from .experiments import (
     trend_large_d,
     verify_bounds,
 )
-from .poly import HomogPoly, dump_multi_poly, dump_poly, load_poly
+from .poly import dump_poly, load_poly
 from .spectral import MaximizerConfig, spectral_value, total_norm
 from .tensor import Tensor, dump_tensor, load_tensor
 
@@ -248,7 +247,7 @@ def _cmd_bounds(args):
 def _dump(obj):
     if isinstance(obj, Tensor):
         return dump_tensor(obj)
-    return dump_poly(obj) if isinstance(obj, HomogPoly) else dump_multi_poly(obj)
+    return dump_poly(obj)
 
 
 def _cmd_sample(args):

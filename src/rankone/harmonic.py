@@ -11,13 +11,11 @@ import numpy as np
 from .bounds import DomainError
 from .poly import (
     HomogPoly,
-    ShapeError,
     _check_monomial_budget,
-    bw_inner,
+    _check_same_space,
     laplacian_matrix,
     monomial_exponents,
     multinomial_weights,
-    num_monomials,
 )
 from .tensor import REAL, FieldError
 
@@ -96,8 +94,7 @@ def l2_sphere_inner(f, g):
     """Exact integral of f*g over the unit sphere (closed-form monomials)."""
     if f.field != REAL or g.field != REAL:
         raise FieldError("sphere L2 product is defined for real forms only")
-    if (f.n, f.d) != (g.n, g.d):
-        raise ShapeError(f"(n, d) mismatch: {(f.n, f.d)} vs {(g.n, g.d)}")
+    _check_same_space(f, g)
     gram = _sphere_monomial_gram(f.d, f.n)
     return float(f.coeffs @ gram @ g.coeffs)
 

@@ -1,9 +1,11 @@
-"""Homogeneous and multi-homogeneous polynomials with the Bombieri-Weyl
-inner product, evaluation, Laplacian and the symmetric-tensor dictionary.
+"""Multi-homogeneous polynomials with the Bombieri-Weyl inner product,
+evaluation, Laplacian and the symmetric-tensor dictionary.
 
-Coefficients are stored densely in graded-lexicographic order: within the
-fixed degree d, exponent tuples are sorted lexicographically descending, so
-(d, 0, ..., 0) comes first.
+There is one polynomial class, ``MultiHomogPoly``; a form (``HomogPoly``)
+is its one-block case, and every operation works on the blocks ``ns`` and
+degrees ``ds``.  A point is the concatenation of its blocks.  Coefficients
+are stored densely: within one block of fixed degree d, exponent tuples are
+sorted lexicographically descending, so (d, 0, ..., 0) comes first.
 """
 
 from dataclasses import dataclass
@@ -15,13 +17,12 @@ import numpy as np
 
 from ._kernels import evaluate_poly, evaluate_poly_many, gradient_poly
 from .tensor import (
-    COMPLEX,
     REAL,
-    DimensionError,
     FieldError,
     Tensor,
     _dtype_for,
     _field_array,
+    _format_scalar,
     _parse_header,
     _parse_scalar,
     is_symmetric,
@@ -100,29 +101,74 @@ def multinomial_weights(d, n):
 
 
 @dataclass(frozen=True)
-class HomogPoly:
-    """Degree-d form in n variables; dense coefficient vector."""
+class MultiHomogPoly:
+    """Multi-homogeneous polynomial with one variable block per entry of
+    ``ns``, of degree ``ds[j]`` in block j.
 
-    n: int
-    d: int
+    Coefficients are flat over the product of per-block monomial orders,
+    block 0 slowest.
+    """
+
+    ns: tuple
+    ds: tuple
     coeffs: np.ndarray
     field: str
 
     def __post_init__(self):
+        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "ds", tuple(int(d) for d in self.ds))
+        if len(self.ns) != len(self.ds) or not self.ns:
+            raise ShapeError("block count mismatch")
         coeffs = _field_array(self.coeffs, self.field)
-        if coeffs.shape != (num_monomials(self.d, self.n),):
-            raise ShapeError(
-                f"expected {num_monomials(self.d, self.n)} coefficients, "
-                f"got {coeffs.shape}"
-            )
+        size = int(np.prod([num_monomials(d, n) for d, n in zip(self.ds, self.ns)]))
+        if coeffs.shape != (size,):
+            raise ShapeError(f"expected {size} coefficients, got {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def exponents(self):
-        return monomial_exponents(self.d, self.n)
+        return multi_monomial_exponents(self.ds, self.ns)
+
+
+class HomogPoly(MultiHomogPoly):
+    """Degree-d form in n variables: the one-block multi-form."""
+
+    def __init__(self, n, d, coeffs, field):
+        MultiHomogPoly.__init__(self, (n,), (d,), coeffs, field)
+
+    @property
+    def n(self):
+        return self.ns[0]
+
+    @property
+    def d(self):
+        return self.ds[0]
 
     def coefficient(self, alpha):
         return self.coeffs[monomial_index(self.d, self.n)[tuple(alpha)]]
+
+
+@lru_cache(maxsize=None)
+def multi_monomial_exponents(ds, ns):
+    """Concatenated exponent rows over the flat coefficient order."""
+    _check_monomial_budget(ds, ns)
+    blocks = [monomial_exponents(d, n) for d, n in zip(ds, ns)]
+    picks = np.indices([len(b) for b in blocks]).reshape(len(blocks), -1)
+    arr = np.concatenate([b[p] for b, p in zip(blocks, picks)], axis=1)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
+def multi_multinomial_weights(ds, ns):
+    """prod_j binom(d_j, alpha(j)) over the flat coefficient order."""
+    _check_monomial_budget(ds, ns)
+    blocks = [multinomial_weights(d, n) for d, n in zip(ds, ns)]
+    w = blocks[0]
+    for b in blocks[1:]:
+        w = np.multiply.outer(w, b).ravel()
+    w.setflags(write=False)
+    return w
 
 
 def poly_from_coeff_dict(n, d, entries, field=REAL):
@@ -135,17 +181,18 @@ def poly_from_coeff_dict(n, d, entries, field=REAL):
     return HomogPoly(n, d, coeffs, field)
 
 
-def _check_same_poly_space(f, g):
-    if (f.n, f.d) != (g.n, g.d):
-        raise ShapeError(f"(n, d) mismatch: {(f.n, f.d)} vs {(g.n, g.d)}")
+def _check_same_space(f, g):
+    if (f.ns, f.ds) != (g.ns, g.ds):
+        raise ShapeError(f"(ns, ds) mismatch: {(f.ns, f.ds)} vs {(g.ns, g.ds)}")
     if f.field != g.field:
         raise FieldError(f"field mismatch: {f.field} vs {g.field}")
 
 
 def bw_inner(f, g):
-    """Bombieri-Weyl product: sum over alpha of conj(f_a) g_a / binom(d, a)."""
-    _check_same_poly_space(f, g)
-    w = multinomial_weights(f.d, f.n)
+    """Bombieri-Weyl product: sum over alpha of conj(f_a) g_a / prod_j
+    binom(d_j, alpha(j))."""
+    _check_same_space(f, g)
+    w = multi_multinomial_weights(f.ds, f.ns)
     return np.vdot(f.coeffs, g.coeffs / w)
 
 
@@ -153,27 +200,30 @@ def bw_norm(f):
     return float(np.sqrt(np.real(bw_inner(f, f))))
 
 
-def evaluate(f, x):
+def _points(f, x, ndim):
+    """x as an array of ``ndim`` axes whose last holds the sum(f.ns)
+    coordinates of a point, its blocks concatenated."""
     x = np.asarray(x)
-    if x.shape != (f.n,):
-        raise ShapeError(f"point has shape {x.shape}, expected ({f.n},)")
-    if f.d == 0:
-        return f.coeffs[0]
-    return evaluate_poly(f.coeffs, f.exponents, x)
+    size = sum(f.ns)
+    if x.ndim != ndim or x.shape[-1] != size:
+        expected = f"({size},)" if ndim == 1 else f"(m, {size})"
+        raise ShapeError(f"points have shape {x.shape}, expected {expected}")
+    return x
+
+
+def evaluate(f, x):
+    """f at one point x, the concatenation of its blocks."""
+    return evaluate_poly(f.coeffs, f.exponents, _points(f, x, 1))
 
 
 def evaluate_many(f, xs):
-    xs = np.asarray(xs)
-    if xs.shape[1] != f.n:
-        raise ShapeError(f"points have {xs.shape[1]} coordinates, expected {f.n}")
-    return evaluate_poly_many(f.coeffs, f.exponents, xs)
+    """f at each row of xs, shape (m, sum(f.ns))."""
+    return evaluate_poly_many(f.coeffs, f.exponents, _points(f, xs, 2))
 
 
 def gradient(f, x):
-    x = np.asarray(x)
-    if x.shape != (f.n,):
-        raise ShapeError(f"point has shape {x.shape}, expected ({f.n},)")
-    return gradient_poly(f.coeffs, f.exponents, x)
+    """Gradient with respect to the concatenated variables."""
+    return gradient_poly(f.coeffs, f.exponents, _points(f, x, 1))
 
 
 @lru_cache(maxsize=None)
@@ -230,142 +280,24 @@ def symmetric_tensor_from_poly(f):
     return Tensor(data, f.field)
 
 
-# --------------------------------------------------------- multi-homogeneous
-
-
-@dataclass(frozen=True)
-class MultiHomogPoly:
-    """Multi-homogeneous polynomial with m variable blocks.
-
-    Coefficients are flat over the product of per-block monomial orders,
-    block 0 slowest.
-    """
-
-    ns: tuple
-    ds: tuple
-    coeffs: np.ndarray
-    field: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        object.__setattr__(self, "ds", tuple(int(d) for d in self.ds))
-        if len(self.ns) != len(self.ds) or not self.ns:
-            raise ShapeError("block count mismatch")
-        coeffs = _field_array(self.coeffs, self.field)
-        size = int(np.prod([num_monomials(d, n) for d, n in zip(self.ds, self.ns)]))
-        if coeffs.shape != (size,):
-            raise ShapeError(f"expected {size} coefficients, got {coeffs.shape}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def m(self):
-        return len(self.ns)
-
-    @property
-    def exponents(self):
-        return multi_monomial_exponents(self.ds, self.ns)
-
-    @property
-    def total_vars(self):
-        return sum(self.ns)
-
-
-@lru_cache(maxsize=None)
-def multi_monomial_exponents(ds, ns):
-    """Concatenated exponent rows over the flat coefficient order."""
-    _check_monomial_budget(ds, ns)
-    blocks = [monomial_exponents(d, n) for d, n in zip(ds, ns)]
-    rows = []
-    for combo in product(*[range(b.shape[0]) for b in blocks]):
-        rows.append(np.concatenate([blocks[j][combo[j]] for j in range(len(blocks))]))
-    arr = np.array(rows, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=None)
-def multi_multinomial_weights(ds, ns):
-    """prod_j binom(d_j, alpha(j)) over the flat coefficient order."""
-    _check_monomial_budget(ds, ns)
-    blocks = [multinomial_weights(d, n) for d, n in zip(ds, ns)]
-    w = blocks[0]
-    for b in blocks[1:]:
-        w = np.multiply.outer(w, b).ravel()
-    w.setflags(write=False)
-    return w
-
-
-def _check_same_multi_space(f, g):
-    if (f.ns, f.ds) != (g.ns, g.ds):
-        raise ShapeError("block structure mismatch")
-    if f.field != g.field:
-        raise FieldError(f"field mismatch: {f.field} vs {g.field}")
-
-
-def multi_bw_inner(f, g):
-    _check_same_multi_space(f, g)
-    w = multi_multinomial_weights(f.ds, f.ns)
-    return np.vdot(f.coeffs, g.coeffs / w)
-
-
-def multi_bw_norm(f):
-    return float(np.sqrt(np.real(multi_bw_inner(f, f))))
-
-
-def multi_evaluate(f, xs):
-    vecs = [np.asarray(x) for x in xs]
-    if len(vecs) != f.m:
-        raise ShapeError(f"expected {f.m} blocks, got {len(vecs)}")
-    for x, n in zip(vecs, f.ns):
-        if x.shape != (n,):
-            raise ShapeError(f"block has shape {x.shape}, expected ({n},)")
-    z = np.concatenate(vecs)
-    return evaluate_poly(f.coeffs, f.exponents, z)
-
-
-def multi_gradient(f, xs):
-    """Gradient with respect to the concatenated variables."""
-    z = np.concatenate([np.asarray(x) for x in xs])
-    return gradient_poly(f.coeffs, f.exponents, z)
-
-
-def multi_from_single(f):
-    return MultiHomogPoly((f.n,), (f.d,), f.coeffs, f.field)
-
-
-def single_from_multi(F):
-    if F.m != 1:
-        raise ShapeError("not a single-block polynomial")
-    return HomogPoly(F.ns[0], F.ds[0], F.coeffs, F.field)
-
-
 # -------------------------------------------------------------- serialization
 
 
-def _fmt_scalar(c, field):
-    if field == REAL:
-        return "%.17e" % c
-    return "%.17e,%.17e" % (c.real, c.imag)
-
-
 def dump_poly(f):
-    lines = ["poly n=%d d=%d field=%s" % (f.n, f.d, f.field)]
-    for alpha, c in zip(f.exponents, f.coeffs):
-        lines.append("%s: %s" % (",".join(map(str, alpha)), _fmt_scalar(c, f.field)))
-    return "\n".join(lines) + "\n"
-
-
-def dump_multi_poly(f):
-    lines = [
-        "multipoly ns=%s ds=%s field=%s"
-        % (",".join(map(str, f.ns)), ",".join(map(str, f.ds)), f.field)
-    ]
+    """``poly`` text for a form, ``multipoly`` text for any other multi-form:
+    a header, then one ``exponents: value`` line per monomial, blocks split
+    by |."""
+    if isinstance(f, HomogPoly):
+        lines = ["poly n=%d d=%d field=%s" % (f.n, f.d, f.field)]
+    else:
+        lines = [
+            "multipoly ns=%s ds=%s field=%s"
+            % (",".join(map(str, f.ns)), ",".join(map(str, f.ds)), f.field)
+        ]
     offsets = np.cumsum((0,) + f.ns)
     for row, c in zip(f.exponents, f.coeffs):
-        key = "|".join(
-            ",".join(map(str, row[offsets[j] : offsets[j + 1]])) for j in range(f.m)
-        )
-        lines.append("%s: %s" % (key, _fmt_scalar(c, f.field)))
+        key = "|".join(",".join(map(str, row[a:b])) for a, b in zip(offsets[:-1], offsets[1:]))
+        lines.append("%s: %s" % (key, _format_scalar(c, f.field)))
     return "\n".join(lines) + "\n"
 
 
@@ -392,15 +324,14 @@ def load_poly(text):
     )
     field = meta["field"]
     if kind == "poly":
-        n, d = int(meta["n"]), int(meta["d"])
-        if n < 1 or d < 0:
-            raise ValueError(f"bad poly header n={n} d={d}")
-        coeffs = _parse_coeffs(body, monomial_index(d, n), field)
-        return HomogPoly(n, d, coeffs, field)
-    ns = tuple(int(s) for s in meta["ns"].split(","))
-    ds = tuple(int(s) for s in meta["ds"].split(","))
+        ns, ds = (int(meta["n"]),), (int(meta["d"]),)
+    else:
+        ns = tuple(int(s) for s in meta["ns"].split(","))
+        ds = tuple(int(s) for s in meta["ds"].split(","))
     if min(ns) < 1 or min(ds) < 0:
-        raise ValueError(f"bad multipoly header ns={ns} ds={ds}")
+        raise ValueError(f"bad {kind} header ns={ns} ds={ds}")
     expo = multi_monomial_exponents(ds, ns)
-    index = {tuple(row): i for i, row in enumerate(expo)}
-    return MultiHomogPoly(ns, ds, _parse_coeffs(body, index, field), field)
+    coeffs = _parse_coeffs(body, {tuple(row): i for i, row in enumerate(expo)}, field)
+    if kind == "poly":
+        return HomogPoly(ns[0], ds[0], coeffs, field)
+    return MultiHomogPoly(ns, ds, coeffs, field)

@@ -40,13 +40,7 @@ from ._kernels import (  # noqa: F401  perfbench's tracer test looks up spectral
     value_and_gradient_poly_many,
 )
 from .bounds import DomainError
-from .poly import (
-    HomogPoly,
-    MultiHomogPoly,
-    bw_norm,
-    multi_bw_norm,
-    multi_from_single,
-)
+from .poly import HomogPoly, MultiHomogPoly, bw_norm
 from .sampling import _draw_starts, _nonnegative_int
 from .tensor import (
     COMPLEX,
@@ -154,11 +148,6 @@ def _lockstep(step, state, max_iters):
 
 
 # ---------------------------------------------------------- general tensors
-
-
-def spectral_norm_general(t, cfg=MaximizerConfig()):
-    """Multi-start alternating maximization of |<T, x^1 (x) ... (x) x^d>|."""
-    return spectral_value_many([t], cfg, [cfg.seed]).results[0]
 
 
 def _sq_norms(x):
@@ -502,11 +491,6 @@ def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=Non
     return batch.results[0] if seeds is None else batch
 
 
-def uniform_norm_multi(F, cfg=MaximizerConfig()):
-    """Maximize |F(x^1, ..., x^m)| over the product of unit spheres."""
-    return spectral_value_many([F], cfg, [cfg.seed]).results[0]
-
-
 # ----------------------------------------------------------------- grid oracle
 
 
@@ -554,8 +538,6 @@ def brute_force_uniform_norm(obj, resolution):
     """
     if isinstance(obj, Tensor):
         return _brute_force_tensor(obj, resolution)
-    if isinstance(obj, HomogPoly):
-        obj = multi_from_single(obj)
     if isinstance(obj, MultiHomogPoly):
         return _brute_force_multi(obj, resolution)
     raise TypeError(f"unsupported input {type(obj)!r}")
@@ -591,6 +573,10 @@ def _brute_force_multi(F, resolution):
 
 
 def spectral_value(obj, cfg=MaximizerConfig()):
+    """Largest |<T, x^1 (x) ... (x) x^d>| of a tensor over unit vectors by
+    alternating maximization, or largest |F(x)| of a polynomial over its
+    product of unit spheres by the great-circle ascent; one object's
+    ``SpectralResult``."""
     return spectral_value_many([obj], cfg, [cfg.seed]).results[0]
 
 
@@ -598,10 +584,8 @@ def _space(obj):
     """What the objects of one ``spectral_value_many`` call must share."""
     if isinstance(obj, Tensor):
         return ("tensor", obj.shape, obj.field)
-    if isinstance(obj, HomogPoly):
-        return ("form", obj.d, obj.n, obj.field)
     if isinstance(obj, MultiHomogPoly):
-        return ("multi-form", obj.ds, obj.ns, obj.field)
+        return ("poly", obj.ds, obj.ns, obj.field)
     raise TypeError(f"unsupported input {type(obj)!r}")
 
 
@@ -639,10 +623,9 @@ def spectral_value_many(objs, cfg, seeds):
             return tuple(x[r] for x in xs)
 
     else:
-        ns = first.ns if isinstance(first, MultiHomogPoly) else (first.n,)
         coeffs = np.stack([o.coeffs for o in objs])[which]
         blocks, degree, value, value_and_grad, unpack = _realified_objective(
-            coeffs, first.exponents, ns, first.field
+            coeffs, first.exponents, first.ns, first.field
         )
         x = np.hstack(_draw_starts(seeds, starts, [b.stop - b.start for b in blocks], REAL))
         fx, obj, grad = value_and_grad(x, np.arange(len(x)))
@@ -669,10 +652,8 @@ def spectral_value_many(objs, cfg, seeds):
 def total_norm(obj):
     if isinstance(obj, Tensor):
         return frobenius_norm(obj)
-    if isinstance(obj, HomogPoly):
-        return bw_norm(obj)
     if isinstance(obj, MultiHomogPoly):
-        return multi_bw_norm(obj)
+        return bw_norm(obj)
     raise TypeError(f"unsupported input {type(obj)!r}")
 
 

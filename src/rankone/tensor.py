@@ -212,11 +212,7 @@ def dump_tensor(t):
     lines = [
         "tensor shape=%s field=%s" % (",".join(map(str, t.shape)), t.field)
     ]
-    for v in t.data.ravel():
-        if t.field == REAL:
-            lines.append("%.17e" % v)
-        else:
-            lines.append("%.17e,%.17e" % (v.real, v.imag))
+    lines.extend(_format_scalar(v, t.field) for v in t.data.ravel())
     return "\n".join(lines) + "\n"
 
 
@@ -235,6 +231,14 @@ def _parse_header(text, kinds):
     if missing:
         raise ValueError(f"{head[0]} header lacks {', '.join(missing)}")
     return head[0], meta, lines[1:]
+
+
+def _format_scalar(c, field):
+    """The text ``_parse_scalar`` reads back: ``%.17e``, or ``re,im`` for a
+    complex field."""
+    if field == REAL:
+        return "%.17e" % c
+    return "%.17e,%.17e" % (c.real, c.imag)
 
 
 def _parse_scalar(s, field):

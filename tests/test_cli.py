@@ -55,17 +55,29 @@ def test_ratio_random_needs_seed(capsys):
     assert code == 2
 
 
-def test_ratio_from_file(capsys, tmp_path):
-    code, out, _ = run_cli(
-        capsys, "sample", "--model", "kostlan", "--d", "3", "--n", "2", "--seed", "5"
-    )
+@pytest.mark.parametrize(
+    "model",
+    [
+        ("kostlan", "--d", "3", "--n", "2"),
+        ("kostlan-multi", "--ds", "2,1", "--ns", "2,3", "--field", "complex"),
+        ("gaussian-tensor", "--shape", "2,3,2"),
+    ],
+    ids=["kostlan", "kostlan-multi", "gaussian-tensor"],
+)
+def test_ratio_from_file(capsys, tmp_path, model):
+    # a sample written by ``sample`` and read back by ``ratio --in`` gives
+    # what ``ratio --random`` gives for the same draw
+    draw = ("--model", *model, "--seed", "5")
+    code, out, _ = run_cli(capsys, "sample", *draw)
     assert code == 0
-    p = tmp_path / "f.poly"
+    p = tmp_path / "sample.txt"
     p.write_text(out)
-    code, out2, _ = run_cli(capsys, "ratio", "--in", str(p), "--starts", "8")
+    code, out2, _ = run_cli(capsys, "ratio", "--in", str(p), "--starts", "8", "--seed", "5")
     assert code == 0
     data = json.loads(out2)
     assert 0.0 < float(data["ratio"]) <= 1.0 + 1e-9
+    code, out3, _ = run_cli(capsys, "ratio", "--random", *draw, "--starts", "8")
+    assert code == 0 and out3 == out2
 
 
 def test_sample_deterministic(capsys):

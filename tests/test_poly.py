@@ -15,9 +15,9 @@ from rankone._kernels import (
 from rankone.poly import (
     HomogPoly,
     MultiHomogPoly,
+    ShapeError,
     bw_inner,
     bw_norm,
-    dump_multi_poly,
     dump_poly,
     evaluate,
     evaluate_many,
@@ -26,15 +26,11 @@ from rankone.poly import (
     load_poly,
     monomial_exponents,
     monomial_index,
-    multi_bw_norm,
-    multi_evaluate,
-    multi_from_single,
-    multi_gradient,
+    multi_monomial_exponents,
     multinomial,
     num_monomials,
     poly_from_coeff_dict,
     poly_from_symmetric_tensor,
-    single_from_multi,
     symmetric_tensor_from_poly,
 )
 from rankone.tensor import (
@@ -209,29 +205,33 @@ def test_poly_evaluation_matches_tensor_contraction():
 
 
 def test_multi_consistency_with_single():
+    # a form is its one-block multi-form: same exponents, weights, norm,
+    # values and gradients, and the two share one space
     rng = np.random.default_rng(6)
     f = HomogPoly(3, 4, rng.standard_normal(num_monomials(4, 3)), REAL)
-    F = multi_from_single(f)
-    assert multi_bw_norm(F) == pytest.approx(bw_norm(f))
+    F = MultiHomogPoly((3,), (4,), f.coeffs, REAL)
+    assert isinstance(f, MultiHomogPoly) and (f.ns, f.ds) == ((3,), (4,))
+    for d, n in [(0, 3), (1, 2), (8, 2), (6, 3), (5, 4)]:
+        np.testing.assert_array_equal(multi_monomial_exponents((d,), (n,)), monomial_exponents(d, n))
+    assert bw_norm(F) == bw_norm(f)
+    assert bw_inner(f, F) == bw_inner(f, f)
     x = rng.standard_normal(3)
-    assert multi_evaluate(F, [x]) == pytest.approx(evaluate(f, x))
-    np.testing.assert_allclose(multi_gradient(F, [x]), gradient(f, x), rtol=1e-12)
-    back = single_from_multi(F)
-    np.testing.assert_allclose(back.coeffs, f.coeffs)
+    assert evaluate(F, x) == evaluate(f, x)
+    np.testing.assert_array_equal(gradient(F, x), gradient(f, x))
+    with pytest.raises(AttributeError):
+        f.n = 4
 
 
 def test_multi_evaluate_separable():
-    # F = (x0^2)(y0 y1): product of block evaluations
-    F = MultiHomogPoly((2, 2), (2, 2), np.zeros(9), REAL)
-    from rankone.poly import multi_monomial_exponents
-
+    # F = (x0^2)(y0 y1): product of block evaluations at the concatenated point
     expo = multi_monomial_exponents((2, 2), (2, 2))
     target = (2, 0, 1, 1)
     coeffs = np.array([1.0 if tuple(r) == target else 0.0 for r in expo])
     F = MultiHomogPoly((2, 2), (2, 2), coeffs, REAL)
     x = np.array([3.0, 1.0])
     y = np.array([2.0, 5.0])
-    assert multi_evaluate(F, [x, y]) == pytest.approx(9.0 * 10.0)
+    assert evaluate(F, np.concatenate([x, y])) == pytest.approx(9.0 * 10.0)
+    np.testing.assert_allclose(gradient(F, np.concatenate([x, y])), [6.0 * 10.0, 0.0, 9.0 * 5.0, 9.0 * 2.0])
 
 
 def test_dump_load_round_trip():
@@ -239,11 +239,54 @@ def test_dump_load_round_trip():
     c = rng.standard_normal(num_monomials(3, 2)) + 1j * rng.standard_normal(num_monomials(3, 2))
     f = HomogPoly(2, 3, c, COMPLEX)
     back = load_poly(dump_poly(f))
-    assert back.field == COMPLEX
+    assert type(back) is HomogPoly and back.field == COMPLEX
     np.testing.assert_array_equal(back.coeffs, f.coeffs)
-    F = multi_from_single(f)
-    text = dump_multi_poly(F)
-    assert "multipoly" in text.splitlines()[0]
+    F = MultiHomogPoly((2,), (3,), c, COMPLEX)
+    assert dump_poly(F).splitlines()[0] == "multipoly ns=2 ds=3 field=complex"
+    G = MultiHomogPoly((2, 3), (2, 1), rng.standard_normal(9) + 1j * rng.standard_normal(9), COMPLEX)
+    back = load_poly(dump_poly(G))
+    assert type(back) is MultiHomogPoly
+    assert (back.ns, back.ds, back.field) == (G.ns, G.ds, G.field)
+    np.testing.assert_array_equal(back.coeffs, G.coeffs)
+
+
+def test_dump_poly_golden_text():
+    f = HomogPoly(2, 2, np.array([1.0, -2.5, 0.125]), REAL)
+    assert dump_poly(f) == (
+        "poly n=2 d=2 field=real\n"
+        "2,0: 1.00000000000000000e+00\n"
+        "1,1: -2.50000000000000000e+00\n"
+        "0,2: 1.25000000000000000e-01\n"
+    )
+    F = MultiHomogPoly((2, 2), (1, 1), np.array([1, 0.5j, -3 + 0.25j, 1e-3 - 2e5j]), COMPLEX)
+    assert dump_poly(F) == (
+        "multipoly ns=2,2 ds=1,1 field=complex\n"
+        "1,0|1,0: 1.00000000000000000e+00,0.00000000000000000e+00\n"
+        "1,0|0,1: 0.00000000000000000e+00,5.00000000000000000e-01\n"
+        "0,1|1,0: -3.00000000000000000e+00,2.50000000000000000e-01\n"
+        "0,1|0,1: 1.00000000000000002e-03,-2.00000000000000000e+05\n"
+    )
+
+
+_FORM = HomogPoly(3, 2, np.arange(6.0), REAL)
+_MULTI = MultiHomogPoly((2, 2), (1, 2), np.arange(6.0), REAL)
+
+
+@pytest.mark.parametrize("f", [_FORM, _MULTI], ids=["form", "multi"])
+@pytest.mark.parametrize("op", [evaluate, gradient, evaluate_many])
+@pytest.mark.parametrize("shape", ["few-axes", "many-axes", "wrong-size"])
+def test_points_of_the_wrong_shape_raise_shape_error(f, op, shape):
+    # a point is the concatenation of the blocks, sum(ns) coordinates; a
+    # batch of points is one row per point
+    size, axes = sum(f.ns), 2 if op is evaluate_many else 1
+    bad = {
+        "few-axes": (size,) * (axes - 1),
+        "many-axes": (1,) * axes + (size,),
+        "wrong-size": (1,) * (axes - 1) + (size + 1,),
+    }[shape]
+    with pytest.raises(ShapeError):
+        op(f, np.ones(bad))
+    op(f, np.ones((1,) * (axes - 1) + (size,)))
 
 
 def _joined(sizes):
@@ -278,7 +321,7 @@ def test_loaders_load_or_raise_value_error(header, body):
     load, dump = {
         "tensor": (load_tensor, dump_tensor),
         "poly": (load_poly, dump_poly),
-        "multipoly": (load_poly, dump_multi_poly),
+        "multipoly": (load_poly, dump_poly),
     }[kind]
     try:
         obj = load(text)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rankone.harmonic import harmonic_basis, harmonic_dimension
-from rankone.poly import bw_norm, laplacian, multi_bw_norm, multinomial, num_monomials
+from rankone.poly import bw_norm, laplacian, multinomial, num_monomials
 from rankone.sampling import (
     DomainError,
     SeedSpec,
@@ -59,7 +59,7 @@ def test_kostlan_coefficient_variance():
 def test_kostlan_multi_norm_expectation():
     n_mon = math.comb(3, 2) * math.comb(4, 3)
     vals = [
-        multi_bw_norm(kostlan_multi((2, 3), (2, 2), REAL, 5, i)) ** 2 for i in range(2000)
+        bw_norm(kostlan_multi((2, 3), (2, 2), REAL, 5, i)) ** 2 for i in range(2000)
     ]
     assert np.mean(vals) == pytest.approx(n_mon, rel=0.07)
 
@@ -78,7 +78,7 @@ def test_gaussian_harmonic_properties():
 def test_gaussian_multi_harmonic():
     dims = harmonic_dimension(2, 2) * harmonic_dimension(2, 3)
     vals = [
-        multi_bw_norm(gaussian_multi_harmonic((2, 2), (2, 3), 7, i)) ** 2
+        bw_norm(gaussian_multi_harmonic((2, 2), (2, 3), 7, i)) ** 2
         for i in range(2000)
     ]
     assert np.mean(vals) == pytest.approx(dims, rel=0.07)

@@ -8,7 +8,6 @@ from rankone.bounds import DomainError, bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
 from rankone.poly import (
     MultiHomogPoly,
-    multi_from_single,
     multi_monomial_exponents,
     poly_from_coeff_dict,
 )
@@ -26,7 +25,6 @@ from rankone.spectral import (
     approx_error,
     brute_force_uniform_norm,
     ratio,
-    spectral_norm_general,
     spectral_norm_symmetric,
     spectral_value,
     spectral_value_many,
@@ -38,7 +36,6 @@ from rankone.spectral import (
     _lockstep,
     _pga_sphere,
     _realified_objective,
-    uniform_norm_multi,
 )
 from rankone.tensor import COMPLEX, REAL, FieldError, Tensor, UnitVectorTuple, rank_one
 
@@ -52,7 +49,7 @@ def test_matrix_spectral_norm_is_top_singular_value():
         if field == COMPLEX:
             a = a + 1j * rng.standard_normal((4, 3))
         t = Tensor(a, field)
-        res = spectral_norm_general(t, CFG)
+        res = spectral_value(t, CFG)
         assert res.value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
         assert res.converged
 
@@ -75,7 +72,7 @@ def test_rank_one_tensor_ratio_is_one():
 
 def test_general_matches_brute_force():
     t = gaussian_tensor((2, 2, 2), REAL, 42)
-    res = spectral_norm_general(t, CFG)
+    res = spectral_value(t, CFG)
     grid = brute_force_uniform_norm(t, 80)
     assert res.value >= grid - 1e-6
     assert res.value <= grid + 0.01  # fine grid nearly attains the max
@@ -83,7 +80,7 @@ def test_general_matches_brute_force():
 
 def test_general_complex_matches_brute_force():
     t = gaussian_tensor((2, 2, 2), COMPLEX, 43)
-    res = spectral_norm_general(t, CFG)
+    res = spectral_value(t, CFG)
     grid = brute_force_uniform_norm(t, 8)
     assert res.value >= grid - 1e-9
 
@@ -124,15 +121,15 @@ def test_real_form_over_complex_field_at_least_real_value():
 
 def test_multi_agrees_with_single_block():
     f = kostlan_form(4, 3, REAL, 10)
-    F = multi_from_single(f)
+    F = MultiHomogPoly((f.n,), (f.d,), f.coeffs, f.field)
     v1 = spectral_norm_symmetric(f, CFG).value
-    v2 = uniform_norm_multi(F, CFG).value
+    v2 = spectral_value(F, CFG).value
     assert v2 == pytest.approx(v1, rel=1e-7)
 
 
 def test_multi_matches_brute_force():
     F = kostlan_multi((2, 2), (2, 2), REAL, 11)
-    res = uniform_norm_multi(F, CFG)
+    res = spectral_value(F, CFG)
     grid = brute_force_uniform_norm(F, 200)
     assert res.value >= grid - 1e-6
     assert res.value <= grid + 1e-2
@@ -145,8 +142,8 @@ def test_multi_matches_alternating_on_general_tensors(shape, field):
     # mode, so the sphere-product ascent must reach the alternating maximum
     t = gaussian_tensor(shape, field, 12)
     F = MultiHomogPoly(shape, (1,) * len(shape), t.data.ravel(), field)
-    expected = spectral_norm_general(t, CFG).value
-    assert uniform_norm_multi(F, CFG).value == pytest.approx(expected, rel=1e-7)
+    expected = spectral_value(t, CFG).value
+    assert spectral_value(F, CFG).value == pytest.approx(expected, rel=1e-7)
 
 
 def test_ratio_bounded_by_one():
@@ -208,13 +205,13 @@ def test_zero_tensor_rejected():
     from rankone.spectral import ZeroInputError
 
     with pytest.raises(ZeroInputError):
-        spectral_norm_general(Tensor(np.zeros((2, 2, 2)), REAL), CFG)
+        spectral_value(Tensor(np.zeros((2, 2, 2)), REAL), CFG)
 
 
 def test_deterministic_given_seed():
     t = gaussian_tensor((3, 3, 3), REAL, 5)
-    r1 = spectral_norm_general(t, CFG)
-    r2 = spectral_norm_general(t, CFG)
+    r1 = spectral_value(t, CFG)
+    r2 = spectral_value(t, CFG)
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.maximizer[0], r2.maximizer[0])
 
@@ -311,9 +308,8 @@ def test_lockstep_driver_retires_each_start_at_its_round():
 )
 def test_lockstep_starts_match_single_runs(form):
     # every start of a lockstep batch must end exactly where it ends alone
-    ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
     coeffs = np.tile(form.coeffs, (9, 1))
-    blocks, degree, value, value_and_grad, _ = _realified_objective(coeffs, form.exponents, ns, form.field)
+    blocks, degree, value, value_and_grad, _ = _realified_objective(coeffs, form.exponents, form.ns, form.field)
     x0 = np.random.default_rng(3).standard_normal((9, blocks[-1].stop))
     for b in blocks:
         x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
@@ -623,7 +619,6 @@ def test_batch_rejects_mixed_inputs():
         kostlan_form(5, 2, REAL, 2),
         kostlan_form(4, 3, REAL, 2),
         kostlan_form(4, 2, COMPLEX, 2),
-        multi_from_single(f),
         gaussian_tensor((2, 2), REAL, 2),
     ]:
         with pytest.raises(ValueError, match="mixed"):
@@ -632,6 +627,24 @@ def test_batch_rejects_mixed_inputs():
         spectral_value_many([f, f], cfg, [0])
     with pytest.raises(ValueError):
         spectral_value_many([], cfg, [])
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_forms_batch_with_their_one_block_multi_forms(field):
+    # a form and a one-block multi-form of the same degree, variables and
+    # field are one space: they share a batch, and each gets exactly what
+    # its own call gives
+    cfg = MaximizerConfig(starts=4, max_iters=300, seed=5)
+    f = kostlan_form(4, 3, field, 60)
+    g = kostlan_form(4, 3, field, 61)
+    G = MultiHomogPoly((3,), (4,), g.coeffs, field)
+    batch = spectral_value_many([f, G], cfg, [5, 9])
+    # the form g alone also gives what G gives in the batch
+    for obj, seed, slot in [(f, 5, 0), (G, 9, 1), (g, 9, 1)]:
+        res, one = batch.results[slot], spectral_value(obj, replace(cfg, seed=seed))
+        assert res.value == one.value
+        assert all(np.array_equal(a, b) for a, b in zip(res.maximizer, one.maximizer))
+        assert (res.iterations, res.converged) == (one.iterations, one.converged)
 
 
 def _units_and_tangents(rng, rows, blocks):
@@ -658,10 +671,9 @@ def test_great_circle_search_is_exact(form):
     # f on a great circle is a binary form of degree D in (cos t, sin t), so
     # its D+1 samples fix |f|^2, a trigonometric polynomial of degree D in
     # 2t, at every angle
-    ns = form.ns if isinstance(form, MultiHomogPoly) else (form.n,)
     rows = 5
     blocks, degree, value, value_and_grad, _ = _realified_objective(
-        np.tile(form.coeffs, (rows, 1)), form.exponents, ns, form.field
+        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns, form.field
     )
     ids = np.arange(rows)
     rng = np.random.default_rng(7)
