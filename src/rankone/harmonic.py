@@ -13,6 +13,7 @@ from .poly import (
     HomogPoly,
     _check_monomial_budget,
     _check_same_space,
+    _form_shape,
     laplacian_matrix,
     monomial_exponents,
     multinomial_weights,
@@ -95,8 +96,8 @@ def l2_sphere_inner(f, g):
     if f.field != REAL or g.field != REAL:
         raise FieldError("sphere L2 product is defined for real forms only")
     _check_same_space(f, g)
-    gram = _sphere_monomial_gram(f.d, f.n)
-    return float(f.coeffs @ gram @ g.coeffs)
+    n, d = _form_shape(f)
+    return float(f.coeffs @ _sphere_monomial_gram(d, n) @ g.coeffs)
 
 
 @dataclass(frozen=True)

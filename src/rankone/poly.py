@@ -188,6 +188,13 @@ def _check_same_space(f, g):
         raise FieldError(f"field mismatch: {f.field} vs {g.field}")
 
 
+def _form_shape(f):
+    """(n, d) of a form, given as a ``HomogPoly`` or a one-block multi-form."""
+    if len(f.ns) != 1:
+        raise ShapeError(f"need a form (one block), got (ns, ds) = {(f.ns, f.ds)}")
+    return f.ns[0], f.ds[0]
+
+
 def bw_inner(f, g):
     """Bombieri-Weyl product: sum over alpha of conj(f_a) g_a / prod_j
     binom(d_j, alpha(j))."""
@@ -244,10 +251,10 @@ def laplacian_matrix(d, n):
 
 def laplacian(f):
     """Sum of second partials; degree drops by two."""
-    if f.d < 2:
-        return HomogPoly(f.n, 0, np.zeros(1, dtype=f.coeffs.dtype), f.field)
-    out = laplacian_matrix(f.d, f.n) @ f.coeffs
-    return HomogPoly(f.n, f.d - 2, out, f.field)
+    n, d = _form_shape(f)
+    if d < 2:
+        return HomogPoly(n, 0, np.zeros(1, dtype=f.coeffs.dtype), f.field)
+    return HomogPoly(n, d - 2, laplacian_matrix(d, n) @ f.coeffs, f.field)
 
 
 # ------------------------------------------------- symmetric tensor dictionary
@@ -270,11 +277,12 @@ def poly_from_symmetric_tensor(t, tol=1e-10):
 
 def symmetric_tensor_from_poly(f):
     """Inverse of poly_from_symmetric_tensor: t_idx = f_a / binom(d, a)."""
-    idx_map = monomial_index(f.d, f.n)
-    w = multinomial_weights(f.d, f.n)
-    data = np.empty((f.n,) * f.d, dtype=f.coeffs.dtype)
-    for idx in product(range(f.n), repeat=f.d):
-        alpha = tuple(np.bincount(idx, minlength=f.n))
+    n, d = _form_shape(f)
+    idx_map = monomial_index(d, n)
+    w = multinomial_weights(d, n)
+    data = np.empty((n,) * d, dtype=f.coeffs.dtype)
+    for idx in product(range(n), repeat=d):
+        alpha = tuple(np.bincount(idx, minlength=n))
         i = idx_map[alpha]
         data[idx] = f.coeffs[i] / w[i]
     return Tensor(data, f.field)

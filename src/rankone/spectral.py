@@ -12,19 +12,21 @@ known degree D in (cos t, sin t), so f at x and D batched evaluations fix
 |f|^2 and its maximum over the whole circle.  ``spectral_value_many`` runs
 every start of many objects of one kind, shape and field in lockstep as one
 batch.  One driver (``_lockstep``) keeps the live starts, their iteration
-counts and convergence flags, and each round calls the method's step: the
-alternating method gathers every live start's tensor once per sweep from a
-row-first stack, shares the suffix contractions between the modes of the
-sweep and runs each contraction as one batched matmul over the starts; the
-ascent searches the circles of every live start with one batched
-evaluation.  Each object keeps the best of its own starts, which
-``sampling._draw_starts`` draws from the object's seed (this module holds
-no seeding code).  The one-object entry points are its calls with one
-object.  Both methods move a start only to a point where the objective is
-at least as large and report the objective at the vectors they return, so
-their values are attained: certified LOWER bounds on the true maximum.  A
-deterministic sphere-grid oracle is provided for certification at tiny
-sizes.
+counts and convergence flags, and each round calls the method's step.  Both
+methods keep each start's point as one row, its modes or blocks as column
+slices, so moves, norms and trial points are whole-row operations with one
+segmented sum over the slices (``_Blocks``).  The alternating method
+gathers every live start's tensor once per sweep from a row-first stack,
+shares the suffix contractions between the modes of the sweep and runs each
+contraction as one batched matmul over the starts; the ascent searches the
+circles of every live start with one batched evaluation.  Each object keeps
+the best of its own starts, which ``sampling._draw_starts`` draws from the
+object's seed (this module holds no seeding code).  The one-object entry
+points are its calls with one object.  Both methods move a start only to a
+point where the objective is at least as large and report the objective at
+the vectors they return, so their values are attained: certified LOWER
+bounds on the true maximum.  A deterministic sphere-grid oracle is provided
+for certification at tiny sizes.
 """
 
 from dataclasses import dataclass
@@ -150,82 +152,83 @@ def _lockstep(step, state, max_iters):
 # ---------------------------------------------------------- general tensors
 
 
-def _sq_norms(x):
-    """Squared norm of each row of x (real or complex)."""
-    return np.add.reduce((x * np.conj(x)).real, axis=1)
-
-
 def _alternating(ts, which, tol):
     """Lockstep step of alternating maximization of |<T, x^1 (x) ... (x) x^d>|.
 
     ``ts`` are tensors of one shape and field and start s maximizes for
-    tensor ``ts[which[s]]``.  The state is one (S, n_j) array of unit rows
-    per mode, the objective (S,), -inf before the first round, and the size
-    of each start's last sweep move (S,), 0 before the first round.  A round
-    is a Gauss-Seidel sweep and then an extrapolation.  The sweep updates
-    each mode of every live start by the closed form below, which never
-    lowers the objective.  The tensors are laid out row-first and conjugated
-    once per call (``row_stack``), and a sweep gathers each live start's
-    tensor once.  Mode j needs T contracted with the new x_0 ... x_{j-1}
-    and the old x_{j+1} ... x_{d-1}, so the suffixes R_{j+1} = T x_{d-1}
-    ... x_{j+1} of the vectors from before the sweep come from one pass
-    (``contract_back``, d - 1 contractions), and mode j contracts R_{j+1}
-    with the new vectors from the front (``contract_front``): a sweep is
-    d (d - 1) / 2 + d - 1 batched matmuls (9 for d = 4).  A start stops
-    when its sweep gains at most ``tol`` (relative).
+    tensor ``ts[which[s]]``.  The state is one (S, n_0 + ... + n_{d-1})
+    array X over the field whose row s holds start s's unit vector of mode j
+    in column slice j, the objective (S,), -inf before the first round, and
+    the size of each start's last sweep move (S,), 0 before the first round.
+    A round is a Gauss-Seidel sweep and then an extrapolation.  The sweep
+    writes each mode's closed-form update below, which never lowers the
+    objective, into its slice of a new X.  The tensors are laid out
+    row-first and conjugated once per call (``row_stack``), and a sweep
+    gathers each live start's tensor once.  Mode j needs T contracted with
+    the new x_0 ... x_{j-1} and the old x_{j+1} ... x_{d-1}, so the suffixes
+    R_{j+1} = T x_{d-1} ... x_{j+1} of the old X come from one pass
+    (``contract_back``) and mode j contracts R_{j+1} with the new slices
+    from the front (``contract_front``): a sweep is d (d - 1) / 2 + d - 1
+    batched matmuls (9 for d = 4) on column views of X.  A start stops when
+    its sweep gains at most ``tol`` (relative).
 
     The sweeps converge linearly, so a start that goes on extrapolates along
-    the sweep's move dx_k = x_k(new) - x_k(old) of every mode: with the rate
-    rho = |dx| / |dx_prev| of its last two moves inside ``_RHO``, the trial
-    point y_k = unit(x_k + rho / (1 - rho) dx_k), the limit of a geometric
-    sequence of moves, is evaluated by contracting the start's tensor with
-    y (``contract_back``) and pairing the result with y_0.  The
-    start moves to y only if |<T, y>| beats the sweep's value, so the
-    objective never falls and every value is attained at the start's
-    vectors; the move size is then reset to 0, so the next round measures
-    a fresh rate before it jumps again.  On Gaussian tensors this takes a
-    third to a half of the rounds of the sweeps alone.
+    its move dX = X(new) - X(old): with the rate rho = |dX| / |dX_prev| of
+    its last two moves inside ``_RHO``, the trial point Y, X + rho / (1 -
+    rho) dX with each mode rescaled to norm 1 (the limit of a geometric
+    sequence of moves), is contracted with the start's tensor and paired
+    with y_0.  The start moves to Y only if |<T, Y>| beats the sweep's
+    value, so the objective never falls and every value is attained at the
+    start's vectors; the move size is then reset to 0, so the next round
+    measures a fresh rate before it jumps again.  This takes a third to a
+    half of the rounds of the sweeps alone on Gaussian tensors.  Moves and
+    norms are whole-row operations with one segmented sum over the modes
+    (``_Blocks``); a move's size adds the modes' squared sizes in mode order.
     """
     data = row_stack(ts)
     lo, hi = _RHO
+    ends = np.cumsum((0,) + data.shape[1:])
+    modes = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
+    seg = _Blocks(modes)
 
     def step(state, ids):
-        rows, prev, last = state[:-2], state[-2], state[-1]
-        old = list(rows)  # the sweep replaces the arrays of rows, never writes into them
+        x, prev, last = state
+        new = np.empty_like(x)
+        olds, news = [x[:, m] for m in modes], [new[:, m] for m in modes]
         cur = prev.copy()
         owner = which[ids]
         # R_{j+1}, the tensors contracted with the modes after j, from the
         # vectors before the sweep: the modes after j have not moved yet
-        for j, suffix in enumerate(contract_back(data[owner], rows[1:])):
-            v = contract_front(suffix, rows[:j])
-            nrm = np.sqrt(_sq_norms(v))
+        for j, suffix in enumerate(contract_back(data[owner], olds[1:])):
+            v = contract_front(suffix, news[:j])
+            nrm = np.sqrt(np.add.reduce((v * v.conj()).real, axis=1))
             # bilinear pairing sum_i v_i x_i is maximized in modulus
             # at x = conj(v) / |v|, with objective |v|
-            ok = nrm != 0.0
-            if ok.all():
-                rows[j], cur = np.conj(v) / nrm[:, np.newaxis], nrm
-            else:
-                rows[j] = rows[j].copy()
-                rows[j][ok] = np.conj(v[ok]) / nrm[ok, np.newaxis]
+            if nrm.all():
+                np.divide(v.conj(), nrm[:, np.newaxis], out=news[j])
+                cur = nrm
+            else:  # a start whose v vanishes keeps its vector
+                ok = nrm != 0.0
+                news[j][:] = olds[j]
+                news[j][ok] = v[ok].conj() / nrm[ok, np.newaxis]
                 cur[ok] = nrm[ok]
         done = cur - prev <= tol * np.maximum(1.0, np.abs(cur))
-        moves = [x - x0 for x, x0 in zip(rows, old)]
-        move = np.sqrt(sum(_sq_norms(m) for m in moves))
+        dx = new - x
+        move = np.sqrt(np.cumsum(seg.sums((dx * dx.conj()).real, spread=False), axis=1)[:, -1])
         rho = np.divide(move, last, out=np.zeros_like(move), where=last > 0.0)
         a = np.flatnonzero(~done & (rho > lo) & (rho < hi))
         if len(a):
             beta = (rho[a] / (1.0 - rho[a]))[:, np.newaxis]
             # |x + beta dx| >= (1 + beta) - beta = 1 for unit x, x_old
-            ys = [x[a] + beta * m[a] for x, m in zip(rows, moves)]
-            ys = [y / np.sqrt(_sq_norms(y))[:, np.newaxis] for y in ys]
-            trial = contract_back(data[owner[a]], ys[1:])[0]
-            val = np.abs(np.add.reduce(trial * ys[0], axis=1))
+            y = new[a] + beta * dx[a]
+            y /= np.sqrt(seg.sums((y * y.conj()).real))
+            trial = contract_back(data[owner[a]], [y[:, m] for m in modes[1:]])[0]
+            val = np.abs(np.add.reduce(trial * y[:, modes[0]], axis=1))
             up = val > cur[a]
             b = a[up]
-            for x, y in zip(rows, ys):
-                x[b] = y[up]
+            new[b] = y[up]
             cur[b], move[b] = val[up], 0.0
-        state[:] = rows + [cur, move]
+        state[:] = [new, cur, move]
         return done
 
     return step
@@ -378,12 +381,13 @@ class _Blocks:
             self.keep = np.concatenate([pos < n for n in sizes])
             self.slots = np.concatenate([np.minimum(b.start + pos, b.stop - 1) for b in blocks])
 
-    def sums(self, v):
-        """Each row's sum over each block, repeated on the block's columns."""
+    def sums(self, v, spread=True):
+        """Each row's sum over each block, repeated on the block's columns
+        (``spread``) or once per block."""
         if self.keep is not None:
             v = np.where(self.keep, np.take(v, self.slots, axis=1), 0.0)
         sums = v.reshape(-1, self.width).sum(axis=1).reshape(len(v), -1)
-        return np.take(sums, self.column_block, axis=1)
+        return np.take(sums, self.column_block, axis=1) if spread else sums
 
     def tangent(self, v, x):
         """v projected onto the tangent space at x, block by block."""
@@ -613,14 +617,14 @@ def spectral_value_many(objs, cfg, seeds):
     first, starts = objs[0], cfg.starts
     which = np.repeat(np.arange(len(objs)), starts)
     if isinstance(first, Tensor):
-        rows = _draw_starts(seeds, starts, first.shape, first.field)
+        x = np.hstack(_draw_starts(seeds, starts, first.shape, first.field))
         step = _alternating(objs, which, cfg.tol)
-        (*xs, values, _), iters, conv = _lockstep(
-            step, [*rows, np.full(len(which), -np.inf), np.zeros(len(which))], cfg.max_iters
+        (x, values, _), iters, conv = _lockstep(
+            step, [x, np.full(len(x), -np.inf), np.zeros(len(x))], cfg.max_iters
         )
 
         def maximizer(r):
-            return tuple(x[r] for x in xs)
+            return tuple(np.split(x[r], np.cumsum(first.shape)[:-1]))
 
     else:
         coeffs = np.stack([o.coeffs for o in objs])[which]

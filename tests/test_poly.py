@@ -172,6 +172,40 @@ def test_laplacian_oracle():
     assert np.linalg.norm(laplacian(h).coeffs) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_form_operations_accept_one_block_multi_forms(field):
+    # a one-block multi-form, built directly or read back from its
+    # ``multipoly`` text, is the form: laplacian, the symmetric tensor and
+    # (for real forms) the sphere L2 product give what the HomogPoly gives;
+    # a multi-form of two blocks is refused with a ShapeError naming (ns, ds)
+    from rankone.harmonic import l2_sphere_inner
+
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal(num_monomials(3, 3))
+    if field == COMPLEX:
+        coeffs = coeffs + 1j * rng.standard_normal(len(coeffs))
+    f = HomogPoly(3, 3, coeffs, field)
+    direct = MultiHomogPoly((3,), (3,), coeffs, field)
+    text = dump_poly(direct)
+    assert text.startswith("multipoly ns=3 ds=3")
+    read = load_poly(text)
+    assert type(read) is MultiHomogPoly
+    operations = [
+        lambda g: laplacian(g).coeffs,
+        lambda g: symmetric_tensor_from_poly(g).data,
+    ]
+    if field == REAL:
+        operations.append(lambda g: l2_sphere_inner(g, g))
+    for g in (direct, read):
+        assert (laplacian(g).ns, laplacian(g).ds) == ((3,), (1,))
+        for op in operations:
+            np.testing.assert_array_equal(op(g), op(f))
+    two = MultiHomogPoly((2, 2), (1, 2), rng.standard_normal(6), REAL)
+    for op in operations + [lambda g: l2_sphere_inner(two, g)]:
+        with pytest.raises(ShapeError, match=r"\(ns, ds\) = \(\(2, 2\), \(1, 2\)\)"):
+            op(two)
+
+
 def test_tensor_poly_dictionary_round_trip():
     rng = np.random.default_rng(3)
     for field in (REAL, COMPLEX):

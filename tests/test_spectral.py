@@ -30,6 +30,7 @@ from rankone.spectral import (
     spectral_value_many,
     sphere_grid,
     total_norm,
+    _RHO,
     _alternating,
     _Blocks,
     _CircleSearch,
@@ -37,7 +38,17 @@ from rankone.spectral import (
     _pga_sphere,
     _realified_objective,
 )
-from rankone.tensor import COMPLEX, REAL, FieldError, Tensor, UnitVectorTuple, rank_one
+from rankone.tensor import (
+    COMPLEX,
+    REAL,
+    FieldError,
+    Tensor,
+    UnitVectorTuple,
+    contract_back,
+    contract_front,
+    rank_one,
+    row_stack,
+)
 
 CFG = MaximizerConfig(starts=8, max_iters=500, seed=0)
 
@@ -268,14 +279,71 @@ def _unit_rows(rng, count, shape, field):
     return rows
 
 
-def _alternate(t, x0, max_iters):
-    """Alternating maximization from every row of x0: (xs, objective, iterations, converged)."""
-    rows = [np.array(x) for x in x0]
-    which = np.zeros(len(rows[0]), dtype=int)
-    step = _alternating([t], which, 1e-12)
+def _split_modes(x, shape):
+    """The per-mode (S, n_j) arrays of packed rows x (S, sum(shape))."""
+    return np.split(x, np.cumsum(shape)[:-1], axis=1)
+
+
+def _alternate(t, x0, max_iters, method=_alternating):
+    """Alternating maximization from every row of the per-mode arrays x0:
+    (xs, objective, iterations, converged), xs per mode.  The packed step
+    runs on the rows of x0 side by side, ``_per_mode_alternating`` on x0."""
+    which = np.zeros(len(x0[0]), dtype=int)
+    step = method([t], which, 1e-12)
+    rows = [np.hstack(x0)] if method is _alternating else [np.array(x) for x in x0]
     state = [*rows, np.full(len(which), -np.inf), np.zeros(len(which))]
     (*xs, obj, _), iters, conv = _lockstep(step, state, max_iters)
+    if method is _alternating:
+        xs = _split_modes(xs[0], t.shape)
     return xs, obj, iters, conv
+
+
+def _per_mode_alternating(ts, which, tol):
+    """The alternating step with one (S, n_j) array per mode in its state
+    (``[*xs, value, move]``), each move, norm and trial point a loop over
+    the modes: the reference the packed ``_alternating`` must reproduce."""
+
+    def sq_norms(x):
+        return np.add.reduce((x * np.conj(x)).real, axis=1)
+
+    data = row_stack(ts)
+    lo, hi = _RHO
+
+    def step(state, ids):
+        rows, prev, last = state[:-2], state[-2], state[-1]
+        old = list(rows)
+        cur = prev.copy()
+        owner = which[ids]
+        for j, suffix in enumerate(contract_back(data[owner], rows[1:])):
+            v = contract_front(suffix, rows[:j])
+            nrm = np.sqrt(sq_norms(v))
+            ok = nrm != 0.0
+            if ok.all():
+                rows[j], cur = np.conj(v) / nrm[:, np.newaxis], nrm
+            else:
+                rows[j] = rows[j].copy()
+                rows[j][ok] = np.conj(v[ok]) / nrm[ok, np.newaxis]
+                cur[ok] = nrm[ok]
+        done = cur - prev <= tol * np.maximum(1.0, np.abs(cur))
+        moves = [x - x0 for x, x0 in zip(rows, old)]
+        move = np.sqrt(sum(sq_norms(m) for m in moves))
+        rho = np.divide(move, last, out=np.zeros_like(move), where=last > 0.0)
+        a = np.flatnonzero(~done & (rho > lo) & (rho < hi))
+        if len(a):
+            beta = (rho[a] / (1.0 - rho[a]))[:, np.newaxis]
+            ys = [x[a] + beta * m[a] for x, m in zip(rows, moves)]
+            ys = [y / np.sqrt(sq_norms(y))[:, np.newaxis] for y in ys]
+            trial = contract_back(data[owner[a]], ys[1:])[0]
+            val = np.abs(np.add.reduce(trial * ys[0], axis=1))
+            up = val > cur[a]
+            b = a[up]
+            for x, y in zip(rows, ys):
+                x[b] = y[up]
+            cur[b], move[b] = val[up], 0.0
+        state[:] = rows + [cur, move]
+        return done
+
+    return step
 
 
 def test_lockstep_driver_retires_each_start_at_its_round():
@@ -424,10 +492,10 @@ def test_extrapolated_rounds_are_monotone_and_attained(monkeypatch, shape, field
                 history[s].append(value)
             return done
 
-        state = [*(x.copy() for x in x0), np.full(12, -np.inf), np.zeros(12)]
-        (*xs, obj, _), iters, conv = _lockstep(recorded, state, 500)
+        state = [np.hstack(x0), np.full(12, -np.inf), np.zeros(12)]
+        (x, obj, _), iters, conv = _lockstep(recorded, state, 500)
         assert conv.all()
-        return xs, obj, iters, history
+        return _split_modes(x, shape), obj, iters, history
 
     xs, obj, iters, history = run()
     for s, values in enumerate(history):
@@ -438,6 +506,57 @@ def test_extrapolated_rounds_are_monotone_and_attained(monkeypatch, shape, field
     monkeypatch.setattr("rankone.spectral._RHO", (1.0, 1.0))
     *_, plain, _ = run()
     assert iters.sum() < plain.sum()
+
+
+def _alternate_both_ways(t, x0, max_iters):
+    """The packed step's run from x0, checked against the per-mode step's:
+    the same values, vectors, iteration counts and flags."""
+    xs, obj, iters, conv = _alternate(t, x0, max_iters)
+    ref_xs, ref_obj, ref_iters, ref_conv = _alternate(t, x0, max_iters, _per_mode_alternating)
+    np.testing.assert_allclose(obj, ref_obj, rtol=1e-12)
+    for x, ref_x in zip(xs, ref_xs):
+        np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(iters, ref_iters)
+    np.testing.assert_array_equal(conv, ref_conv)
+    return xs, obj, iters, conv
+
+
+@pytest.mark.parametrize(
+    "shape, field",
+    [((3, 3, 3), REAL), ((2, 3, 4), REAL), ((4, 4, 4, 4), COMPLEX), ((3, 2, 2, 3), COMPLEX)],
+)
+def test_packed_sweeps_match_the_per_mode_steps(shape, field):
+    # one packed row per start must give what one array per mode gave, also
+    # for starts cut off unconverged; (2, 3, 4) pads the modes' segmented sums
+    t = gaussian_tensor(shape, field, 18)
+    x0 = _unit_rows(np.random.default_rng(6), 12, shape, field)
+    for max_iters in (400, 4):
+        *_, conv = _alternate_both_ways(t, x0, max_iters)
+        assert conv.all() == (max_iters == 400)
+
+
+def test_packed_sweep_keeps_the_vector_of_a_vanishing_contraction():
+    # T = e_1 (x) e_1 (x) e_1: a start whose x_2 is orthogonal to e_1 has
+    # v = 0 for mode 1 in the first sweep and must keep its x_1; one whose
+    # x_2 and x_3 are both orthogonal to e_1 has v = 0 for every mode and
+    # never moves
+    e = np.zeros((3, 3, 3))
+    e[0, 0, 0] = 1.0
+    t = Tensor(e, REAL)
+    x0 = _unit_rows(np.random.default_rng(7), 4, (3, 3, 3), REAL)
+    for s, modes in ((1, (1,)), (2, (1, 2))):
+        for j in modes:
+            x0[j][s, 0] = 0.0
+            x0[j][s] /= np.linalg.norm(x0[j][s])
+    with np.errstate(invalid="ignore"):  # the stuck start's gain is -inf - (-inf)
+        first, obj1, *_ = _alternate_both_ways(t, x0, 1)
+        xs, obj, _, conv = _alternate_both_ways(t, x0, 50)
+    assert first[0][1].tobytes() == x0[0][1].tobytes()
+    assert xs[0][1].tobytes() != x0[0][1].tobytes()  # later sweeps moved it
+    for x, start in zip(xs, x0):
+        assert x[2].tobytes() == start[2].tobytes()
+    assert obj1[2] == -np.inf and obj[2] == -np.inf and not conv[2]
+    assert obj[[0, 1, 3]] == pytest.approx(1.0, rel=1e-12) and conv[[0, 1, 3]].all()
 
 
 def test_extrapolation_keeps_the_sweep_values():

@@ -145,6 +145,34 @@ def test_contraction_rows_do_not_depend_on_the_batch(shape, field):
                 np.testing.assert_array_equal(a[s], b[0])
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 4), (4, 4, 4, 4), (3, 2, 2, 3)])
+def test_contractions_of_column_views_equal_contiguous_copies(shape, field):
+    # the alternating method keeps every mode of a start in one packed row
+    # and contracts the column views of it as they are: each partial result
+    # must equal the one of contiguous copies bit for bit
+    rng = np.random.default_rng(len(shape) + sum(shape))
+
+    def draw(*size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if field == COMPLEX else x
+
+    stack = row_stack([Tensor(draw(*shape), field) for _ in range(3)])
+    ends = np.cumsum((0,) + shape)
+    for size in (7, 96):
+        which = np.arange(size) % len(stack)
+        packed = draw(size, ends[-1])
+        views = [packed[:, a:b] for a, b in zip(ends[:-1], ends[1:])]
+        copies = [np.ascontiguousarray(v) for v in views]
+        assert not any(v.flags.c_contiguous for v in views)
+        back_v = contract_back(stack[which], views[1:])
+        back_c = contract_back(stack[which], copies[1:])
+        for j, (rv, rc) in enumerate(zip(back_v, back_c)):
+            assert rv.tobytes() == rc.tobytes()
+            front_v, front_c = contract_front(rv, views[:j]), contract_front(rc, copies[:j])
+            assert front_v.tobytes() == front_c.tobytes()
+
+
 def test_symmetrize_and_check():
     rng = np.random.default_rng(3)
     t = Tensor(rng.standard_normal((3, 3, 3)), REAL)
