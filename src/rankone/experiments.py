@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -228,6 +227,14 @@ def _ratio_with_flag(obj, cfg):
     res = spectral_value(obj, cfg)
     total = total_norm(obj)
     return res.value / total, bool(res.converged)
+
+
+def ProcessPoolExecutor(max_workers):  # noqa: N802  the name of the pool it returns
+    """``concurrent.futures.ProcessPoolExecutor(max_workers)``, imported on
+    the first call, so a run with one worker never loads the pool's module."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):

@@ -15,8 +15,9 @@ batch.  One driver (``_lockstep``) keeps the live starts, their iteration
 counts and convergence flags, and each round calls the method's step.  Both
 methods keep each start's point as one row, its modes or blocks as column
 slices, so moves, norms and trial points are whole-row operations with one
-segmented sum over the slices (``_Blocks``).  The alternating method
-gathers every live start's tensor once per sweep from a row-first stack,
+segmented sum over the slices (``_Blocks``); the ascent packs the rest of a
+start's state into the same row.  The alternating method gathers the live
+starts' tensors from a row-first stack once per change of the live set,
 shares the suffix contractions between the modes of the sweep and runs each
 contraction as one batched matmul over the starts; the ascent searches the
 circles of every live start with one batched evaluation.  Each object keeps
@@ -36,6 +37,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import (  # noqa: F401  perfbench's tracer test looks up spectral.evaluate_poly
     evaluate_poly,
     evaluate_poly_many,
@@ -118,12 +120,15 @@ def _pick_best(values):
 def _lockstep(step, state, max_iters):
     """Run every start for up to ``max_iters`` rounds, all in lockstep.
 
-    ``state`` is a list of arrays whose rows are the starts.  Each round
-    calls ``step(live, ids)``: ``live`` is the list of the state rows of the
+    ``state`` is a list of arrays whose rows are the starts (the ascent's is
+    one packed array, the alternating method's three).  Each round calls
+    ``step(live, ids)``: ``live`` is the list of the state rows of the
     starts still running, ``ids`` their start indices; the step advances
     them, in place or by replacing entries of the list, and returns a mask
     of the starts that stop (converged).  Only in a round where some start
-    stops are its rows written back to ``state`` and dropped from ``live``.
+    stops are its rows written back to ``state`` and dropped from ``live``,
+    and ``ids`` replaced: between such rounds the step gets the same ``ids``
+    object, so it may keep what it derives from them.
 
     Returns (state, iterations, converged), one row or entry per start.
     """
@@ -162,15 +167,18 @@ def _alternating(ts, which, tol):
     the size of each start's last sweep move (S,), 0 before the first round.
     A round is a Gauss-Seidel sweep and then an extrapolation.  The sweep
     writes each mode's closed-form update below, which never lowers the
-    objective, into its slice of a new X.  The tensors are laid out
-    row-first and conjugated once per call (``row_stack``), and a sweep
-    gathers each live start's tensor once.  Mode j needs T contracted with
-    the new x_0 ... x_{j-1} and the old x_{j+1} ... x_{d-1}, so the suffixes
-    R_{j+1} = T x_{d-1} ... x_{j+1} of the old X come from one pass
-    (``contract_back``) and mode j contracts R_{j+1} with the new slices
-    from the front (``contract_front``): a sweep is d (d - 1) / 2 + d - 1
-    batched matmuls (9 for d = 4) on column views of X.  A start stops when
-    its sweep gains at most ``tol`` (relative).
+    objective, into its slice of a new X; a start whose every contraction
+    vanishes keeps its vectors, where it attains 0, and stops in its second
+    sweep.  The tensors are laid out row-first and conjugated once per call
+    (``row_stack``), and the live starts' tensors are gathered once and kept
+    while ``ids`` is the same object, i.e. until a start retires; the
+    extrapolation's trial points take theirs from the same stack.  Mode j
+    needs T contracted with the new x_0 ... x_{j-1} and the old x_{j+1} ...
+    x_{d-1}, so the suffixes R_{j+1} = T x_{d-1} ... x_{j+1} of the old X
+    come from one pass (``contract_back``) and mode j contracts R_{j+1} with
+    the new slices from the front (``contract_front``): a sweep is d (d - 1)
+    / 2 + d - 1 batched matmuls (9 for d = 4) on column views of X.  A start
+    stops when its sweep gains at most ``tol`` (relative).
 
     The sweeps converge linearly, so a start that goes on extrapolates along
     its move dX = X(new) - X(old): with the rate rho = |dX| / |dX_prev| of
@@ -191,15 +199,20 @@ def _alternating(ts, which, tol):
     modes = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
     seg = _Blocks(modes)
 
+    held = [None, None]  # the last ids and their gathered tensors
+
     def step(state, ids):
         x, prev, last = state
         new = np.empty_like(x)
         olds, news = [x[:, m] for m in modes], [new[:, m] for m in modes]
-        cur = prev.copy()
-        owner = which[ids]
+        # a start whose every contraction vanishes attains 0 (not -inf)
+        cur = np.maximum(prev, 0.0)
+        if ids is not held[0]:
+            held[:] = ids, data[which[ids]]
+        stack = held[1]
         # R_{j+1}, the tensors contracted with the modes after j, from the
         # vectors before the sweep: the modes after j have not moved yet
-        for j, suffix in enumerate(contract_back(data[owner], olds[1:])):
+        for j, suffix in enumerate(contract_back(stack, olds[1:])):
             v = contract_front(suffix, news[:j])
             nrm = np.sqrt(np.add.reduce((v * v.conj()).real, axis=1))
             # bilinear pairing sum_i v_i x_i is maximized in modulus
@@ -222,7 +235,7 @@ def _alternating(ts, which, tol):
             # |x + beta dx| >= (1 + beta) - beta = 1 for unit x, x_old
             y = new[a] + beta * dx[a]
             y /= np.sqrt(seg.sums((y * y.conj()).real))
-            trial = contract_back(data[owner[a]], [y[:, m] for m in modes[1:]])[0]
+            trial = contract_back(stack[a], [y[:, m] for m in modes[1:]])[0]
             val = np.abs(np.add.reduce(trial * y[:, modes[0]], axis=1))
             up = val > cur[a]
             b = a[up]
@@ -245,23 +258,26 @@ def _realified_objective(coeffs, expo, ns, field):
     of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
     the slices of y that each lie on a unit sphere and ``degree`` is the total
     degree of f.  ``coeffs`` holds one coefficient row per start.
-    ``value(ys, ids)`` and ``value_and_grad(ys, ids)`` take a batch of
-    points, one per row, and the start ids of the rows.  ``value`` returns f
-    itself (complex for a complex field); ``value_and_grad`` returns f, |f|^2
-    and the gradient of |f|^2, all from one fused kernel call.
-    ``unpack(y)`` returns the per-block vectors over the field of one point.
+    ``value(ys, ids, group=1)`` and ``value_and_grad(ys, ids)`` take a batch
+    of points, one per row, and the start ids of the rows (with ``group``,
+    of each run of ``group`` rows).  ``value`` returns f itself (complex for
+    a complex field); ``value_and_grad`` returns f, |f|^2 and the gradient of
+    |f|^2, all from one fused kernel call.  The kernels' factor index is
+    built once here for every call.  ``unpack(y)`` returns the per-block
+    vectors over the field of one point.
     """
     k = 2 if field == COMPLEX else 1
     offsets = np.cumsum((0,) + tuple(k * n for n in ns))
     blocks = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
     degree = int(expo[0].sum())
+    index = _kernels._factor_index(expo, expo.shape[1], True)
     if field == REAL:
 
-        def value(ys, ids):
-            return evaluate_poly_many(coeffs[ids], expo, ys)
+        def value(ys, ids, group=1):
+            return evaluate_poly_many(coeffs[ids], expo, ys, group=group, index=index)
 
         def value_and_grad(ys, ids):
-            v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys)
+            v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys, index=index)
             return v, v * v, 2.0 * v[:, np.newaxis] * g
 
         def unpack(y):
@@ -270,15 +286,19 @@ def _realified_objective(coeffs, expo, ns, field):
         return blocks, degree, value, value_and_grad, unpack
 
     ccoeffs = coeffs.astype(np.complex128)
-    re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
-    im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
+    if len(ns) == 1:
+        re, im = slice(0, ns[0]), slice(ns[0], 2 * ns[0])
+    else:
+        re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
+        im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
-    def value(ys, ids):
-        return evaluate_poly_many(ccoeffs[ids], expo, ys[:, re] + 1j * ys[:, im])
+    def value(ys, ids, group=1):
+        z = ys[:, re] + 1j * ys[:, im]
+        return evaluate_poly_many(ccoeffs[ids], expo, z, group=group, index=index)
 
     def value_and_grad(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
-        v, gv = value_and_gradient_poly_many(ccoeffs[ids], expo, z)
+        v, gv = value_and_gradient_poly_many(ccoeffs[ids], expo, z, index=index)
         gz = np.conj(v)[:, np.newaxis] * gv
         g = np.empty(ys.shape)
         g[:, re] = 2.0 * gz.real
@@ -314,14 +334,15 @@ class _CircleSearch:
     def samples(self, x, u, fx, ids, value):
         """f at the D+1 angles s_j = pi j / (D+1) of each row's great circle
         cos(t) x + sin(t) u, shape (L, D+1).  s_0 = 0 is x itself, whose
-        value ``fx`` is known; the other D angles are one batched evaluation.
+        value ``fx`` is known; the other D angles are one batched evaluation,
+        in which the D points of a row share its start's coefficient row.
         The points are not renormalised: f along them is a binary form of
         degree D in (cos t, sin t) whatever x and u are."""
         (rows, dim), d = x.shape, len(self.cos)
         y = self.cos * x[:, np.newaxis] + self.sin * u[:, np.newaxis]
         samples = np.empty((rows, d + 1), dtype=fx.dtype)
         samples[:, 0] = fx
-        samples[:, 1:] = value(y.reshape(-1, dim), np.repeat(ids, d)).reshape(rows, d)
+        samples[:, 1:] = value(y.reshape(-1, dim), ids, group=d).reshape(rows, d)
         return samples
 
     def interpolant(self, samples):
@@ -369,10 +390,12 @@ class _Blocks:
     block adds its entries in the order a sum over its own columns does.
     Blocks of unequal sizes are first padded with zeros to the largest size,
     ``width``; a padded block of fewer than 8 entries in a width of 8 or more
-    then adds them pairwise, which differs in rounding."""
+    then adds them pairwise, which differs in rounding.  One block is a
+    plain row sum."""
 
     def __init__(self, blocks):
         sizes = [b.stop - b.start for b in blocks]
+        self.one = len(blocks) == 1
         self.width = max(sizes)
         self.column_block = np.repeat(np.arange(len(blocks)), sizes)
         self.keep = self.slots = None
@@ -383,7 +406,10 @@ class _Blocks:
 
     def sums(self, v, spread=True):
         """Each row's sum over each block, repeated on the block's columns
-        (``spread``) or once per block."""
+        (``spread``) or once per block; for one block, one column (L, 1)
+        either way, which broadcasts over the columns."""
+        if self.one:
+            return np.add.reduce(v, axis=1, keepdims=True)
         if self.keep is not None:
             v = np.where(self.keep, np.take(v, self.slots, axis=1), 0.0)
         sums = v.reshape(-1, self.width).sum(axis=1).reshape(len(v), -1)
@@ -402,21 +428,28 @@ class _Blocks:
 def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     """Lockstep step of an ascent of |f|^2 on a product of unit spheres; monotone.
 
-    The state is the points x (S, dim), one per start, f and |f|^2 there, the
-    gradient of |f|^2, a count of small gains in a row, and the search
+    Returns (start, step).  ``start(x)`` evaluates f, |f|^2 and its gradient
+    at the points x (S, dim), one per start, and returns the initial state:
+    one packed float array P (S, 4 dim + 2 + k), one row per start, whose
+    column slices are the point x (``P[:, :dim]``), |f|^2 there (column
+    dim), a count of small gains in a row, the gradient of |f|^2, the search
     direction and projected gradient of the round that last moved the start
-    (0 before the first).  Each round searches along a Polak-Ribiere+
-    conjugate direction (Absil, Mahony & Sepulchre 2008, section 8.3):
-    d = g + beta P(d_prev), with g the projected gradient, P the projection
-    onto the tangent space at x (block by block, the vector transport) and
-    beta = max(0, <g, g - P(g_prev)> / |g_prev|^2); d = g when <d, g> <= 0.
-    Reusing the previous direction stops the zigzag of steepest ascent, which
-    took several times as many rounds on complex forms.  The round turns
-    every block b by one angle t toward its unit direction u_b = d_b / |d_b|,
-    along y(t) = cos(t) x + sin(t) u.  On that curve f is a binary form of
-    degree D = ``degree`` in (cos t, sin t), sum_m b_m e^{i(2m-D)t}, so its
-    values at D+1 angles fix it exactly: the one at t = 0 is the f(x) the
-    state carries, the other D are one batched evaluation, and the FFTs of
+    (0 before the first) and f (its re and im parts for a complex field, k =
+    2; else k = 1).  A round gathers its searching rows once, merges the
+    improved ones with one ``np.where`` and scatters them back once.
+
+    Each round searches along a Polak-Ribiere+ conjugate direction (Absil,
+    Mahony & Sepulchre 2008, section 8.3): d = g + beta P(d_prev), with g the
+    projected gradient, P the projection onto the tangent space at x (block
+    by block, the vector transport) and beta = max(0, <g, g - P(g_prev)> /
+    |g_prev|^2); d = g when <d, g> <= 0.  Reusing the previous direction
+    stops the zigzag of steepest ascent, which took several times as many
+    rounds on complex forms.  The round turns every block b by one angle t
+    toward its unit direction u_b = d_b / |d_b|, along y(t) = cos(t) x +
+    sin(t) u.  On that curve f is a binary form of degree D = ``degree`` in
+    (cos t, sin t), sum_m b_m e^{i(2m-D)t}, so its values at D+1 angles fix
+    it exactly: the one at t = 0 is the f(x) the state carries, the other D
+    are one batched evaluation, and the FFTs of
     ``_CircleSearch.interpolant`` turn them into |f|^2 along the whole
     curve.  Its maximum comes from a fine zero-padded grid, a parabola and
     Newton steps; the point there is renormalised block by block, f, |f|^2
@@ -431,7 +464,8 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     small improvements in a row.
 
     A round's circle samples and its evaluation at the chosen angles are one
-    batched call each over the live starts that search.  ``value`` and
+    batched call each over the live starts that search; the samples of a
+    start share its coefficient row (``value``'s ``group``).  ``value`` and
     ``value_and_grad`` receive the start ids of the rows they evaluate.  The
     block-wise projections and normalisations are one segmented sum each
     (``_Blocks``) and the circle search's constants are built once per run
@@ -439,40 +473,55 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     beyond float rounding, so each start ends where it would alone.
     """
     circles, seg = _CircleSearch(degree), _Blocks(blocks)
+    dim = blocks[-1].stop
+    obj, stalls = dim, dim + 1
+    grad, d_prev, g_prev = (slice(a, a + dim) for a in range(dim + 2, 4 * dim + 2, dim))
+    f = slice(4 * dim + 2, None)
+
+    def start(x):
+        fx, o, gr = value_and_grad(x, np.arange(len(x)))
+        fx = fx.view(np.float64).reshape(len(x), -1)
+        p = np.zeros((len(x), f.start + fx.shape[1]))
+        p[:, :dim], p[:, obj], p[:, grad], p[:, f] = x, o, gr, fx
+        return [p]
 
     def step(state, ids):
-        x, fx, obj, grad, stalls, d_prev, g_prev = state
-        g = seg.tangent(grad, x)
-        flat = np.sqrt(np.add.reduce(g * g, axis=1)) <= 1e-15 * np.maximum(1.0, np.abs(obj))
+        (p,) = state
+        g = seg.tangent(p[:, grad], p[:, :dim])
+        flat = np.sqrt(np.add.reduce(g * g, axis=1)) <= 1e-15 * np.maximum(1.0, np.abs(p[:, obj]))
         if flat.all():
             return flat
         rows = np.flatnonzero(~flat)
-        xl, ol, g, gp, ids = x[rows], obj[rows], g[rows], g_prev[rows], ids[rows]
+        q, g, ids = p[rows], g[rows], ids[rows]
+        xl, ol, gp, fq = q[:, :dim], q[:, obj], q[:, g_prev], q[:, f]
+        fx = fq[:, 0] if fq.shape[1] == 1 else fq.view(np.complex128)[:, 0]
         # Polak-Ribiere+ with transport by projection; beta = 0 on the first
         # round, where the previous gradient is 0
         num = (g * (g - seg.tangent(gp, xl))).sum(axis=1)
         den = (gp * gp).sum(axis=1)
         beta = np.divide(num, den, out=np.zeros(len(rows)), where=den > 0.0)
-        d = g + np.maximum(beta, 0.0)[:, np.newaxis] * seg.tangent(d_prev[rows], xl)
+        d = g + np.maximum(beta, 0.0)[:, np.newaxis] * seg.tangent(q[:, d_prev], xl)
         uphill = (d * g).sum(axis=1) > 0.0
         d[~uphill] = g[~uphill]
         # near convergence the radial part of the gradient dominates, so the
         # projection leaves rounding error along x_b; remove it again
         u = seg.tangent(seg.unit(d), xl)
-        t = circles.argmax(circles.interpolant(circles.samples(xl, u, fx[rows], ids, value)))
+        t = circles.argmax(circles.interpolant(circles.samples(xl, u, fx, ids, value)))
         y = seg.unit(np.cos(t)[:, np.newaxis] * xl + np.sin(t)[:, np.newaxis] * u)
         fy, oy, gy = value_and_grad(y, ids)
+        new = np.empty_like(q)
+        new[:, :dim], new[:, obj], new[:, grad], new[:, d_prev], new[:, g_prev] = y, oy, gy, d, g
+        new[:, f] = fy.view(np.float64).reshape(len(rows), -1)
         improved = oy > ol
-        moved = rows[improved]
-        x[moved], fx[moved], obj[moved] = y[improved], fy[improved], oy[improved]
-        grad[moved], d_prev[moved], g_prev[moved] = gy[improved], d[improved], g[improved]
         after = np.where(improved, oy, ol)
-        streak = np.where(after - ol <= tol * np.maximum(1.0, after), stalls[rows] + 1, 0)
-        stalls[rows] = streak
-        flat[rows] = ~improved | (streak >= 2)
+        streak = np.where(after - ol <= tol * np.maximum(1.0, after), q[:, stalls] + 1.0, 0.0)
+        q = np.where(improved[:, np.newaxis], new, q)
+        q[:, stalls] = streak
+        p[rows] = q
+        flat[rows] = ~improved | (streak >= 2.0)
         return flat
 
-    return step
+    return start, step
 
 
 def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=None):
@@ -632,17 +681,13 @@ def spectral_value_many(objs, cfg, seeds):
             coeffs, first.exponents, first.ns, first.field
         )
         x = np.hstack(_draw_starts(seeds, starts, [b.stop - b.start for b in blocks], REAL))
-        fx, obj, grad = value_and_grad(x, np.arange(len(x)))
-        step = _pga_sphere(blocks, degree, value, value_and_grad, cfg.tol)
-        (x, _, obj, *_), iters, conv = _lockstep(
-            step,
-            [x, fx, obj, grad, np.zeros(len(x), dtype=int), np.zeros_like(x), np.zeros_like(x)],
-            cfg.max_iters,
-        )
-        values = np.sqrt(obj)
+        start, step = _pga_sphere(blocks, degree, value, value_and_grad, cfg.tol)
+        (p,), iters, conv = _lockstep(step, start(x), cfg.max_iters)
+        dim = x.shape[1]
+        values = np.sqrt(p[:, dim])
 
         def maximizer(r):
-            return unpack(x[r])
+            return unpack(p[r, :dim])
 
     results = []
     for a in range(0, len(which), starts):

@@ -248,6 +248,24 @@ def test_cli_import_loads_no_scipy():
         assert proc.stdout.strip() == "0 []", argv
 
 
+def test_one_worker_runs_load_no_process_pool():
+    # concurrent.futures.process is imported only by a run with two or more
+    # workers (20 samples are two tasks): not by the import, nor by a
+    # one-worker verification
+    code = (
+        "import contextlib, io, sys\n"
+        "from rankone.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    verify = ["verify", "--model", "kostlan", "--d", "4", "--n", "2", "--samples", "20", "--seed", "1"]
+    for argv, loaded in (([], False), ([*verify, "--workers", "1"], False), ([*verify, "--workers", "2"], True)):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"0 {loaded}", argv
+
+
 @pytest.mark.parametrize(
     "text, argv",
     [

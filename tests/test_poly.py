@@ -453,9 +453,9 @@ def test_row_blocks_match_one_block_calls(monkeypatch, field, shared):
     one_pass = value_and_gradient_poly_many(c, expo, xs)
     blocks, block_sums = [], _kernels._block_sums
 
-    def counted(c, e, xs, grad):
+    def counted(c, e, xs, *rest):
         blocks.append(len(xs))
-        return block_sums(c, e, xs, grad)
+        return block_sums(c, e, xs, *rest)
 
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)  # blocks of _MIN_BLOCK_ROWS rows
     monkeypatch.setattr(_kernels, "_block_sums", counted)
@@ -470,3 +470,59 @@ def test_row_blocks_match_one_block_calls(monkeypatch, field, shared):
     if field == REAL:  # real rows do not depend on the batch at all
         np.testing.assert_array_equal(v, one_pass[0])
         np.testing.assert_array_equal(g, one_pass[1])
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "row-blocks"])
+def test_grouped_points_match_repeated_coefficient_rows(monkeypatch, field, blocks):
+    # with group g, coefficient row k serves points k g ... k g + g - 1: the
+    # same products and sums as the row repeated g times, also when the
+    # evaluation runs in row blocks (of 16 rows, cut to a multiple of g)
+    rng = np.random.default_rng(12)
+    expo = monomial_exponents(5, 3)
+    starts, g = 11, 6
+    c = rng.standard_normal((starts, len(expo)))
+    xs = rng.standard_normal((starts * g, 3))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.shape)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    if blocks:
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
+    repeated = np.repeat(c, g, axis=0)
+    v = evaluate_poly_many(c, expo, xs, group=g)
+    assert v.tobytes() == evaluate_poly_many(repeated, expo, xs).tobytes()
+    # a shared coefficient vector ignores the grouping
+    shared = evaluate_poly_many(c[0], expo, xs, group=g)
+    assert shared.tobytes() == evaluate_poly_many(c[0], expo, xs).tobytes()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_evaluation_row_blocks_match_the_one_pass_call(monkeypatch, field):
+    # an evaluation sizes its row blocks on its (N, rows) monomials, not on
+    # a gradient's (n, N, rows) terms: 200 rows of a 28-monomial cubic are
+    # one pass (a gradient takes 2 or 3 blocks), and 13 blocks when the
+    # budget is cut; every row is the same
+    rng = np.random.default_rng(13)
+    expo = monomial_exponents(6, 3)
+    c = rng.standard_normal((200, len(expo)))
+    xs = rng.standard_normal((200, 3))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.shape)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    blocks, block_sums = [], _kernels._block_sums
+
+    def counted(c, e, xs, *rest):
+        blocks.append(len(xs))
+        return block_sums(c, e, xs, *rest)
+
+    monkeypatch.setattr(_kernels, "_block_sums", counted)
+    one_pass = evaluate_poly_many(c, expo, xs)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
+    v = evaluate_poly_many(c, expo, xs)
+    assert blocks == [200] + [16] * 12 + [8]
+    if field == REAL:
+        assert v.tobytes() == one_pass.tobytes()
+    else:  # vectorized complex products may round differently in the last bit
+        np.testing.assert_allclose(v, one_pass, rtol=1e-13, atol=0)
+    parts = [evaluate_poly_many(c[a : a + 16], expo, xs[a : a + 16]) for a in range(0, 200, 16)]
+    assert v.tobytes() == np.concatenate(parts).tobytes()

@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rankone import _kernels
 from rankone.bounds import DomainError, bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
 from rankone.poly import (
@@ -260,12 +262,10 @@ def test_bad_seeds_are_refused(seed):
 
 def _ascend(blocks, degree, value, value_and_grad, x0, max_iters):
     """The sphere ascent from every row of x0: (x, |f|^2, iterations, converged)."""
-    x = np.array(x0, dtype=float)
-    fx, obj, grad = value_and_grad(x, np.arange(len(x)))
-    step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
-    state = [x, fx, obj, grad, np.zeros(len(x), dtype=int), np.zeros_like(x), np.zeros_like(x)]
-    (x, _, obj, *_), iters, conv = _lockstep(step, state, max_iters)
-    return x, obj, iters, conv
+    start, step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
+    (p,), iters, conv = _lockstep(step, start(np.array(x0, dtype=float)), max_iters)
+    dim = blocks[-1].stop
+    return p[:, :dim], p[:, dim], iters, conv
 
 
 def _unit_rows(rng, count, shape, field):
@@ -312,7 +312,7 @@ def _per_mode_alternating(ts, which, tol):
     def step(state, ids):
         rows, prev, last = state[:-2], state[-2], state[-1]
         old = list(rows)
-        cur = prev.copy()
+        cur = np.maximum(prev, 0.0)
         owner = which[ids]
         for j, suffix in enumerate(contract_back(data[owner], rows[1:])):
             v = contract_front(suffix, rows[:j])
@@ -538,8 +538,8 @@ def test_packed_sweeps_match_the_per_mode_steps(shape, field):
 def test_packed_sweep_keeps_the_vector_of_a_vanishing_contraction():
     # T = e_1 (x) e_1 (x) e_1: a start whose x_2 is orthogonal to e_1 has
     # v = 0 for mode 1 in the first sweep and must keep its x_1; one whose
-    # x_2 and x_3 are both orthogonal to e_1 has v = 0 for every mode and
-    # never moves
+    # x_2 and x_3 are both orthogonal to e_1 has v = 0 for every mode, never
+    # moves, attains 0 and stops in the second sweep
     e = np.zeros((3, 3, 3))
     e[0, 0, 0] = 1.0
     t = Tensor(e, REAL)
@@ -548,15 +548,33 @@ def test_packed_sweep_keeps_the_vector_of_a_vanishing_contraction():
         for j in modes:
             x0[j][s, 0] = 0.0
             x0[j][s] /= np.linalg.norm(x0[j][s])
-    with np.errstate(invalid="ignore"):  # the stuck start's gain is -inf - (-inf)
-        first, obj1, *_ = _alternate_both_ways(t, x0, 1)
-        xs, obj, _, conv = _alternate_both_ways(t, x0, 50)
+    first, obj1, *_ = _alternate_both_ways(t, x0, 1)
+    xs, obj, iters, conv = _alternate_both_ways(t, x0, 50)
     assert first[0][1].tobytes() == x0[0][1].tobytes()
     assert xs[0][1].tobytes() != x0[0][1].tobytes()  # later sweeps moved it
     for x, start in zip(xs, x0):
         assert x[2].tobytes() == start[2].tobytes()
-    assert obj1[2] == -np.inf and obj[2] == -np.inf and not conv[2]
+    assert obj1[2] == 0.0 and obj[2] == 0.0 and conv[2] and iters[2] == 2
     assert obj[[0, 1, 3]] == pytest.approx(1.0, rel=1e-12) and conv[[0, 1, 3]].all()
+
+
+def test_starts_whose_contractions_all_vanish_stop_at_zero():
+    # T = e_1 (x) e_1 (x) e_1 and every mode of every start orthogonal to
+    # e_1: each contraction of the first sweep vanishes, so no vector moves,
+    # the attained value <T, x> = 0 is the objective and the second sweep,
+    # which gains nothing, stops the start, without a warning
+    e = np.zeros((3, 3, 3))
+    e[0, 0, 0] = 1.0
+    x0 = _unit_rows(np.random.default_rng(8), 5, (3, 3, 3), REAL)
+    for x in x0:
+        x[:, 0] = 0.0
+        x /= np.linalg.norm(x, axis=1)[:, np.newaxis]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, obj, iters, conv = _alternate(Tensor(e, REAL), x0, 400)
+    assert (obj == 0.0).all() and conv.all() and (iters == 2).all()
+    for x, start in zip(xs, x0):
+        assert x.tobytes() == start.tobytes()
 
 
 def test_extrapolation_keeps_the_sweep_values():
@@ -766,6 +784,22 @@ def test_forms_batch_with_their_one_block_multi_forms(field):
         assert (res.iterations, res.converged) == (one.iterations, one.converged)
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_factor_index_is_built_once_per_batch(monkeypatch, field):
+    # the kernels' exponent index is set up once per spectral_value_many
+    # call and passed to its every evaluation, not rebuilt per call
+    built, factor_index = [], _kernels._factor_index
+
+    def counted(*args):
+        built.append(args)
+        return factor_index(*args)
+
+    monkeypatch.setattr(_kernels, "_factor_index", counted)
+    forms = [kostlan_form(5, 3, field, 70 + i) for i in range(3)]
+    batch = spectral_value_many(forms, MaximizerConfig(starts=4, max_iters=50), [1, 2, 3])
+    assert batch.iterations > 1 and len(built) == 1
+
+
 def _units_and_tangents(rng, rows, blocks):
     """Random points of the sphere product and unit tangent directions there."""
     x = rng.standard_normal((rows, blocks[-1].stop))
@@ -822,15 +856,16 @@ def test_great_circle_search_is_exact(form):
     points = []
 
     def counted(evaluate):
-        def spy(ys, ids):
+        def spy(ys, ids, **group):
             points.append(len(ys))
-            return evaluate(ys, ids)
+            return evaluate(ys, ids, **group)
 
         return spy
 
-    fx, obj, grad = value_and_grad(x, ids)
-    step = _pga_sphere(blocks, degree, counted(value), counted(value_and_grad), 1e-12)
-    step([x.copy(), fx, obj, grad, np.zeros(rows, dtype=int), np.zeros_like(x), np.zeros_like(x)], ids)
+    start, step = _pga_sphere(blocks, degree, counted(value), counted(value_and_grad), 1e-12)
+    state = start(x.copy())
+    points.clear()
+    step(state, ids)
     assert points == [rows * degree, rows]
     # every value the ascent accepts is |f|^2 at the point it returns
     xf, obj, _, conv = _ascend(blocks, degree, value, value_and_grad, x, 400)
@@ -882,18 +917,18 @@ def test_zero_direction_block_keeps_values_monotone_and_attained(field):
     x0[:, blocks[0].start] = 1.0
     x0[:, blocks[1]] /= np.linalg.norm(x0[:, blocks[1]], axis=1)[:, np.newaxis]
     ids = np.arange(rows)
-    fx, obj, grad = value_and_grad(x0, ids)
-    step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
-    history = [[o] for o in obj]
+    start, step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
+    state, dim = start(x0.copy()), x0.shape[1]
+    history = [[o] for o in state[0][:, dim]]
 
     def recorded(live, ids):
         done = step(live, ids)
-        for s, o in zip(ids, live[2]):
+        for s, o in zip(ids, live[0][:, dim]):
             history[s].append(o)
         return done
 
-    state = [x0.copy(), fx, obj, grad, np.zeros(rows, dtype=int), np.zeros_like(x0), np.zeros_like(x0)]
-    (xf, _, obj, *_), iters, conv = _lockstep(recorded, state, 400)
+    (p,), iters, conv = _lockstep(recorded, state, 400)
+    xf, obj = p[:, :dim], p[:, dim]
     assert conv.all()
     for values in history:
         assert all(b >= a for a, b in zip(values, values[1:]))
