@@ -11,7 +11,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .harmonic import (
 from .poly import bw_inner, bw_norm
 from .sampling import (
     SeedSpec,
+    _check_entry_budget,
     gaussian_harmonic,
     gaussian_multi_harmonic,
     gaussian_tensor,
@@ -49,7 +51,6 @@ from .sampling import (
 from .spectral import (
     MaximizerConfig,
     spectral_norm_symmetric,
-    spectral_value,
     spectral_value_many,
     total_norm,
 )
@@ -60,12 +61,23 @@ class UsageError(ValueError):
     pass
 
 
+class Record(NamedTuple):
+    """A sample's index, ratio (attained value / total norm) and converged flag."""
+
+    index: int
+    ratio: float
+    converged: bool
+
+
 @dataclass(frozen=True)
 class RatioStats:
+    """Summary of a Monte Carlo pass; ``records`` holds one ``Record`` per
+    sample, in sample order."""
+
     model: str
     params: dict
     sample_count: int
-    records: tuple  # (index, ratio, converged)
+    records: tuple
     min: float
     mean: float
     max: float
@@ -104,6 +116,7 @@ class VerificationReport:
 
 def _rank_one_draw(shape, field, seed, index):
     # test hook: every draw is a rank-one tensor, so every ratio is 1
+    _check_entry_budget(shape)
     vecs = tuple(
         uniform_sphere(n, field, SeedSpec(seed, f"rank_one_{j}"), index)
         for j, n in enumerate(shape)
@@ -212,21 +225,16 @@ _CHUNK = 16
 
 
 def _ratio_records(args):
-    """Records (index, ratio, converged) of one chunk of samples, whose
-    optimizer starts all run in one ``spectral_value_many`` batch."""
+    """One ``Record`` per sample index of ``args`` = (model, params, cfg,
+    seed, indices), with the optimizer starts of all the samples run in one
+    ``spectral_value_many`` batch."""
     model, params, cfg, seed, indices = args
     objs = [_draw(model, params, seed, i) for i in indices]
     batch = spectral_value_many(objs, cfg, [_cfg_seed(seed, i) for i in indices])
     return [
-        (i, res.value / total_norm(obj), bool(res.converged))
+        Record(i, res.value / total_norm(obj), bool(res.converged))
         for i, obj, res in zip(indices, objs, batch.results)
     ]
-
-
-def _ratio_with_flag(obj, cfg):
-    res = spectral_value(obj, cfg)
-    total = total_norm(obj)
-    return res.value / total, bool(res.converged)
 
 
 def ProcessPoolExecutor(max_workers):  # noqa: N802  the name of the pool it returns
@@ -253,19 +261,22 @@ def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
             chunks = list(pool.map(_ratio_records, tasks))
     else:
         chunks = [_ratio_records(t) for t in tasks]
-    recs = [r for chunk in chunks for r in chunk]
-    vals = np.array([r[1] for r in recs])
+    records = tuple(r for chunk in chunks for r in chunk)
+    vals = np.array([r.ratio for r in records])
     if np.any(vals <= 0) or np.any(vals > 1 + 1e-9):
         raise RuntimeError("ratio estimate outside (0, 1]")
     qs = np.quantile(vals, [0.1, 0.5, 0.9])
+    lo, hi = float(vals.min()), float(vals.max())
     return RatioStats(
         model=model,
         params=dict(params),
         sample_count=samples,
-        records=tuple((i, float(v), bool(c)) for i, v, c in recs),
-        min=float(vals.min()),
-        mean=float(vals.mean()),
-        max=float(vals.max()),
+        records=records,
+        min=lo,
+        # the rounded mean of equal ratios can land just outside them
+        # (20 times 1/sqrt(3) averages one ulp above it)
+        mean=min(max(float(vals.mean()), lo), hi),
+        max=hi,
         quantiles={"q10": float(qs[0]), "q50": float(qs[1]), "q90": float(qs[2])},
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
     )
@@ -287,16 +298,15 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
     checks = []
 
     # (a) per-sample hard lower bound; the optimizer under-approximates the
-    # true ratio, so apparent violations are re-certified with 4x starts and
-    # the recertified values stand in for the first ones
-    values = {idx: v for idx, v, _ in stats.records}
-    violators = [idx for idx, v in values.items() if v < bset.lower - _HARD_TOL]
+    # true ratio, so apparent violations are re-certified in one batch with 4x
+    # starts and the recertified records stand in for the first ones
+    records = list(stats.records)
+    violators = [r.index for r in records if r.ratio < bset.lower - _HARD_TOL]
     if violators:
-        recheck = replace(cfg, starts=cfg.starts * 4)
-        for idx in violators:
-            obj = _draw(model, params, int(seed), idx)
-            values[idx], _ = _ratio_with_flag(obj, replace(recheck, seed=_cfg_seed(seed, idx)))
-    lhs = min(values.values())
+        recheck = replace(cfg, starts=4 * cfg.starts)
+        for r in _ratio_records((model, params, recheck, int(seed), violators)):
+            records[r.index] = r
+    lhs = min(r.ratio for r in records)
     passed = lhs >= bset.lower - _HARD_TOL
     checks.append(
         Check("per-sample-ratio-ge-lower [lower-bound]", ">=", lhs, bset.lower, passed)
@@ -340,7 +350,7 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
             forms, cfg, over_field=COMPLEX, seeds=[_cfg_seed(seed, idx) for idx in indices]
         )
         pairs = [
-            (res.value, factor * (values[idx] * bw_norm(f)))
+            (res.value, factor * (records[idx].ratio * bw_norm(f)))
             for idx, f, res in zip(indices, forms, batch.results)
         ]
         vc, bound = min(pairs, key=lambda p: p[1] - p[0])
@@ -359,29 +369,12 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
         checks=tuple(checks),
         stats=(stats,),
         bound_info=_bound_dict(bset),
-        metadata={"seed": int(seed), "samples": samples, "config": _cfg_dict(cfg)},
+        metadata={"seed": int(seed), "samples": samples, "config": asdict(cfg)},
     )
 
 
 def _bound_dict(bset):
-    return {
-        "problem": bset.problem,
-        "field": bset.field,
-        "lower": bset.lower,
-        "upper": bset.upper,
-        "vacuous": bset.vacuous,
-        "extras": dict(bset.extras),
-        "provenance": list(bset.provenance),
-    }
-
-
-def _cfg_dict(cfg):
-    return {
-        "starts": cfg.starts,
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-    }
+    return {**asdict(bset), "vacuous": bset.vacuous}
 
 
 # ------------------------------------------------------------- tail bounds
@@ -415,7 +408,7 @@ def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, work
     else:
         cfg = cfg or MaximizerConfig()
         stats = (estimate_ratio_distribution(model, params, samples, cfg, seed, workers),)
-        vals = np.array([r[1] for r in stats[0].records])
+        vals = np.array([r.ratio for r in stats[0].records])
         tag = "model-tail"
     checks = []
     for t, bound in zip(t_grid, bounds):
@@ -525,6 +518,8 @@ def trend_large_d(n, d_grid, samples, seed, cfg=None, workers=1):
 
 
 def _fmt(v):
+    """The report form of a value: floats as fixed-width strings, dicts with
+    sorted keys, dataclasses as {field name: value}, sequences as lists."""
     if isinstance(v, bool):
         return v
     if isinstance(v, float):
@@ -533,56 +528,25 @@ def _fmt(v):
         return {k: _fmt(v[k]) for k in sorted(v)}
     if isinstance(v, (list, tuple)):
         return [_fmt(x) for x in v]
+    if is_dataclass(v):
+        return {f.name: _fmt(getattr(v, f.name)) for f in fields(v)}
     return v
 
 
-def report_to_dict(report):
-    return {
-        "title": report.title,
-        "checks": [
-            {
-                "name": c.name,
-                "relation": c.relation,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
-        "stats": [
-            {
-                "model": s.model,
-                "params": s.params,
-                "sample_count": s.sample_count,
-                "min": s.min,
-                "mean": s.mean,
-                "max": s.max,
-                "quantiles": s.quantiles,
-                "stderr": s.stderr,
-                "records": [list(r) for r in s.records],
-            }
-            for s in report.stats
-        ],
-        "bound_info": report.bound_info,
-        "metadata": report.metadata,
-    }
-
-
 def render_report(report, fmt="json"):
-    data = _fmt(report_to_dict(report))
+    data = _fmt(report)
     if fmt == "json":
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["kind", "name", "relation", "lhs", "rhs", "passed"])
-        for c in report.checks:
-            writer.writerow(
-                ["check", c.name, c.relation, "%.12e" % c.lhs, "%.12e" % c.rhs, c.passed]
-            )
-        for s in report.stats:
-            for idx, val, conv in s.records:
-                writer.writerow(["record", s.model, str(idx), "%.12e" % val, "", conv])
+        for c in data["checks"]:
+            writer.writerow(["check", c["name"], c["relation"], c["lhs"], c["rhs"], c["passed"]])
+        for s in data["stats"]:
+            for rec in s["records"]:
+                idx, val, conv = rec[:3]
+                writer.writerow(["record", s["model"], idx, val, "", conv])
         return buf.getvalue()
     raise UsageError(f"unknown format {fmt!r}")
 

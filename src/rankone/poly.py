@@ -120,7 +120,7 @@ class MultiHomogPoly:
         if len(self.ns) != len(self.ds) or not self.ns:
             raise ShapeError("block count mismatch")
         coeffs = _field_array(self.coeffs, self.field)
-        size = int(np.prod([num_monomials(d, n) for d, n in zip(self.ds, self.ns)]))
+        size = prod(num_monomials(d, n) for d, n in zip(self.ds, self.ns))
         if coeffs.shape != (size,):
             raise ShapeError(f"expected {size} coefficients, got {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)

@@ -13,6 +13,7 @@ one pass, from the pool numpy hashes for each seed.
 
 import hashlib
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -35,6 +36,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# most entries a sampled tensor may have, checked before one is drawn: the
+# alternating batch gathers one copy of its tensor per optimizer start
+_ENTRY_BUDGET = 10**6
 
 
 def _tag_int(tag):
@@ -155,11 +159,22 @@ def _standard_gaussians(rng, size, field):
     raise DomainError(f"unknown field {field!r}")
 
 
+def _check_entry_budget(shape):
+    """``DomainError`` if a tensor of ``shape`` has more entries than a sampled
+    tensor may have."""
+    count = prod(shape)
+    if count > _ENTRY_BUDGET:
+        raise DomainError(
+            f"shape {tuple(shape)} has {count} entries, over the tensor budget of {_ENTRY_BUDGET}"
+        )
+
+
 def gaussian_tensor(shape, field, seed, index=0):
     """i.i.d. standard (complex) Gaussian entries; complex entries have
     real/imaginary parts of variance 1/2 each."""
     if any(n < 1 for n in shape):
         raise DomainError(f"invalid shape {shape}")
+    _check_entry_budget(shape)
     rng = _rng_for(seed, index, "gaussian_tensor")
     return Tensor(_standard_gaussians(rng, tuple(shape), field), field)
 

@@ -8,6 +8,7 @@ a Gauss-Seidel sweep shares between its modes), ``contract_front`` the
 first modes; each mode is one batched matmul over the rows.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
@@ -257,7 +258,7 @@ def load_tensor(text):
         raise ValueError(f"bad tensor header shape={meta['shape']}")
     field = meta["field"]
     vals = [_parse_scalar(ln.strip(), field) for ln in body]
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     if len(vals) != size:
         shown = ",".join(map(str, shape))
         raise ValueError(f"tensor shape={shown} needs {size} entries, got {len(vals)}")

@@ -295,6 +295,11 @@ def test_one_worker_runs_load_no_process_pool():
         ("", ("verify", "--model", "kostlan", "--bogus")),
         ("poly n=2 d=3 field=real\n3,0: 1\n3,0: 2\n", ()),
         ("tensor shape=2,2 field=real\n1.0\n2.0\n3.0\n", ()),
+        # shapes whose bytes exceed the address space, so nothing is allocated
+        ("", ("sample", "--model", "gaussian-tensor", "--shape", "1000000,1000000,1000000", "--seed", "0")),
+        ("", ("sample", "--model", "rank-one", "--shape", "100000,100000,100000", "--seed", "0")),
+        ("tensor shape=4294967296,4294967297 field=real\n1.0\n", ()),
+        ("tensor shape=4294967296,4294967296 field=real\n", ()),
     ],
     ids=[
         "nan-tensor", "out-of-degree-key", "no-header", "no-variables", "kostlan-no-d",
@@ -303,7 +308,8 @@ def test_one_worker_runs_load_no_process_pool():
         "config-missing-file", "config-bad-int", "config-bad-shape", "config-no-equals",
         "poly-over-budget", "multipoly-over-budget", "sample-over-budget", "identity-n-zero",
         "harmonic-over-basis-budget", "tail-kostlan-d-zero", "t-grid-not-floats", "unknown-flag",
-        "repeated-monomial", "short-tensor",
+        "repeated-monomial", "short-tensor", "tensor-over-budget", "rank-one-over-budget",
+        "tensor-count-past-2-64", "tensor-count-2-64",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, text, argv):

@@ -9,12 +9,13 @@ import pytest
 from rankone import _kernels, experiments
 from rankone.experiments import (
     Check,
+    RatioStats,
+    Record,
     UsageError,
     VerificationReport,
     estimate_ratio_distribution,
     export_report,
     render_report,
-    report_to_dict,
     verify_bw_l2_constant,
     tail_empirical_vs_bound,
     trend_large_d,
@@ -201,6 +202,83 @@ def test_export_json_round_trip(tmp_path):
     assert parsed == expected
 
 
+def test_rendered_report_is_pinned():
+    # a hand-built report: no optimizer runs, so the rendered text is fixed
+    stats = RatioStats(
+        model="kostlan",
+        params={"d": 3, "n": 2, "field": "real", "shape": (2, 2)},
+        sample_count=2,
+        records=(Record(0, 0.5, True), Record(1, 1.0 / 3.0, False)),
+        min=1.0 / 3.0,
+        mean=5.0 / 12.0,
+        max=0.5,
+        quantiles={"q50": 0.4, "q10": 0.35, "q90": 0.48},
+        stderr=0.0625,
+    )
+    rep = VerificationReport(
+        title="golden",
+        checks=(
+            Check("lower [lower-bound]", ">=", 1.0 / 3.0, 0.125, True),
+            Check("mean [expectation-bound]", "<=", 5.0 / 12.0, 2e-300, False),
+        ),
+        stats=(stats,),
+        bound_info={"lower": 0.125, "vacuous": False, "provenance": ("a", "b"), "extras": {"z": 1e10}},
+        metadata={"seed": 7, "samples": 2, "config": {"starts": 4, "tol": 1e-12}},
+    )
+    expected = {
+        "bound_info": {
+            "extras": {"z": "1.000000000000e+10"},
+            "lower": "1.250000000000e-01",
+            "provenance": ["a", "b"],
+            "vacuous": False,
+        },
+        "checks": [
+            {
+                "lhs": "3.333333333333e-01",
+                "name": "lower [lower-bound]",
+                "passed": True,
+                "relation": ">=",
+                "rhs": "1.250000000000e-01",
+            },
+            {
+                "lhs": "4.166666666667e-01",
+                "name": "mean [expectation-bound]",
+                "passed": False,
+                "relation": "<=",
+                "rhs": "2.000000000000e-300",
+            },
+        ],
+        "metadata": {"config": {"starts": 4, "tol": "1.000000000000e-12"}, "samples": 2, "seed": 7},
+        "stats": [
+            {
+                "max": "5.000000000000e-01",
+                "mean": "4.166666666667e-01",
+                "min": "3.333333333333e-01",
+                "model": "kostlan",
+                "params": {"d": 3, "field": "real", "n": 2, "shape": [2, 2]},
+                "quantiles": {
+                    "q10": "3.500000000000e-01",
+                    "q50": "4.000000000000e-01",
+                    "q90": "4.800000000000e-01",
+                },
+                "records": [[0, "5.000000000000e-01", True], [1, "3.333333333333e-01", False]],
+                "sample_count": 2,
+                "stderr": "6.250000000000e-02",
+            }
+        ],
+        "title": "golden",
+    }
+    # the exact text: sorted keys, two-space indent, one trailing newline
+    assert render_report(rep, "json") == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert render_report(rep, "csv") == (
+        "kind,name,relation,lhs,rhs,passed\n"
+        "check,lower [lower-bound],>=,3.333333333333e-01,1.250000000000e-01,True\n"
+        "check,mean [expectation-bound],<=,4.166666666667e-01,2.000000000000e-300,False\n"
+        "record,kostlan,0,5.000000000000e-01,,True\n"
+        "record,kostlan,1,3.333333333333e-01,,False\n"
+    )
+
+
 def test_export_csv_row_count(tmp_path):
     rep = verify_bounds("kostlan", {"d": 3, "n": 2, "field": REAL}, 5, CFG, 21)
     p = tmp_path / "rep.csv"
@@ -288,27 +366,22 @@ def test_recertified_values_replace_the_first_ones(monkeypatch):
     import rankone.experiments as ex
 
     seed, target = 33, 3
-    real_many, real = ex.spectral_value_many, ex._ratio_with_flag
+    real_many = ex.spectral_value_many
 
-    def first_pass(objs, cfg, seeds):
-        # sample 3 falls below the bound in the Monte Carlo pass
+    def fake(objs, cfg, seeds):
+        # sample 3 falls below the bound in the Monte Carlo pass and passes
+        # the recheck with 4x starts
+        ratio = 0.99 if cfg.starts == 4 * CFG.starts else 0.4
         batch = real_many(objs, cfg, seeds)
         results = tuple(
-            dataclasses.replace(res, value=0.4 * ex.total_norm(obj))
+            dataclasses.replace(res, value=ratio * ex.total_norm(obj))
             if s == ex._cfg_seed(seed, target)
             else res
             for obj, s, res in zip(objs, seeds, batch.results)
         )
         return dataclasses.replace(batch, results=results)
 
-    def fake(obj, cfg):
-        # and passes the recheck with 4x starts
-        if cfg.seed == ex._cfg_seed(seed, target) and cfg.starts == 4 * CFG.starts:
-            return 0.99, True
-        return real(obj, cfg)
-
-    monkeypatch.setattr(ex, "spectral_value_many", first_pass)
-    monkeypatch.setattr(ex, "_ratio_with_flag", fake)
+    monkeypatch.setattr(ex, "spectral_value_many", fake)
     rep = verify_bounds("gaussian_tensor", {"shape": (2, 2, 2), "field": REAL}, 8, CFG, seed)
     (stats,) = rep.stats
     others = [v for i, v, _ in stats.records if i != target]
@@ -317,6 +390,57 @@ def test_recertified_values_replace_the_first_ones(monkeypatch):
     assert check.passed
     assert check.lhs == min(others + [0.99])
     assert check.lhs < 0.99
+
+
+def test_violators_are_recertified_in_one_batch(monkeypatch):
+    import dataclasses
+
+    import rankone.experiments as ex
+
+    seed, low = 35, (1, 4, 6)
+    real_many = ex.spectral_value_many
+    calls = []
+
+    def fake(objs, cfg, seeds):
+        # samples 1, 4 and 6 fall below the bound in the Monte Carlo pass
+        calls.append((cfg.starts, list(seeds)))
+        batch = real_many(objs, cfg, seeds)
+        if cfg.starts != CFG.starts:
+            return batch
+        results = tuple(
+            dataclasses.replace(res, value=0.01 * res.value)
+            if s in [ex._cfg_seed(seed, i) for i in low]
+            else res
+            for s, res in zip(seeds, batch.results)
+        )
+        return dataclasses.replace(batch, results=results)
+
+    monkeypatch.setattr(ex, "spectral_value_many", fake)
+    rep = verify_bounds("gaussian_tensor", {"shape": (2, 2, 2), "field": REAL}, 8, CFG, seed)
+    assert calls == [
+        (CFG.starts, [ex._cfg_seed(seed, i) for i in range(8)]),
+        (4 * CFG.starts, [ex._cfg_seed(seed, i) for i in low]),
+    ]
+    assert rep.checks[0].passed
+
+
+def test_record_unpacks_and_pickles_as_a_triple():
+    import pickle
+
+    rec = Record(2, 0.5, True)
+    assert tuple(rec) == (2, 0.5, True)
+    idx, ratio, conv = rec
+    assert (idx, ratio, conv) == (rec.index, rec.ratio, rec.converged)
+    assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_mean_of_equal_ratios_stays_within_them(n):
+    # every ratio is 1/sqrt(n) up to an ulp, and numpy's mean of 100 of them
+    # rounds above the largest, which the statistics must not refuse
+    stats = estimate_ratio_distribution("identity", {"n": n}, 100, CFG, 0)
+    assert stats.min <= stats.mean <= stats.max
+    assert stats.mean == pytest.approx(1.0 / math.sqrt(n), abs=1e-15)
 
 
 @pytest.mark.skipif(not _kernels._HEAP_KEPT, reason="libc without glibc's mallopt")

@@ -372,13 +372,31 @@ def test_loaders_load_or_raise_value_error(header, body):
         ("multipoly ns=2,2 ds=1,1 field=complex\n1,0|0,1: 1,0\n1,0|0,1: 0,1\n", "monomial 1,0|0,1 given twice"),
         ("tensor shape=2,2 field=real\n1\n2\n3\n", "tensor shape=2,2 needs 4 entries, got 3"),
         ("tensor shape=1,2 field=complex\n1,0\n2,0\n3,0\n", "tensor shape=1,2 needs 2 entries, got 3"),
+        # entry counts at and past 2**64 are counted exactly, not wrapped
+        (
+            "tensor shape=4294967296,4294967297 field=real\n1.0\n",
+            "tensor shape=4294967296,4294967297 needs 18446744078004518912 entries, got 1",
+        ),
+        (
+            "tensor shape=4294967296,4294967296 field=real\n",
+            "tensor shape=4294967296,4294967296 needs 18446744073709551616 entries, got 0",
+        ),
     ],
-    ids=["poly-repeat", "poly-repeat-later", "multipoly-repeat", "tensor-short", "tensor-long"],
+    ids=[
+        "poly-repeat", "poly-repeat-later", "multipoly-repeat", "tensor-short", "tensor-long",
+        "tensor-count-past-2-64", "tensor-count-2-64",
+    ],
 )
 def test_loaders_refuse_repeated_monomials_and_miscounted_entries(text, message):
     load = load_tensor if text.startswith("tensor") else load_poly
     with pytest.raises(ValueError, match=f"^{message.replace('|', '[|]')}$"):
         load(text)
+
+
+def test_coefficient_count_does_not_wrap():
+    # 4 blocks of 2**16 linear monomials: 2**64 coefficients, not 0
+    with pytest.raises(ShapeError, match="expected 18446744073709551616 coefficients"):
+        MultiHomogPoly((2**16,) * 4, (1,) * 4, np.zeros(0), REAL)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -105,6 +105,17 @@ def test_uniform_sphere():
         uniform_sphere(0, REAL, 1)
 
 
+def test_tensor_over_the_entry_budget_is_refused():
+    from rankone import experiments
+
+    # 1,001,000 entries: one row over the budget of 10**6
+    with pytest.raises(DomainError, match="over the tensor budget of 1000000"):
+        gaussian_tensor((1001, 1000), REAL, 1)
+    with pytest.raises(DomainError, match="over the tensor budget of 1000000"):
+        experiments._draw("rank_one", {"shape": (1001, 1000), "field": REAL}, 1, 0)
+    assert gaussian_tensor((1000, 1000), REAL, 1).data.size == 10**6
+
+
 def test_one_domain_error_class():
     import rankone.bounds
     import rankone.harmonic
