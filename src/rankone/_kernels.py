@@ -7,17 +7,16 @@ summed along the last axis (no matrix product).  So every real row computes
 exactly what it computes in a one-point call, whatever the batch and whatever
 the coefficient shape.  They take one coefficient vector of shape (N,) for
 every point, or one row of an (m, N) coefficient matrix per point, or (an
-evaluation with the private ``group``) one row per run of ``group``
-consecutive points, which the run shares by broadcasting instead of a
-repeated copy of the row.  The
-index every call reads from the exponents (``_factor_index``) can be built
-once by the caller and passed in (the private ``index``).
-
-A call over many points runs in row blocks, each through the same code, so
-that the largest temporary of a block stays within ``_BLOCK_BYTES``: the
-(n, N, rows) gradient terms of a gradient call, the (N, rows) monomials of
-an evaluation.  A row's value is the value a call over its block alone gives;
-a call of one block or less is a single pass.
+evaluation only) an (R, N) matrix with R < m dividing m, whose rows each
+serve a run of m / R consecutive points by broadcasting instead of a
+repeated copy of the row.  The index every call reads from the exponents
+(``_factor_index``) can be built once by the caller and passed in (the
+private ``index``).  A call's largest temporary is the (n, N, m) gradient
+terms of a gradient call, the (N, m) monomials of an evaluation, or the
+power table.  A call whose largest temporary fits in 512 KiB is one pass; a
+larger one runs in passes of as many whole runs of points as fit (one run at
+least), each through the same code, so that its memory stays bounded
+whatever the batch and its temporaries stay on the heap (below).
 
 The kernels and the optimizers that call them allocate and free many numpy
 temporaries of a few KiB to a few hundred KiB in every round.  glibc's malloc
@@ -78,17 +77,6 @@ def _power_table(xs, top):
     return table.reshape((top + 1) * len(xt), len(xs))
 
 
-# byte budget of a row block's largest temporary: the (n, N, rows) array of
-# gradient terms, or the (N, rows) monomials of an evaluation.  Replaying
-# the kernel calls of verifications of 16 forms and of 32 bi-forms with the
-# heap kept resident, no budget from 64 KiB to 1 MiB and not one block per
-# call was reliably faster than 128 KiB (best times within 8%, medians
-# within the host's noise), while one block per call raised the forms peak
-# RSS by 1.7%
-_BLOCK_BYTES = 128 * 1024
-_MIN_BLOCK_ROWS = 16
-
-
 def _row_sums(terms, weights, shape, lead=1):
     """Sum over the monomial axis of terms * weights, both laid out
     (..., N, *points), through one C-ordered array of ``shape`` = (*points,
@@ -99,63 +87,62 @@ def _row_sums(terms, weights, shape, lead=1):
     return out.sum(axis=-1)
 
 
-def _monomial_sums(coeffs, expo, xs, gradient, group=1, index=None):
-    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum,
-    computed block by block over the rows.  For an evaluation with ``group``
-    > 1 and an (m / group, N) coefficient matrix, coefficient row k serves
-    the ``group`` points from k * group on; ``index`` is
-    ``_factor_index(expo, n, True)`` built by the caller, or None to build
-    the call's own."""
-    coeffs, xs = _promote(coeffs, xs)
-    (m, n), size = xs.shape, len(expo)
-    if index is None:
-        index = _factor_index(expo, n, gradient)
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // ((n if gradient else 1) * size * xs.itemsize))
-    if m <= rows:
-        return _block_sums(coeffs, index, xs, gradient, group)
-    per_row = coeffs.ndim == 2
-    rows = max(group, rows - rows % group)
-    parts = [
-        _block_sums(
-            coeffs[a // group : (a + rows) // group] if per_row else coeffs,
-            index,
-            xs[a : a + rows],
-            gradient,
-            group,
-        )
-        for a in range(0, m, rows)
-    ]
-    return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
-
-
 def _factor_index(expo, n, gradient):
-    """What every row block of a call reads from the exponents: the top
-    power, expo.T (n, N), the power-table rows of each factor x_j^a_j and,
-    for a gradient, those of x_j^(a_j - 1) clipped at 0 (else None).  An
-    index built for a gradient also serves evaluations."""
+    """What a call reads from the exponents: the top power, expo.T (n, N),
+    the power-table rows of each factor x_j^a_j and, for a gradient, those of
+    x_j^(a_j - 1) clipped at 0 (else None).  An index built for a gradient
+    also serves evaluations."""
     et = expo.T
     cols = np.arange(n)[:, np.newaxis]
     shifted = np.maximum(et - 1, 0) * n + cols if gradient else None
     return int(expo.max(initial=0)), et, et * n + cols, shifted
 
 
-def _block_sums(coeffs, index, xs, gradient, group=1):
-    """``_monomial_sums`` of one row block, in one pass; ``index`` is the
-    call's ``_factor_index``.
+def _monomial_sums(coeffs, expo, xs, gradient, index=None):
+    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum,
+    in passes of at most 512 KiB per temporary (see the module docstring);
+    ``index`` is ``_factor_index(expo, n, True)`` built by the caller, or
+    None to build the call's own.
 
     A monomial is the running product of the variables' factors x_j^a_j in
     order.  The derivative of x^a in x_i is a_i x^(a - e_i): x_i's factor
     is swapped for x_i^(a_i - 1) between the product of the factors before
     it and the product of those after it.  Where a_i = 0 the shifted
     exponent is clipped to 0 and the term carries the weight a_i = 0.
-    The points of an evaluation with ``group`` > 1 are summed as (m /
-    group, group), each run's coefficient row broadcast over it: the same
-    products and sums as with the row repeated.
+    An evaluation whose (R, N) coefficient matrix has R < m rows, R dividing
+    m, sums its points as (R, m / R), each row broadcast over its run of
+    points: the same products and sums as with the row repeated.
     """
+    coeffs, xs = _promote(coeffs, xs)
+    m, n = xs.shape
+    rows = len(coeffs) if coeffs.ndim == 2 else m
+    if rows != m and (gradient or not 0 < rows < m or m % rows):
+        raise ValueError(f"{rows} coefficient rows for {m} points")
+    if index is None:
+        index = _factor_index(expo, n, gradient)
     top, et, factors, shifted = index
-    (m, n), size = xs.shape, et.shape[1]
+    size = et.shape[1]
+    # points per coefficient row; a pass takes as many whole runs as keep its
+    # gradient terms, monomials and power table within 512 KiB (one run at
+    # least), under the 1 MiB below which _keep_heap_resident keeps blocks on
+    # the heap
+    run = m // rows if rows < m else 1
+    width = max(size * (n if gradient else 1), (top + 1) * n) * xs.itemsize
+    step = run * max(1, (1 << 19) // (run * width))
+    if m > step:
+        parts = [
+            _monomial_sums(
+                coeffs[a // run : (a + step) // run] if coeffs.ndim == 2 else coeffs,
+                expo,
+                xs[a : a + step],
+                gradient,
+                index,
+            )
+            for a in range(0, m, step)
+        ]
+        return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
     table = _power_table(xs, top)
-    ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, m) or (N, 1)
+    ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, rows) or (N, 1)
     # (n, N, m): x_j^(a_j - 1), to be multiplied by the factors before and after
     terms = table[shifted] if gradient else None
     mono = table[factors[0]]
@@ -163,8 +150,8 @@ def _block_sums(coeffs, index, xs, gradient, group=1):
         if gradient:
             terms[i] *= mono
         mono *= table[factors[i]]
-    if group > 1 and coeffs.ndim == 2:  # an evaluation's runs of points
-        runs = (m // group, group)
+    if rows < m:  # an evaluation's runs of points
+        runs = (rows, run)
         return _row_sums(mono.reshape(size, *runs), ct[:, :, np.newaxis], runs + (size,), 2).reshape(m)
     value = _row_sums(mono, ct, (m, size))
     if not gradient:
@@ -177,29 +164,30 @@ def _block_sums(coeffs, index, xs, gradient, group=1):
     return value, _row_sums(terms, weights, (m, n, size))
 
 
-def evaluate_poly_many(coeffs, expo, xs, *, group=1, index=None):
-    """Evaluate at many points; xs has shape (m, n), coeffs (N,) or (m, N).
+def evaluate_poly_many(coeffs, expo, xs, *, index=None):
+    """Evaluate at many points; xs has shape (m, n), coeffs (N,), (m, N) or
+    (R, N) with R dividing m, whose row k serves the m / R consecutive points
+    from k m / R on.
 
-    The keywords are private to rankone: ``group`` lets an (m / group, N)
-    coeffs serve ``group`` consecutive points per row, and ``index`` passes a
-    ``_factor_index`` built once for many calls."""
-    return _monomial_sums(coeffs, expo, xs, False, group, index)
+    ``index`` is private to rankone: a ``_factor_index`` built once for many
+    calls."""
+    return _monomial_sums(coeffs, expo, xs, False, index)
 
 
 def value_and_gradient_poly_many(coeffs, expo, xs, *, index=None):
     """Values (m,) and gradients (m, n) at many points from one power table,
     each exactly what ``evaluate_poly_many`` and ``gradient_poly_many``
     return for the same arguments (``index`` as in ``evaluate_poly_many``)."""
-    return _monomial_sums(coeffs, expo, xs, True, index=index)
+    return _monomial_sums(coeffs, expo, xs, True, index)
 
 
 def gradient_poly_many(coeffs, expo, xs):
     """Gradients at many points, shape (m, n); holomorphic derivative for complex.
 
     coeffs is one vector (N,) for all points or an (m, N) matrix, row k for
-    point k.
+    point k; any other row count is a ``ValueError``.
     """
-    return _monomial_sums(coeffs, expo, xs, gradient=True)[1]
+    return _monomial_sums(coeffs, expo, xs, True)[1]
 
 
 def evaluate_poly(coeffs, expo, x):

@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field, fields, is_dataclass, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ from .poly import bw_inner, bw_norm
 from .sampling import (
     SeedSpec,
     _check_entry_budget,
+    _nonnegative_int,
     gaussian_harmonic,
     gaussian_multi_harmonic,
     gaussian_tensor,
@@ -246,10 +248,13 @@ def ProcessPoolExecutor(max_workers):  # noqa: N802  the name of the pool it ret
 
 
 def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
-    if samples < 1:
-        raise UsageError(f"need samples >= 1, got {samples}")
-    if workers < 1:
-        raise UsageError(f"need workers >= 1, got {workers}")
+    # a float or a bool is refused, not truncated (DomainError); an integer
+    # below 1 is a UsageError
+    for value, what in ((samples, "samples"), (workers, "workers")):
+        if not isinstance(value, bool) and isinstance(value, Integral) and value < 1:
+            raise UsageError(f"need {what} >= 1, got {value}")
+        _nonnegative_int(value, what, 1)
+    _nonnegative_int(seed, "seed")
     tasks = [
         (model, dict(params), cfg, int(seed), range(a, min(a + _CHUNK, samples)))
         for a in range(0, samples, _CHUNK)
@@ -472,6 +477,8 @@ def verify_bw_l2_constant(d, n, seed=0):
 
 def trend_large_d(n, d_grid, samples, seed, cfg=None, workers=1):
     d_grid = list(d_grid)
+    if not d_grid:
+        raise UsageError("empty d grid")
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise UsageError("d grid must be increasing")
     cfg = cfg or MaximizerConfig()

@@ -44,7 +44,7 @@ from ._kernels import (  # noqa: F401  perfbench's tracer test looks up spectral
     value_and_gradient_poly_many,
 )
 from .bounds import DomainError
-from .poly import HomogPoly, MultiHomogPoly, bw_norm
+from .poly import MultiHomogPoly, bw_norm
 from .sampling import _draw_starts, _nonnegative_int
 from .tensor import (
     COMPLEX,
@@ -258,13 +258,14 @@ def _realified_objective(coeffs, expo, ns, field):
     of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
     the slices of y that each lie on a unit sphere and ``degree`` is the total
     degree of f.  ``coeffs`` holds one coefficient row per start.
-    ``value(ys, ids, group=1)`` and ``value_and_grad(ys, ids)`` take a batch
-    of points, one per row, and the start ids of the rows (with ``group``,
-    of each run of ``group`` rows).  ``value`` returns f itself (complex for
-    a complex field); ``value_and_grad`` returns f, |f|^2 and the gradient of
-    |f|^2, all from one fused kernel call.  The kernels' factor index is
-    built once here for every call.  ``unpack(y)`` returns the per-block
-    vectors over the field of one point.
+    ``value(ys, ids)`` and ``value_and_grad(ys, ids)`` take a batch of
+    points, one per row, and the start ids of the rows (``value`` also takes
+    fewer ids than points, one for each run of equally many consecutive
+    rows).  ``value`` returns f itself (complex for a complex field);
+    ``value_and_grad`` returns f, |f|^2 and the gradient of |f|^2, all from
+    one fused kernel call.  The kernels' factor index is built once here for
+    every call.  ``unpack(y)`` returns the per-block vectors over the field
+    of one point.
     """
     k = 2 if field == COMPLEX else 1
     offsets = np.cumsum((0,) + tuple(k * n for n in ns))
@@ -273,8 +274,8 @@ def _realified_objective(coeffs, expo, ns, field):
     index = _kernels._factor_index(expo, expo.shape[1], True)
     if field == REAL:
 
-        def value(ys, ids, group=1):
-            return evaluate_poly_many(coeffs[ids], expo, ys, group=group, index=index)
+        def value(ys, ids):
+            return evaluate_poly_many(coeffs[ids], expo, ys, index=index)
 
         def value_and_grad(ys, ids):
             v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys, index=index)
@@ -292,9 +293,9 @@ def _realified_objective(coeffs, expo, ns, field):
         re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
         im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
-    def value(ys, ids, group=1):
+    def value(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
-        return evaluate_poly_many(ccoeffs[ids], expo, z, group=group, index=index)
+        return evaluate_poly_many(ccoeffs[ids], expo, z, index=index)
 
     def value_and_grad(ys, ids):
         z = ys[:, re] + 1j * ys[:, im]
@@ -342,7 +343,7 @@ class _CircleSearch:
         y = self.cos * x[:, np.newaxis] + self.sin * u[:, np.newaxis]
         samples = np.empty((rows, d + 1), dtype=fx.dtype)
         samples[:, 0] = fx
-        samples[:, 1:] = value(y.reshape(-1, dim), ids, group=d).reshape(rows, d)
+        samples[:, 1:] = value(y.reshape(-1, dim), ids).reshape(rows, d)
         return samples
 
     def interpolant(self, samples):
@@ -464,9 +465,9 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     small improvements in a row.
 
     A round's circle samples and its evaluation at the chosen angles are one
-    batched call each over the live starts that search; the samples of a
-    start share its coefficient row (``value``'s ``group``).  ``value`` and
-    ``value_and_grad`` receive the start ids of the rows they evaluate.  The
+    batched call each over the live starts that search; the D samples of a
+    start share its coefficient row (one id per run of D points).  ``value``
+    and ``value_and_grad`` receive the start ids of the rows they evaluate.  The
     block-wise projections and normalisations are one segmented sum each
     (``_Blocks``) and the circle search's constants are built once per run
     (``_CircleSearch``).  A row's arithmetic does not depend on the other rows
@@ -528,7 +529,8 @@ def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=Non
     """Maximize |f(x)| over the unit sphere (realified for complex).
 
     ``over_field=COMPLEX`` maximizes a real form over the complex sphere
-    (``FieldError`` for a complex form over the reals).  Without ``seeds``
+    (``FieldError`` for a complex form over the reals); a multi-form is
+    lifted the same way, over its product of spheres.  Without ``seeds``
     this returns the one form's ``SpectralResult``.  With ``seeds``, ``f`` is
     a sequence of forms of one d, n and field, form i draws its starts from
     ``seeds[i]``, all of them run in one ``spectral_value_many`` batch and
@@ -539,7 +541,7 @@ def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=Non
         if over_field not in (None, g.field):
             if g.field == COMPLEX:
                 raise FieldError("a complex form has no real uniform norm")
-            forms[i] = HomogPoly(g.n, g.d, g.coeffs, over_field)
+            forms[i] = MultiHomogPoly(g.ns, g.ds, g.coeffs, over_field)
     batch = spectral_value_many(forms, cfg, [cfg.seed] if seeds is None else seeds)
     return batch.results[0] if seeds is None else batch
 

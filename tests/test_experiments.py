@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rankone import _kernels, experiments
+from rankone.bounds import DomainError
 from rankone.experiments import (
     Check,
     RatioStats,
@@ -119,6 +120,44 @@ def test_workers_below_one_is_usage_error(monkeypatch, workers):
     assert _PoolSpy.made == []
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"seed": 1.5}, "need integer seed >= 0, got 1.5"),
+        ({"samples": 2.5}, "need integer samples >= 1, got 2.5"),
+        ({"samples": True}, "need integer samples >= 1, got True"),
+        ({"samples": False}, "need integer samples >= 1, got False"),
+        ({"workers": 2.5}, "need integer workers >= 1, got 2.5"),
+        ({"workers": 1.5}, "need integer workers >= 1, got 1.5"),
+        ({"workers": False}, "need integer workers >= 1, got False"),
+    ],
+    ids=[
+        "float-seed",
+        "float-samples",
+        "bool-samples",
+        "false-samples",
+        "float-workers",
+        "float-workers-above-1",
+        "false-workers",
+    ],
+)
+@pytest.mark.parametrize("run", [estimate_ratio_distribution, verify_bounds])
+def test_non_integer_seed_samples_and_workers_are_refused(monkeypatch, run, kw, message):
+    # refused on entry, not truncated (a float seed 1.5 would run as seed 1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(_PoolSpy, "made", [])
+    args = {"samples": 3, "seed": 1, "workers": 1, **kw}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        run("kostlan", {"d": 3, "n": 2, "field": REAL}, args["samples"], CFG, args["seed"], args["workers"])
+    assert _PoolSpy.made == []
+
+
+def test_numpy_integer_seed_samples_and_workers_are_accepted():
+    kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, cfg=CFG)
+    stats = estimate_ratio_distribution(**kw, samples=np.int64(3), seed=np.int64(4), workers=np.int64(1))
+    assert stats.records == estimate_ratio_distribution(**kw, samples=3, seed=4).records
+
+
 def test_verify_bounds_gaussian_tensor_passes():
     rep = verify_bounds("gaussian_tensor", {"shape": (2, 2, 2), "field": REAL}, 30, CFG, 7)
     assert rep.all_passed
@@ -183,6 +222,12 @@ def test_trend_large_d_report():
     assert all({"d", "lower", "upper", "empirical_min"} <= set(r) for r in rows)
     with pytest.raises(UsageError):
         trend_large_d(2, [6, 4], 4, 17, CFG)
+
+
+def test_empty_d_grid_is_usage_error():
+    # a report whose only check compares nothing would pass
+    with pytest.raises(UsageError, match="^empty d grid$"):
+        trend_large_d(2, [], 2, 0)
 
 
 def test_export_json_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -456,46 +457,10 @@ def test_fused_value_and_gradient_match_separate_kernels(field, shared):
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-def test_row_blocks_match_one_block_calls(monkeypatch, field, shared):
-    # a call over more points than one row block holds runs block by block,
-    # and each row is exactly what a call over its block alone returns
-    rng = np.random.default_rng(8)
-    expo = monomial_exponents(6, 3)
-    m, rows = 53, _kernels._MIN_BLOCK_ROWS
-    c = rng.standard_normal(len(expo) if shared else (m, len(expo)))
-    xs = rng.standard_normal((m, 3))
-    if field == COMPLEX:
-        c = c + 1j * rng.standard_normal(c.shape)
-        xs = xs + 1j * rng.standard_normal(xs.shape)
-    one_pass = value_and_gradient_poly_many(c, expo, xs)
-    blocks, block_sums = [], _kernels._block_sums
-
-    def counted(c, e, xs, *rest):
-        blocks.append(len(xs))
-        return block_sums(c, e, xs, *rest)
-
-    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)  # blocks of _MIN_BLOCK_ROWS rows
-    monkeypatch.setattr(_kernels, "_block_sums", counted)
-    v, g = value_and_gradient_poly_many(c, expo, xs)
-    assert blocks == [16, 16, 16, 5]
-    for a in range(0, m, rows):
-        b = slice(a, a + rows)
-        vb, gb = value_and_gradient_poly_many(c if shared else c[b], expo, xs[b])
-        np.testing.assert_array_equal(v[b], vb)
-        np.testing.assert_array_equal(g[b], gb)
-    np.testing.assert_array_equal(evaluate_poly_many(c, expo, xs), v)
-    if field == REAL:  # real rows do not depend on the batch at all
-        np.testing.assert_array_equal(v, one_pass[0])
-        np.testing.assert_array_equal(g, one_pass[1])
-
-
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
-@pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "row-blocks"])
-def test_grouped_points_match_repeated_coefficient_rows(monkeypatch, field, blocks):
-    # with group g, coefficient row k serves points k g ... k g + g - 1: the
-    # same products and sums as the row repeated g times, also when the
-    # evaluation runs in row blocks (of 16 rows, cut to a multiple of g)
+def test_grouped_points_match_repeated_coefficient_rows(field):
+    # an evaluation with fewer coefficient rows than points gives row k the
+    # run of points k g ... k g + g - 1, g = m / rows: the same products and
+    # sums as the row repeated g times
     rng = np.random.default_rng(12)
     expo = monomial_exponents(5, 3)
     starts, g = 11, 6
@@ -504,43 +469,127 @@ def test_grouped_points_match_repeated_coefficient_rows(monkeypatch, field, bloc
     if field == COMPLEX:
         c = c + 1j * rng.standard_normal(c.shape)
         xs = xs + 1j * rng.standard_normal(xs.shape)
-    if blocks:
-        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
     repeated = np.repeat(c, g, axis=0)
-    v = evaluate_poly_many(c, expo, xs, group=g)
+    v = evaluate_poly_many(c, expo, xs)
     assert v.tobytes() == evaluate_poly_many(repeated, expo, xs).tobytes()
-    # a shared coefficient vector ignores the grouping
-    shared = evaluate_poly_many(c[0], expo, xs, group=g)
-    assert shared.tobytes() == evaluate_poly_many(c[0], expo, xs).tobytes()
+    # one row serves every point, like the shared coefficient vector
+    one = evaluate_poly_many(c[:1], expo, xs)
+    assert one.tobytes() == evaluate_poly_many(c[0], expo, xs).tobytes()
 
 
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_evaluation_row_blocks_match_the_one_pass_call(monkeypatch, field):
-    # an evaluation sizes its row blocks on its (N, rows) monomials, not on
-    # a gradient's (n, N, rows) terms: 200 rows of a 28-monomial cubic are
-    # one pass (a gradient takes 2 or 3 blocks), and 13 blocks when the
-    # budget is cut; every row is the same
-    rng = np.random.default_rng(13)
+def _passes(monkeypatch):
+    """The point counts of the kernel passes of the calls that follow: the
+    whole call first, then its passes if it ran in more than one."""
+    seen, sums = [], _kernels._monomial_sums
+
+    def counted(c, e, xs, *rest):
+        seen.append(len(xs))
+        return sums(c, e, xs, *rest)
+
+    monkeypatch.setattr(_kernels, "_monomial_sums", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "field, passes",
+    [(REAL, [780, 780, 440]), (COMPLEX, [390] * 5 + [50])],
+    ids=["real", "complex"],
+)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, shared):
+    # 2000 gradients of a sextic in 3 variables hold (3, 28, 2000) terms:
+    # passes of 512 KiB of them, 780 real or 390 complex points each, and
+    # every row is exactly what a call over its pass alone returns
+    rng = np.random.default_rng(8)
     expo = monomial_exponents(6, 3)
-    c = rng.standard_normal((200, len(expo)))
-    xs = rng.standard_normal((200, 3))
+    m = 2000
+    c = rng.standard_normal(len(expo) if shared else (m, len(expo)))
+    xs = rng.standard_normal((m, 3))
     if field == COMPLEX:
         c = c + 1j * rng.standard_normal(c.shape)
         xs = xs + 1j * rng.standard_normal(xs.shape)
-    blocks, block_sums = [], _kernels._block_sums
+    seen = _passes(monkeypatch)
+    v, g = value_and_gradient_poly_many(c, expo, xs)
+    assert seen == [m] + passes
+    monkeypatch.undo()
+    a = 0
+    for rows in passes:
+        b = slice(a, a + rows)
+        vb, gb = value_and_gradient_poly_many(c if shared else c[b], expo, xs[b])
+        assert v[b].tobytes() == vb.tobytes() and g[b].tobytes() == gb.tobytes()
+        a += rows
+    if field == REAL:  # real rows do not depend on the batch at all
+        for k in (0, 779, 780, 1999):
+            vk, gk = value_and_gradient_poly_many(c if shared else c[k : k + 1], expo, xs[k : k + 1])
+            assert v[k] == vk[0] and g[k].tobytes() == gk[0].tobytes()
 
-    def counted(c, e, xs, *rest):
-        blocks.append(len(xs))
-        return block_sums(c, e, xs, *rest)
 
-    monkeypatch.setattr(_kernels, "_block_sums", counted)
-    one_pass = evaluate_poly_many(c, expo, xs)
-    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 1)
+@pytest.mark.parametrize(
+    "field, passes",
+    [(REAL, [2340, 2340, 120]), (COMPLEX, [1170] * 4 + [120])],
+    ids=["real", "complex"],
+)
+def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, passes):
+    # 800 coefficient rows, each serving a run of 6 points: a pass takes
+    # whole runs, its coefficient rows with them
+    rng = np.random.default_rng(9)
+    expo = monomial_exponents(6, 3)
+    runs, g = 800, 6
+    c = rng.standard_normal((runs, len(expo)))
+    xs = rng.standard_normal((runs * g, 3))
+    if field == COMPLEX:
+        c = c + 1j * rng.standard_normal(c.shape)
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    seen = _passes(monkeypatch)
     v = evaluate_poly_many(c, expo, xs)
-    assert blocks == [200] + [16] * 12 + [8]
+    assert seen == [runs * g] + passes
+    monkeypatch.undo()
+    a = 0
+    for rows in passes:
+        part = evaluate_poly_many(c[a // g : (a + rows) // g], expo, xs[a : a + rows])
+        assert v[a : a + rows].tobytes() == part.tobytes()
+        a += rows
     if field == REAL:
-        assert v.tobytes() == one_pass.tobytes()
-    else:  # vectorized complex products may round differently in the last bit
-        np.testing.assert_allclose(v, one_pass, rtol=1e-13, atol=0)
-    parts = [evaluate_poly_many(c[a : a + 16], expo, xs[a : a + 16]) for a in range(0, 200, 16)]
-    assert v.tobytes() == np.concatenate(parts).tobytes()
+        assert v.tobytes() == evaluate_poly_many(np.repeat(c, g, axis=0), expo, xs).tobytes()
+
+
+@pytest.mark.parametrize("call", [evaluate_poly_many, value_and_gradient_poly_many])
+def test_large_batches_keep_kernel_memory_bounded(call):
+    # 512 points of a quintic in 10 variables (N = 2002), one coefficient row
+    # each: one pass would hold (N, 512) monomials of 7.8 MiB, (10, N, 512)
+    # gradient terms of 78 MiB; passes of 512 KiB keep the peak under 4 MiB
+    rng = np.random.default_rng(15)
+    expo = monomial_exponents(5, 10)
+    c = rng.standard_normal((512, len(expo)))
+    xs = rng.standard_normal((512, 10))
+    tracemalloc.start()
+    try:
+        call(c, expo, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "call, rows",
+    [
+        (gradient_poly_many, 3),
+        (value_and_gradient_poly_many, 3),
+        (gradient_poly_many, 1),
+        (gradient_poly_many, 7),
+        (evaluate_poly_many, 4),
+        (evaluate_poly_many, 7),
+        (evaluate_poly_many, 0),
+    ],
+    ids=["grad-fewer", "fused-fewer", "grad-one-row", "grad-more", "eval-not-dividing", "eval-more", "eval-none"],
+)
+def test_coefficient_rows_that_do_not_fit_the_points_are_refused(call, rows):
+    # a gradient takes one coefficient row per point (or one shared vector);
+    # an evaluation's rows must divide its points
+    rng = np.random.default_rng(14)
+    expo = monomial_exponents(4, 3)
+    c = rng.standard_normal((rows, len(expo)))
+    xs = rng.standard_normal((6, 3))
+    with pytest.raises(ValueError, match=f"^{rows} coefficient rows for 6 points$"):
+        call(c, expo, xs)

@@ -10,6 +10,8 @@ from rankone.bounds import DomainError, bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
 from rankone.poly import (
     MultiHomogPoly,
+    dump_poly,
+    load_poly,
     multi_monomial_exponents,
     poly_from_coeff_dict,
 )
@@ -130,6 +132,22 @@ def test_real_form_over_complex_field_at_least_real_value():
     vr = spectral_norm_symmetric(f, CFG).value
     vc = spectral_norm_symmetric(f, CFG, over_field=COMPLEX).value
     assert vc >= vr - 1e-9
+
+
+def test_multi_forms_lift_to_the_complex_field():
+    # a real one-block multi-form (what load_poly returns for a ``multipoly
+    # ns=2 ds=3`` file) lifts to the complex sphere as its HomogPoly does,
+    # and a two-block one as the same coefficients read over the complex field
+    f = kostlan_form(3, 2, REAL, 12)
+    one_block = load_poly(dump_poly(MultiHomogPoly((2,), (3,), f.coeffs, REAL)))
+    assert type(one_block) is MultiHomogPoly
+    lifted = spectral_norm_symmetric(one_block, CFG, over_field=COMPLEX)
+    form = spectral_norm_symmetric(f, CFG, over_field=COMPLEX)
+    assert lifted.value == form.value
+    assert all(np.array_equal(a, b) for a, b in zip(lifted.maximizer, form.maximizer))
+    F = kostlan_multi((2, 1), (2, 2), REAL, 13)
+    two_blocks = spectral_norm_symmetric(F, CFG, over_field=COMPLEX)
+    assert two_blocks.value == spectral_value(MultiHomogPoly(F.ns, F.ds, F.coeffs, COMPLEX), CFG).value
 
 
 def test_multi_agrees_with_single_block():
@@ -856,9 +874,9 @@ def test_great_circle_search_is_exact(form):
     points = []
 
     def counted(evaluate):
-        def spy(ys, ids, **group):
+        def spy(ys, ids):
             points.append(len(ys))
-            return evaluate(ys, ids, **group)
+            return evaluate(ys, ids)
 
         return spy
 
