@@ -6,6 +6,7 @@ Randomness always requires an explicit --seed.
 """
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -331,6 +332,11 @@ def _cmd_experiment(args):
 
 
 def main(argv=None):
+    """Run the command of ``argv`` (``sys.argv[1:]`` when None) and return
+    its exit code.  Called without ``argv``, as the ``rankone`` script or
+    ``python -m rankone.cli``, it owns the process, and it freezes the heap
+    left by the imports before the command runs."""
+    owns_process = argv is None
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     handlers = {
@@ -343,6 +349,11 @@ def main(argv=None):
     try:
         _apply_config_file(subparsers, argv)
         args = parser.parse_args(argv)
+        if owns_process:
+            # the import-time objects live until the process ends: frozen, the
+            # collections of the run and the final one at exit skip them, and a
+            # forked pool worker starts from a heap it need not scan
+            gc.freeze()
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ identical regardless of worker count; reports serialize with stable key order
 and fixed float formatting.
 """
 
-import csv
 import io
 import json
 import math
@@ -247,13 +246,34 @@ def ProcessPoolExecutor(max_workers):  # noqa: N802  the name of the pool it ret
     return pool(max_workers=max_workers)
 
 
+def _count(value, what, least):
+    """``value`` if it is an integer >= ``least``; an integer below it is a
+    ``UsageError``, and a float or a bool is refused, not truncated
+    (``DomainError``)."""
+    if not isinstance(value, bool) and isinstance(value, Integral) and value < least:
+        raise UsageError(f"need {what} >= {least}, got {value}")
+    return _nonnegative_int(value, what, least)
+
+
+def _quantiles(vals, qs):
+    """``np.quantile(vals, qs)`` by its default ``linear`` method, bit for
+    bit, without the ``np.unique`` call that imports all of ``numpy.ma``
+    (numpy 2.4): the virtual index (n - 1) q of the sorted values, its upper
+    neighbour clamped to the last index, interpolated from the nearer
+    neighbour as numpy's ``_lerp`` does."""
+    s = sorted(vals)
+    out = []
+    for q in qs:
+        v = (len(s) - 1) * q
+        lo = math.floor(v)
+        a, b, g = s[lo], s[min(lo + 1, len(s) - 1)], v - lo
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out
+
+
 def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
-    # a float or a bool is refused, not truncated (DomainError); an integer
-    # below 1 is a UsageError
-    for value, what in ((samples, "samples"), (workers, "workers")):
-        if not isinstance(value, bool) and isinstance(value, Integral) and value < 1:
-            raise UsageError(f"need {what} >= 1, got {value}")
-        _nonnegative_int(value, what, 1)
+    _count(samples, "samples", 1)
+    _count(workers, "workers", 1)
     _nonnegative_int(seed, "seed")
     tasks = [
         (model, dict(params), cfg, int(seed), range(a, min(a + _CHUNK, samples)))
@@ -270,7 +290,7 @@ def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
     vals = np.array([r.ratio for r in records])
     if np.any(vals <= 0) or np.any(vals > 1 + 1e-9):
         raise RuntimeError("ratio estimate outside (0, 1]")
-    qs = np.quantile(vals, [0.1, 0.5, 0.9])
+    qs = _quantiles(vals.tolist(), (0.1, 0.5, 0.9))
     lo, hi = float(vals.min()), float(vals.max())
     return RatioStats(
         model=model,
@@ -282,7 +302,7 @@ def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
         # (20 times 1/sqrt(3) averages one ulp above it)
         mean=min(max(float(vals.mean()), lo), hi),
         max=hi,
-        quantiles={"q10": float(qs[0]), "q50": float(qs[1]), "q90": float(qs[2])},
+        quantiles=dict(zip(("q10", "q50", "q90"), qs)),
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
     )
 
@@ -389,8 +409,7 @@ def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, work
     tail = _model_part(model, "tail")
     if not len(t_grid):
         raise UsageError("empty t grid")
-    if samples < 100:
-        raise UsageError(f"need samples >= 100, got {samples}")
+    _count(samples, "samples", 100)
     bounds = [tail(params, t) for t in t_grid]
     stats, moments = (), []
     if MODELS[model].sampler is None:
@@ -545,6 +564,8 @@ def render_report(report, fmt="json"):
     if fmt == "json":
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        import csv  # only here: a JSON report never loads it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["kind", "name", "relation", "lhs", "rhs", "passed"])

@@ -11,7 +11,6 @@ draws from ``default_rng(SeedSequence(entropy=seed, spawn_key=(s,)))``;
 one pass, from the pool numpy hashes for each seed.
 """
 
-import hashlib
 from dataclasses import dataclass
 from math import prod
 
@@ -42,6 +41,8 @@ _ENTRY_BUDGET = 10**6
 
 
 def _tag_int(tag):
+    import hashlib  # only here: a run that draws nothing never loads it
+
     return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
 
 

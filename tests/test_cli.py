@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -228,42 +229,92 @@ def test_form_reports_identical_across_workers(model_args):
     assert outs[0].stdout == outs[1].stdout == outs[2].stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # the import, and runs that build a harmonic basis and the sphere Gram
-    # matrix, each in a fresh interpreter
+_KOSTLAN = ["verify", "--model", "kostlan", "--d", "4", "--n", "2", "--samples", "20", "--seed", "1"]
+_MULTI = [
+    "verify", "--model", "kostlan-multi", "--ds", "2,3", "--ns", "2,2",
+    "--samples", "20", "--seed", "1", "--starts", "4",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv, module, loaded",
+    [
+        # scipy: neither the import nor runs that build a harmonic basis and
+        # the sphere Gram matrix
+        ([], "scipy", False),
+        (["verify", "--model", "harmonic", "--d", "6", "--n", "3", "--samples", "2", "--seed", "1"], "scipy", False),
+        (["experiment", "--kind", "bw-l2", "--d", "4", "--n", "3"], "scipy", False),
+        # concurrent.futures.process: only a run with two or more workers (20
+        # samples are two tasks), not the import nor a one-worker verification
+        ([], "concurrent.futures.process", False),
+        ([*_KOSTLAN, "--workers", "1"], "concurrent.futures.process", False),
+        ([*_KOSTLAN, "--workers", "2"], "concurrent.futures.process", True),
+        # numpy.ma: not the quantiles of a JSON verification, in the process
+        # that computes them, with one worker or two
+        ([*_KOSTLAN, "--workers", "1"], "numpy.ma", False),
+        ([*_KOSTLAN, "--workers", "2"], "numpy.ma", False),
+        # hashlib and csv: not a two-worker parent that draws no sample (a
+        # multi-form has no check (d)) and renders JSON
+        ([*_MULTI, "--workers", "2"], "hashlib", False),
+        ([*_MULTI, "--workers", "2"], "csv", False),
+        ([*_MULTI, "--workers", "2", "--format", "csv"], "csv", True),
+    ],
+    ids=[
+        "import-scipy",
+        "harmonic-scipy",
+        "bw-l2-scipy",
+        "import-pool",
+        "one-worker-pool",
+        "two-workers-pool",
+        "one-worker-numpy.ma",
+        "two-workers-numpy.ma",
+        "multi-two-workers-hashlib",
+        "multi-two-workers-csv",
+        "multi-csv-report-csv",
+    ],
+)
+def test_fresh_interpreter_loads_only_what_it_uses(argv, module, loaded):
+    # whether ``module`` or a submodule of it is loaded after the import and,
+    # with argv, one in-process run, in a fresh interpreter
     code = (
         "import contextlib, io, sys\n"
         "from rankone.cli import main\n"
+        "module, argv = sys.argv[1], sys.argv[2:]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "    code = main(argv) if argv else 0\n"
+        "print(code, any(m == module or m.startswith(module + '.') for m in sys.modules))\n"
     )
-    for argv in (
-        [],
-        ["verify", "--model", "harmonic", "--d", "6", "--n", "3", "--samples", "2", "--seed", "1"],
-        ["experiment", "--kind", "bw-l2", "--d", "4", "--n", "3"],
-    ):
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 []", argv
+    proc = subprocess.run([sys.executable, "-c", code, module, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"0 {loaded}", argv
 
 
-def test_one_worker_runs_load_no_process_pool():
-    # concurrent.futures.process is imported only by a run with two or more
-    # workers (20 samples are two tasks): not by the import, nor by a
-    # one-worker verification
+def test_script_entry_matches_in_process_main(capsys):
+    # the script entry freezes the import-time heap before the command runs;
+    # its report is the one an in-process call writes, and an in-process
+    # call, which does not own the process, freezes nothing
+    argv = ["verify", "--model", "kostlan", "--d", "3", "--n", "2", "--samples", "20", "--seed", "5", "--starts", "6"]
+    script = "import sys; from rankone.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_script_entry_freezes_the_heap():
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, gc, io, sys\n"
         "from rankone.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+        "    code = main()\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
     )
-    verify = ["verify", "--model", "kostlan", "--d", "4", "--n", "2", "--samples", "20", "--seed", "1"]
-    for argv, loaded in (([], False), ([*verify, "--workers", "1"], False), ([*verify, "--workers", "2"], True)):
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == f"0 {loaded}", argv
+    argv = ["bounds", "--sym", "--d", "10", "--n", "2"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 True"
 
 
 @pytest.mark.parametrize(

@@ -192,10 +192,53 @@ def test_tail_projection_oracle_value():
 
 
 def test_tail_requires_enough_samples():
-    with pytest.raises(UsageError):
-        tail_empirical_vs_bound("projection", {"N": 10, "k": 3}, 50, [0.5], 1)
+    for samples in (50, -5, np.int64(99)):
+        with pytest.raises(UsageError, match=f"^need samples >= 100, got {samples}$"):
+            tail_empirical_vs_bound("projection", {"N": 10, "k": 3}, samples, [0.5], 1)
     with pytest.raises(UsageError):
         tail_empirical_vs_bound("projection", {"N": 10, "k": 3}, 500, [], 1)
+
+
+@pytest.mark.parametrize("samples", [100.5, True, False])
+@pytest.mark.parametrize(
+    "model, params",
+    [("projection", {"N": 10, "k": 2}), ("kostlan", {"d": 3, "n": 2, "field": REAL})],
+    ids=["projection", "kostlan"],
+)
+def test_tail_sample_count_must_be_an_integer(model, params, samples):
+    # refused on entry, not truncated: 100.5 used to end in a bare TypeError
+    # from range(samples) and True to read as "need samples >= 100"
+    with pytest.raises(DomainError, match=f"^need integer samples >= 100, got {samples!r}$"):
+        tail_empirical_vs_bound(model, params, samples, [0.5], 1)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng, n: rng.random(n),
+        lambda rng, n: np.full(n, rng.random()),
+        lambda rng, n: rng.integers(1, 5, n) / 7.0,
+        lambda rng, n: np.sort(rng.random(n))[::-1],
+    ],
+    ids=["random", "constant", "tied", "reversed"],
+)
+def test_quantiles_are_numpys_linear_quantiles_bit_for_bit(draw):
+    rng = np.random.default_rng(24)
+    for n in range(1, 301):
+        vals = draw(rng, n)
+        got = experiments._quantiles(vals.tolist(), (0.1, 0.5, 0.9))
+        assert _hex(got) == _hex(np.quantile(vals, [0.1, 0.5, 0.9])), n
+
+
+def test_ratio_statistics_quantiles_are_numpys():
+    stats = estimate_ratio_distribution("kostlan", {"d": 3, "n": 2, "field": REAL}, 37, CFG, 3)
+    vals = np.array([r.ratio for r in stats.records])
+    q = stats.quantiles
+    assert _hex([q["q10"], q["q50"], q["q90"]]) == _hex(np.quantile(vals, [0.1, 0.5, 0.9]))
 
 
 def test_tail_bound_is_checked_before_sampling(monkeypatch):
