@@ -184,7 +184,7 @@ MODELS = {
     # no sampler: the tail experiment draws its ratios with projection_ratio_sample
     "projection": _Model(
         ("N", "k", "field"),
-        tail=lambda p, t: min(1.0, projection_tail_bound(p["N"], p["k"], t, p.get("field", REAL))),
+        tail=lambda p, t: min(1.0, projection_tail_bound(p["N"], p["k"], t, p["field"])),
     ),
     "rank_one": _Model(
         ("shape", "field"),
@@ -208,6 +208,16 @@ def _model_part(model, part):
     if entry is None:
         raise UsageError(f"model {model!r} has no {part.replace('_', ' ')}")
     return entry
+
+
+def _params(model, params):
+    """``params`` in a new dict, with ``field`` real where the model has one and
+    none is given; UsageError naming every other missing parameter."""
+    names = _model_part(model, "params")
+    missing = [k for k in names if k not in params and k != "field"]
+    if missing:
+        raise UsageError(f"model {model!r} needs {', '.join(missing)}")
+    return {"field": REAL, **params} if "field" in names else dict(params)
 
 
 def _draw(model, params, seed, index):
@@ -272,11 +282,12 @@ def _quantiles(vals, qs):
 
 
 def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
+    params = _params(model, params)
     _count(samples, "samples", 1)
     _count(workers, "workers", 1)
     _nonnegative_int(seed, "seed")
     tasks = [
-        (model, dict(params), cfg, int(seed), range(a, min(a + _CHUNK, samples)))
+        (model, params, cfg, int(seed), range(a, min(a + _CHUNK, samples)))
         for a in range(0, samples, _CHUNK)
     ]
     # a pool starts all its processes at once: no more than there are tasks
@@ -294,7 +305,7 @@ def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
     lo, hi = float(vals.min()), float(vals.max())
     return RatioStats(
         model=model,
-        params=dict(params),
+        params=params,
         sample_count=samples,
         records=records,
         min=lo,
@@ -318,6 +329,7 @@ _HARD_TOL = 1e-9
 
 
 def verify_bounds(model, params, samples, cfg, seed, workers=1):
+    params = _params(model, params)
     bset = _model_part(model, "bound_set")(params)
     stats = estimate_ratio_distribution(model, params, samples, cfg, seed, workers)
     checks = []
@@ -407,6 +419,7 @@ def _bound_dict(bset):
 
 def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, workers=1):
     tail = _model_part(model, "tail")
+    params = _params(model, params)
     if not len(t_grid):
         raise UsageError("empty t grid")
     _count(samples, "samples", 100)
@@ -414,7 +427,7 @@ def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, work
     stats, moments = (), []
     if MODELS[model].sampler is None:
         # the projection law: each ratio is drawn directly, not from an object
-        N, k, field = params["N"], params["k"], params.get("field", REAL)
+        N, k, field = params["N"], params["k"], params["field"]
         vals = np.array([projection_ratio_sample(N, k, seed, i, field) for i in range(samples)])
         tag = "projection-tail"
         for ell in (2, 4, 6):

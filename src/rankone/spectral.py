@@ -16,11 +16,12 @@ counts and convergence flags, and each round calls the method's step.  Both
 methods keep each start's point as one row, its modes or blocks as column
 slices, so moves, norms and trial points are whole-row operations with one
 segmented sum over the slices (``_Blocks``); the ascent packs the rest of a
-start's state into the same row.  The alternating method gathers the live
-starts' tensors from a row-first stack once per change of the live set,
-shares the suffix contractions between the modes of the sweep and runs each
-contraction as one batched matmul over the starts; the ascent searches the
-circles of every live start with one batched evaluation.  Each object keeps
+start's state into the same row, whose n (re, im) pairs per complex block
+are the complex point under ``view(complex128)``.  The alternating method
+gathers the live starts' tensors from a row-first stack once per change of
+the live set, shares the suffix contractions between the modes of the sweep
+and runs each contraction as one batched matmul over the starts; the ascent
+searches the circles of every live start with one batched evaluation.  Each object keeps
 the best of its own starts, which ``sampling._draw_starts`` draws from the
 object's seed (this module holds no seeding code).  The one-object entry
 points are its calls with one object.  Both methods move a start only to a
@@ -32,7 +33,7 @@ for certification at tiny sizes.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import isfinite, prod
 from numbers import Real
 
 import numpy as np
@@ -48,7 +49,6 @@ from .poly import MultiHomogPoly, bw_norm
 from .sampling import _draw_starts, _nonnegative_int
 from .tensor import (
     COMPLEX,
-    REAL,
     FieldError,
     Tensor,
     contract_back,
@@ -250,67 +250,35 @@ def _alternating(ts, which, tol):
 # ---------------------------------------------- conjugate great-circle ascent
 
 
-def _realified_objective(coeffs, expo, ns, field):
-    """Return (blocks, degree, value_fn, value_and_grad_fn, unpack) for f and
-    |f|^2 on a product of (realified) spheres.
+def _realified_objective(coeffs, expo, ns):
+    """Return (blocks, degree, value_fn, value_and_grad_fn) for f and |f|^2
+    on a product of (realified) spheres, over the field of ``coeffs``' dtype.
 
-    A point y holds one contiguous block per variable block; a complex block
-    of n variables is stored as [real parts, imaginary parts].  ``blocks`` are
-    the slices of y that each lie on a unit sphere and ``degree`` is the total
-    degree of f.  ``coeffs`` holds one coefficient row per start.
-    ``value(ys, ids)`` and ``value_and_grad(ys, ids)`` take a batch of
-    points, one per row, and the start ids of the rows (``value`` also takes
-    fewer ids than points, one for each run of equally many consecutive
-    rows).  ``value`` returns f itself (complex for a complex field);
-    ``value_and_grad`` returns f, |f|^2 and the gradient of |f|^2, all from
-    one fused kernel call.  The kernels' factor index is built once here for
-    every call.  ``unpack(y)`` returns the per-block vectors over the field
-    of one point.
+    A point y holds one contiguous block per variable block, a complex block
+    of n variables as n (re, im) pairs: ``y.view(complex128)`` is the complex
+    point, with no copy.  ``blocks`` are the slices of y on unit spheres and
+    ``degree`` is f's total degree; ``coeffs`` holds one row per start.
+    ``value(ys, ids)`` and ``value_and_grad(ys, ids)`` take points, one per
+    row, and the rows' start ids (``value`` also takes one id per run of
+    equally many consecutive rows).  ``value`` returns f (complex for a
+    complex field); ``value_and_grad`` returns f, |f|^2 and its gradient in
+    y's coordinates, 2 f conj(df/dz) viewed as (re, im) pairs, from one
+    fused kernel call with the factor index built here once.
     """
-    k = 2 if field == COMPLEX else 1
-    offsets = np.cumsum((0,) + tuple(k * n for n in ns))
-    blocks = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
+    dt = coeffs.dtype
+    ends = np.cumsum((0, *ns)) * (dt.itemsize // np.dtype(np.float64).itemsize)
+    blocks = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
     degree = int(expo[0].sum())
     index = _kernels._factor_index(expo, expo.shape[1], True)
-    if field == REAL:
-
-        def value(ys, ids):
-            return evaluate_poly_many(coeffs[ids], expo, ys, index=index)
-
-        def value_and_grad(ys, ids):
-            v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys, index=index)
-            return v, v * v, 2.0 * v[:, np.newaxis] * g
-
-        def unpack(y):
-            return tuple(y[b] for b in blocks)
-
-        return blocks, degree, value, value_and_grad, unpack
-
-    ccoeffs = coeffs.astype(np.complex128)
-    if len(ns) == 1:
-        re, im = slice(0, ns[0]), slice(ns[0], 2 * ns[0])
-    else:
-        re = np.concatenate([np.arange(a, a + n) for a, n in zip(offsets, ns)])
-        im = np.concatenate([np.arange(a + n, a + 2 * n) for a, n in zip(offsets, ns)])
 
     def value(ys, ids):
-        z = ys[:, re] + 1j * ys[:, im]
-        return evaluate_poly_many(ccoeffs[ids], expo, z, index=index)
+        return evaluate_poly_many(coeffs[ids], expo, ys.view(dt), index=index)
 
     def value_and_grad(ys, ids):
-        z = ys[:, re] + 1j * ys[:, im]
-        v, gv = value_and_gradient_poly_many(ccoeffs[ids], expo, z, index=index)
-        gz = np.conj(v)[:, np.newaxis] * gv
-        g = np.empty(ys.shape)
-        g[:, re] = 2.0 * gz.real
-        g[:, im] = -2.0 * gz.imag
-        return v, (v * np.conj(v)).real, g
+        v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys.view(dt), index=index)
+        return v, (v * v.conj()).real, (2.0 * v[:, np.newaxis] * g.conj()).view(np.float64)
 
-    def unpack(y):
-        z = y[re] + 1j * y[im]
-        return tuple(np.split(z, np.cumsum(ns)[:-1]))
-
-    return blocks, degree, value, value_and_grad, unpack
+    return blocks, degree, value, value_and_grad
 
 
 class _CircleSearch:
@@ -478,10 +446,12 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     obj, stalls = dim, dim + 1
     grad, d_prev, g_prev = (slice(a, a + dim) for a in range(dim + 2, 4 * dim + 2, dim))
     f = slice(4 * dim + 2, None)
+    f_dtype = None  # f's dtype, read from its first evaluation
 
     def start(x):
+        nonlocal f_dtype
         fx, o, gr = value_and_grad(x, np.arange(len(x)))
-        fx = fx.view(np.float64).reshape(len(x), -1)
+        f_dtype, fx = fx.dtype, fx.view(np.float64).reshape(len(x), -1)
         p = np.zeros((len(x), f.start + fx.shape[1]))
         p[:, :dim], p[:, obj], p[:, grad], p[:, f] = x, o, gr, fx
         return [p]
@@ -494,8 +464,7 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
             return flat
         rows = np.flatnonzero(~flat)
         q, g, ids = p[rows], g[rows], ids[rows]
-        xl, ol, gp, fq = q[:, :dim], q[:, obj], q[:, g_prev], q[:, f]
-        fx = fq[:, 0] if fq.shape[1] == 1 else fq.view(np.complex128)[:, 0]
+        xl, ol, gp, fx = q[:, :dim], q[:, obj], q[:, g_prev], q[:, f].view(f_dtype)[:, 0]
         # Polak-Ribiere+ with transport by projection; beta = 0 on the first
         # round, where the previous gradient is 0
         num = (g * (g - seg.tangent(gp, xl))).sum(axis=1)
@@ -578,9 +547,7 @@ def sphere_grid(n, resolution):
 
 
 def _grid_budget_check(sizes):
-    total = 1
-    for s in sizes:
-        total *= s
+    total = prod(sizes)
     if total > _GRID_BUDGET:
         raise BudgetError(f"grid search space {total} exceeds {_GRID_BUDGET}")
 
@@ -620,8 +587,7 @@ def _brute_force_multi(F, resolution):
     _grid_budget_check([g.shape[0] for g in grids])
     picks = np.indices([len(g) for g in grids]).reshape(len(grids), -1)
     pts = np.concatenate([g[p] for g, p in zip(grids, picks)], axis=1)
-    coeffs = F.coeffs.astype(np.complex128) if F.field == COMPLEX else F.coeffs
-    return float(np.max(np.abs(evaluate_poly_many(coeffs, F.exponents, pts))))
+    return float(np.max(np.abs(evaluate_poly_many(F.coeffs, F.exponents, pts))))
 
 
 # ----------------------------------------------------------------- ratios
@@ -667,36 +633,27 @@ def spectral_value_many(objs, cfg, seeds):
         raise ZeroInputError("zero input")
     first, starts = objs[0], cfg.starts
     which = np.repeat(np.arange(len(objs)), starts)
+    sizes = first.shape if isinstance(first, Tensor) else first.ns
+    x = np.hstack(_draw_starts(seeds, starts, sizes, first.field))
     if isinstance(first, Tensor):
-        x = np.hstack(_draw_starts(seeds, starts, first.shape, first.field))
         step = _alternating(objs, which, cfg.tol)
         (x, values, _), iters, conv = _lockstep(
             step, [x, np.full(len(x), -np.inf), np.zeros(len(x))], cfg.max_iters
         )
-
-        def maximizer(r):
-            return tuple(np.split(x[r], np.cumsum(first.shape)[:-1]))
-
     else:
         coeffs = np.stack([o.coeffs for o in objs])[which]
-        blocks, degree, value, value_and_grad, unpack = _realified_objective(
-            coeffs, first.exponents, first.ns, first.field
+        blocks, degree, value, value_and_grad = _realified_objective(
+            coeffs, first.exponents, first.ns
         )
-        x = np.hstack(_draw_starts(seeds, starts, [b.stop - b.start for b in blocks], REAL))
         start, step = _pga_sphere(blocks, degree, value, value_and_grad, cfg.tol)
-        (p,), iters, conv = _lockstep(step, start(x), cfg.max_iters)
-        dim = x.shape[1]
-        values = np.sqrt(p[:, dim])
-
-        def maximizer(r):
-            return unpack(p[r, :dim])
-
+        (p,), iters, conv = _lockstep(step, start(x.view(np.float64)), cfg.max_iters)
+        dim = blocks[-1].stop
+        values, x = np.sqrt(p[:, dim]), p[:, :dim].view(x.dtype)
     results = []
     for a in range(0, len(which), starts):
         r = a + _pick_best(values[a : a + starts])
-        results.append(
-            SpectralResult(float(values[r]), maximizer(r), int(iters[r]), bool(conv[r]))
-        )
+        maximizer = tuple(np.split(x[r], np.cumsum(sizes)[:-1]))
+        results.append(SpectralResult(float(values[r]), maximizer, int(iters[r]), bool(conv[r])))
     return SpectralBatch(tuple(results), int(iters.max()))
 
 

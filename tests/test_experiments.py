@@ -152,6 +152,38 @@ def test_non_integer_seed_samples_and_workers_are_refused(monkeypatch, run, kw, 
     assert _PoolSpy.made == []
 
 
+@pytest.mark.parametrize(
+    "run, model, params, missing",
+    [
+        (lambda m, p: verify_bounds(m, p, 4, CFG, 1), "kostlan", {"d": 3}, "n"),
+        (lambda m, p: verify_bounds(m, p, 4, CFG, 1), "kostlan_multi", {"field": REAL}, "ds, ns"),
+        (lambda m, p: estimate_ratio_distribution(m, p, 4, CFG, 1), "kostlan", {}, "d, n"),
+        (lambda m, p: estimate_ratio_distribution(m, p, 4, CFG, 1), "harmonic", {"n": 3}, "d"),
+        (lambda m, p: tail_empirical_vs_bound(m, p, 100, [0.5], 1), "projection", {"N": 10}, "k"),
+        (lambda m, p: tail_empirical_vs_bound(m, p, 100, [0.5], 1), "kostlan", {"n": 2}, "d"),
+    ],
+    ids=["verify", "verify-multi", "estimate", "estimate-no-field", "tail-projection", "tail-model"],
+)
+def test_missing_model_parameters_are_usage_errors(monkeypatch, run, model, params, missing):
+    # named on entry, every one of them, before a sample is drawn
+    monkeypatch.setattr(experiments, "_ratio_records", None)
+    with pytest.raises(UsageError, match=f"^model {model!r} needs {missing}$"):
+        run(model, params)
+
+
+@pytest.mark.parametrize(
+    "run, params",
+    [
+        (lambda p: estimate_ratio_distribution("kostlan", p, 4, CFG, 1).records, {"d": 3, "n": 2}),
+        (lambda p: verify_bounds("kostlan", p, 4, CFG, 1).checks, {"d": 3, "n": 2}),
+        (lambda p: tail_empirical_vs_bound("projection", p, 100, [0.5], 1).checks, {"N": 10, "k": 3}),
+    ],
+    ids=["estimate", "verify", "tail-projection"],
+)
+def test_missing_field_reads_as_real(run, params):
+    assert run(params) == run({**params, "field": REAL})
+
+
 def test_numpy_integer_seed_samples_and_workers_are_accepted():
     kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, cfg=CFG)
     stats = estimate_ratio_distribution(**kw, samples=np.int64(3), seed=np.int64(4), workers=np.int64(1))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankone import _kernels
+from rankone import _kernels, poly, spectral
 from rankone.bounds import DomainError, bounds_general, bounds_symmetric
 from rankone.experiments import _HARD_TOL, _cfg_seed, _draw, estimate_ratio_distribution
 from rankone.poly import (
@@ -395,7 +395,7 @@ def test_lockstep_driver_retires_each_start_at_its_round():
 def test_lockstep_starts_match_single_runs(form):
     # every start of a lockstep batch must end exactly where it ends alone
     coeffs = np.tile(form.coeffs, (9, 1))
-    blocks, degree, value, value_and_grad, _ = _realified_objective(coeffs, form.exponents, form.ns, form.field)
+    blocks, degree, value, value_and_grad = _realified_objective(coeffs, form.exponents, form.ns)
     x0 = np.random.default_rng(3).standard_normal((9, blocks[-1].stop))
     for b in blocks:
         x0[:, b] /= np.linalg.norm(x0[:, b], axis=1)[:, np.newaxis]
@@ -436,13 +436,41 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
 
 
 @pytest.mark.parametrize(
+    "obj",
+    [
+        kostlan_form(6, 3, REAL, 64),
+        kostlan_form(5, 2, COMPLEX, 65),
+        kostlan_multi((2, 3), (2, 3), REAL, 66),
+        kostlan_multi((2, 2), (2, 3), COMPLEX, 67),
+        gaussian_tensor((3, 3, 3), REAL, 68),
+        gaussian_tensor((2, 3, 4), COMPLEX, 69),
+    ],
+    ids=["real", "complex", "multi", "complex-multi", "tensor", "complex-tensor"],
+)
+def test_maximizer_is_one_unit_vector_per_block_attaining_the_value(obj):
+    res = spectral_value(obj, CFG)
+    sizes = obj.shape if isinstance(obj, Tensor) else obj.ns
+    dtype = np.complex128 if obj.field == COMPLEX else np.float64
+    assert [(x.dtype, x.shape) for x in res.maximizer] == [(dtype, (n,)) for n in sizes]
+    for x in res.maximizer:
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+    if isinstance(obj, Tensor):  # <T, x^1 (x) ... (x) x^d>, conjugate in T
+        at = obj.data.conj()
+        for x in res.maximizer:
+            at = np.tensordot(x, at, axes=(0, 0))
+    else:
+        at = poly.evaluate(obj, np.concatenate(res.maximizer))
+    assert abs(at) == pytest.approx(res.value, rel=1e-13)
+
+
+@pytest.mark.parametrize(
     "seed, shape, field, value, iterations",
     [
         (31, (3, 3, 3), REAL, 3.944647356125139, 8),
         (32, (2, 3, 4), COMPLEX, 4.135896386787339, 13),
         (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 14),
         (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 2),
-        (35, ("kostlan", {"d": 8, "n": 2}), COMPLEX, 1.2948616794233114, 6),
+        (35, ("kostlan", {"d": 8, "n": 2}), COMPLEX, 1.2948616794233114, 7),
         (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 6),
         (37, ("kostlan_multi", {"ds": (2, 3), "ns": (2, 2)}), REAL, 2.2952944200632626, 13),
     ],
@@ -843,8 +871,8 @@ def test_great_circle_search_is_exact(form):
     # its D+1 samples fix |f|^2, a trigonometric polynomial of degree D in
     # 2t, at every angle
     rows = 5
-    blocks, degree, value, value_and_grad, _ = _realified_objective(
-        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns, form.field
+    blocks, degree, value, value_and_grad = _realified_objective(
+        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns
     )
     ids = np.arange(rows)
     rng = np.random.default_rng(7)
@@ -893,6 +921,52 @@ def test_great_circle_search_is_exact(form):
     assert conv.all()
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        kostlan_form(5, 3, REAL, 60),
+        kostlan_form(5, 2, COMPLEX, 61),
+        kostlan_multi((2, 3), (2, 3), REAL, 62),
+        kostlan_multi((2, 2), (2, 3), COMPLEX, 63),
+    ],
+    ids=["real", "complex", "multi", "complex-multi"],
+)
+def test_objective_reads_each_row_as_its_point(monkeypatch, form):
+    # a row of the ascent is its point over the field under a dtype view: the
+    # kernels get the rows themselves, f is the form's value there bit for
+    # bit and the gradient is that of |f|^2 in the row's real coordinates
+    rows = 3
+    blocks, _, value, value_and_grad = _realified_objective(
+        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns
+    )
+    ys, ids = np.random.default_rng(8).standard_normal((rows, blocks[-1].stop)), np.arange(rows)
+    want = poly.evaluate_many(form, ys.view(form.coeffs.dtype))
+    points = []
+
+    def spy(kernel):
+        def call(coeffs, expo, xs, **kw):
+            points.append(np.shares_memory(xs, ys))
+            return kernel(coeffs, expo, xs, **kw)
+
+        return call
+
+    for name in ("evaluate_poly_many", "value_and_gradient_poly_many"):
+        monkeypatch.setattr(spectral, name, spy(getattr(spectral, name)))
+    assert value(ys, ids).tobytes() == want.tobytes()
+    f, obj, grad = value_and_grad(ys, ids)
+    assert points == [True, True]
+    np.testing.assert_allclose(f, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(obj, np.abs(want) ** 2, rtol=1e-14, atol=0)
+    assert grad.shape == ys.shape and grad.dtype == np.float64
+    # central differences, to 1e-6 of each row's largest partial
+    h, scale = 1e-5, np.abs(grad).max(axis=1)
+    for j in range(ys.shape[1]):
+        step = np.zeros_like(ys)
+        step[:, j] = h
+        up, down = (np.abs(value(ys + e, ids)) ** 2 for e in (step, -step))
+        assert (np.abs(grad[:, j] - (up - down) / (2.0 * h)) <= 1e-6 * scale).all()
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("ns", [(5,), (2, 4), (3, 1, 2), (1, 5, 3)], ids=["1", "2", "3", "3-wide"])
 def test_segmented_block_ops_match_the_per_block_loop(field, ns):
@@ -927,8 +1001,8 @@ def test_zero_direction_block_keeps_values_monotone_and_attained(field):
     coeffs = np.array([q[tuple(e[2:])] if e[0] == 1 else 0.0 for e in expo])
     form = MultiHomogPoly((2, 2), (1, 2), coeffs, field)
     rows = 6
-    blocks, degree, value, value_and_grad, _ = _realified_objective(
-        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns, form.field
+    blocks, degree, value, value_and_grad = _realified_objective(
+        np.tile(form.coeffs, (rows, 1)), form.exponents, form.ns
     )
     x0 = np.random.default_rng(9).standard_normal((rows, blocks[-1].stop))
     x0[:, blocks[0]] = 0.0
@@ -951,7 +1025,7 @@ def test_zero_direction_block_keeps_values_monotone_and_attained(field):
     for values in history:
         assert all(b >= a for a, b in zip(values, values[1:]))
     np.testing.assert_allclose(obj, np.abs(value(xf, ids)) ** 2, rtol=1e-14, atol=0)
-    x_2 = np.arange(blocks[0].start + 1, blocks[0].stop, 2)  # its real (and imaginary) part
+    x_2 = slice((blocks[0].start + blocks[0].stop) // 2, blocks[0].stop)  # its (re, im) pair
     assert (xf[:, x_2] == 0.0).all()
     if field == REAL:
         assert (np.abs(xf[:, blocks[0].start]) == 1.0).all()
