@@ -42,9 +42,9 @@ def _keep_heap_resident():
 
     These are the values glibc's own dynamic rule reaches once a 1 MiB mmap'd
     block is freed, so the hot loop's temporaries stay resident whatever else
-    the process imported or freed.  Pool workers forked later inherit the
-    setting (spawned ones import this module and set it again).  A libc
-    without ``mallopt`` (or one that refuses it) is left as it is."""
+    the process imported or freed.  The workers of a Monte Carlo pass are
+    forked from this process and inherit the setting.  A libc without
+    ``mallopt`` (or one that refuses it) is left as it is."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

@@ -352,7 +352,7 @@ def main(argv=None):
         if owns_process:
             # the import-time objects live until the process ends: frozen, the
             # collections of the run and the final one at exit skip them, and a
-            # forked pool worker starts from a heap it need not scan
+            # forked worker starts from a heap it need not scan
             gc.freeze()
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:

@@ -10,6 +10,8 @@ and fixed float formatting.
 import io
 import json
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass, field as dataclass_field, fields, is_dataclass, replace
 from numbers import Integral
 from typing import NamedTuple
@@ -212,11 +214,15 @@ def _model_part(model, part):
 
 def _params(model, params):
     """``params`` in a new dict, with ``field`` real where the model has one and
-    none is given; UsageError naming every other missing parameter."""
+    none is given; UsageError naming every other missing parameter, or every
+    key that is no parameter of the model."""
     names = _model_part(model, "params")
     missing = [k for k in names if k not in params and k != "field"]
     if missing:
         raise UsageError(f"model {model!r} needs {', '.join(missing)}")
+    unknown = [str(k) for k in params if k not in names]
+    if unknown:
+        raise UsageError(f"model {model!r} has no parameter {', '.join(unknown)}")
     return {"field": REAL, **params} if "field" in names else dict(params)
 
 
@@ -248,12 +254,84 @@ def _ratio_records(args):
     ]
 
 
-def ProcessPoolExecutor(max_workers):  # noqa: N802  the name of the pool it returns
-    """``concurrent.futures.ProcessPoolExecutor(max_workers)``, imported on
-    the first call, so a run with one worker never loads the pool's module."""
-    from concurrent.futures import ProcessPoolExecutor as pool
+def _run_child(fn, tasks, first, step, fd):
+    """The body of a forked child: run tasks first, first + step, ... and
+    write ``("ok", results)``, or ``("err", (task index, exception))`` for
+    the first task that raises, as one pickle to ``fd``.  It leaves by
+    ``os._exit`` whatever happens, so it never returns into the caller's
+    code, its atexit handlers or its stdio buffers; a child that could not
+    report exits with status 1."""
+    status = 1
+    try:
+        out = []
+        for i in range(first, len(tasks), step):
+            try:
+                out.append(fn(tasks[i]))
+            except Exception as exc:
+                msg = ("err", (i, exc))
+                break
+        else:
+            msg = ("ok", out)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(msg, fh)
+        status = 0
+    finally:
+        os._exit(status)
 
-    return pool(max_workers=max_workers)
+
+def _map(fn, tasks, workers):
+    """``[fn(t) for t in tasks]``, run in ``workers`` forked children when
+    there are two or more and the platform has ``os.fork`` (in this process
+    otherwise).  Child w runs tasks w, w + workers, ... and reports over its
+    own pipe; the parent computes nothing, reads each pipe to EOF and reaps
+    every child.  The first failing task in task order raises its exception
+    here, as it would in process; a child that ends without reporting is a
+    ``RuntimeError`` naming its exit status.  When this call leaves on an
+    exception, the children that have not finished are killed, then reaped."""
+    if workers == 1 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    pids, pipes, live = [], [], set()
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(wr)
+                raise
+            if pid == 0:
+                _run_child(fn, tasks, w, workers, wr)
+            os.close(wr)
+            pids.append(pid)
+            live.add(pid)
+        out, errors = [None] * len(tasks), []
+        for w, (pid, pipe) in enumerate(zip(pids, pipes)):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.discard(pid)
+            if code or not data:
+                how = f"signal {-code}" if code < 0 else f"status {code}"
+                raise RuntimeError(f"worker process ended by {how} without reporting")
+            kind, payload = pickle.loads(data)
+            if kind == "ok":
+                out[w::workers] = payload
+            else:
+                errors.append(payload)
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        return out
+    except BaseException:
+        import signal  # only here: a run that succeeds never loads it
+
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in live:
+            os.waitpid(pid, 0)
 
 
 def _count(value, what, least):
@@ -290,13 +368,8 @@ def estimate_ratio_distribution(model, params, samples, cfg, seed, workers=1):
         (model, params, cfg, int(seed), range(a, min(a + _CHUNK, samples)))
         for a in range(0, samples, _CHUNK)
     ]
-    # a pool starts all its processes at once: no more than there are tasks
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_ratio_records, tasks))
-    else:
-        chunks = [_ratio_records(t) for t in tasks]
+    # one process per task at most
+    chunks = _map(_ratio_records, tasks, min(workers, len(tasks)))
     records = tuple(r for chunk in chunks for r in chunk)
     vals = np.array([r.ratio for r in records])
     if np.any(vals <= 0) or np.any(vals > 1 + 1e-9):
@@ -423,6 +496,7 @@ def tail_empirical_vs_bound(model, params, samples, t_grid, seed, cfg=None, work
     if not len(t_grid):
         raise UsageError("empty t grid")
     _count(samples, "samples", 100)
+    _count(workers, "workers", 1)
     bounds = [tail(params, t) for t in t_grid]
     stats, moments = (), []
     if MODELS[model].sampler is None:

@@ -300,7 +300,7 @@ def test_criterion_13_determinism_across_workers(capfd):
     args = [
         sys.executable, "-m", "rankone.cli", "verify", "--model", "kostlan",
         "--d", "4", "--n", "2", "--samples", "40", "--seed", "99", "--starts", "6",
-    ]  # 40 samples: three chunks, so 8 workers start a pool of three
+    ]  # 40 samples: three chunks, so 8 workers fork three children
     p1 = subprocess.run(args + ["--workers", "1"], capture_output=True)
     p8 = subprocess.run(args + ["--workers", "8"], capture_output=True)
     ok = p1.returncode == 0 and p8.returncode == 0 and p1.stdout == p8.stdout

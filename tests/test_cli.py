@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rankone import experiments
 from rankone.cli import _apply_config_file, _build_parser, main
 from rankone.experiments import MODELS
 
@@ -244,11 +246,13 @@ _MULTI = [
         ([], "scipy", False),
         (["verify", "--model", "harmonic", "--d", "6", "--n", "3", "--samples", "2", "--seed", "1"], "scipy", False),
         (["experiment", "--kind", "bw-l2", "--d", "4", "--n", "3"], "scipy", False),
-        # concurrent.futures.process: only a run with two or more workers (20
-        # samples are two tasks), not the import nor a one-worker verification
-        ([], "concurrent.futures.process", False),
-        ([*_KOSTLAN, "--workers", "1"], "concurrent.futures.process", False),
-        ([*_KOSTLAN, "--workers", "2"], "concurrent.futures.process", True),
+        # concurrent.futures and multiprocessing: not the import nor a
+        # verification, whose two workers (20 samples are two tasks) are
+        # forked children
+        ([], "concurrent.futures", False),
+        ([*_KOSTLAN, "--workers", "1"], "concurrent.futures", False),
+        ([*_KOSTLAN, "--workers", "2"], "concurrent.futures", False),
+        ([*_KOSTLAN, "--workers", "2"], "multiprocessing", False),
         # numpy.ma: not the quantiles of a JSON verification, in the process
         # that computes them, with one worker or two
         ([*_KOSTLAN, "--workers", "1"], "numpy.ma", False),
@@ -266,6 +270,7 @@ _MULTI = [
         "import-pool",
         "one-worker-pool",
         "two-workers-pool",
+        "two-workers-multiprocessing",
         "one-worker-numpy.ma",
         "two-workers-numpy.ma",
         "multi-two-workers-hashlib",
@@ -494,9 +499,22 @@ def test_bad_scalar_value_names_the_flag(argv, message):
     assert _run_in_process(argv.split()) == (2, "", f"error: {message}\n")
 
 
+def test_worker_error_is_one_error_line(monkeypatch):
+    # a ValueError raised in a forked worker's task exits 2 as it would in
+    # process, and leaves no child behind
+    def fail(args):
+        raise ValueError(f"no sample {args[-1][0]}")
+
+    monkeypatch.setattr(experiments, "_ratio_records", fail)
+    argv = [*_KOSTLAN, "--workers", "2"]
+    assert _run_in_process(argv) == (2, "", "error: no sample 0\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # each scalar flag: a command that runs when the flag's value is good, the
 # parameter an error must name and the least good value; --workers is drawn
-# in 0..2 only, so no test can ask a pool for many processes
+# in 0..2 only, so no test can ask for many processes
 _VERIFY = ("verify", "--model", "kostlan", "--d", "3", "--n", "2", "--seed", "1", "--starts", "1")
 _SCALAR_FLAGS = {
     "--samples": (_VERIFY, "samples", 1),

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -51,7 +54,7 @@ def test_unknown_model_is_usage_error():
 
 
 def test_stats_are_schedule_independent():
-    # 20 samples: two chunks, so workers=4 runs them in a pool of two
+    # 20 samples: two chunks, so workers=4 runs them in two forked children
     kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=20, cfg=CFG, seed=3)
     s1 = estimate_ratio_distribution(**kw, workers=1)
     s2 = estimate_ratio_distribution(**kw, workers=4)
@@ -79,45 +82,124 @@ def test_records_do_not_depend_on_the_chunk(monkeypatch, model, params):
     assert records[0] == records[1]
 
 
-class _PoolSpy:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+class _ForkSpy:
+    """Wraps the real ``os.fork``: each call forks, and the parent records
+    the child's pid."""
 
-    made = []
+    def __init__(self, fork):
+        self.fork, self.children = fork, []
 
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
+    def __call__(self):
+        pid = self.fork()
+        if pid:
+            self.children.append(pid)
+        return pid
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+@pytest.fixture
+def forks(monkeypatch):
+    spy = _ForkSpy(os.fork)
+    monkeypatch.setattr(os, "fork", spy)
+    return spy
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
-    "samples, workers, made", [(33, 100_000, [3]), (33, 2, [2]), (16, 8, []), (5, 1, [])]
+    "samples, workers, made", [(33, 100_000, 3), (33, 2, 2), (16, 8, 0), (5, 1, 0)]
 )
-def test_pool_starts_no_more_processes_than_tasks(monkeypatch, samples, workers, made):
-    # a pool starts all of its max_workers processes at once, so a large
-    # --workers must not reach it: 33 samples are three tasks, 16 are one
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
-    monkeypatch.setattr(_PoolSpy, "made", [])
+def test_pool_starts_no_more_processes_than_tasks(forks, samples, workers, made):
+    # a large --workers must not fork more children than there are tasks:
+    # 33 samples are three tasks, 16 are one, and one task or one worker
+    # runs in process
     kw = dict(model="identity", params={"n": 3}, samples=samples, cfg=CFG, seed=1)
     stats = estimate_ratio_distribution(**kw, workers=workers)
-    assert _PoolSpy.made == made
+    assert len(forks.children) == made
     assert stats.records == estimate_ratio_distribution(**kw).records
+    _assert_no_child_left()
+
+
+def _fail_on(failing):
+    """A task function: the identity, except that task i in ``failing``
+    raises ``failing[i]``."""
+
+    def fn(i):
+        if i in failing:
+            raise failing[i]
+        return i
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [
+        {3: ValueError("bad task 3")},
+        # child 0 (tasks 0, 2, 4) fails first in time, child 1 first in task order
+        {2: DomainError("need d >= 1, got 0"), 1: UsageError("unknown model 'x'")},
+        {0: ZeroDivisionError("division by zero"), 4: KeyError("k")},
+    ],
+    ids=["one", "earlier-task-wins", "first-child"],
+)
+def test_worker_exception_reaches_caller_as_in_process(failing):
+    # the first failing task in task order raises, with its type and message
+    first = failing[min(failing)]
+    for workers in (1, 2):
+        with pytest.raises(type(first)) as exc:
+            experiments._map(_fail_on(failing), list(range(5)), workers)
+        assert type(exc.value) is type(first) and str(exc.value) == str(first)
+    _assert_no_child_left()
+
+
+def test_worker_that_ends_without_reporting_is_runtime_error():
+    # child 0 leaves at once with status 3, child 1 would sleep for a minute:
+    # the parent raises on child 0's status, kills child 1 and reaps both
+    def fn(i):
+        if i == 0:
+            os._exit(3)
+        time.sleep(60)
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="^worker process ended by status 3 without reporting$"):
+        experiments._map(fn, [0, 1], 2)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_worker_killed_by_a_signal_is_runtime_error():
+    def fn(i):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match=f"^worker process ended by signal {signal.SIGKILL.value} "):
+        experiments._map(fn, [0, 1], 2)
+    _assert_no_child_left()
+
+
+def test_fan_out_without_fork_runs_in_process(monkeypatch):
+    # a platform without os.fork runs the chunks in this process, with the
+    # records of a forked run
+    kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=20, cfg=CFG, seed=3)
+    forked = estimate_ratio_distribution(**kw, workers=2)
+    monkeypatch.delattr(os, "fork")
+    assert estimate_ratio_distribution(**kw, workers=2).records == forked.records
 
 
 @pytest.mark.parametrize("workers", [0, -2])
-def test_workers_below_one_is_usage_error(monkeypatch, workers):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
-    monkeypatch.setattr(_PoolSpy, "made", [])
+def test_workers_below_one_is_usage_error(forks, workers):
     with pytest.raises(UsageError, match=f"need workers >= 1, got {workers}"):
         estimate_ratio_distribution("identity", {"n": 3}, 40, CFG, 1, workers)
-    assert _PoolSpy.made == []
+    assert forks.children == []
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_tail_checks_workers_on_entry(workers):
+    # the projection tail draws its ratios in process, so only the entry
+    # check can refuse a bad worker count
+    with pytest.raises(UsageError, match=f"^need workers >= 1, got {workers}$"):
+        tail_empirical_vs_bound("projection", {"N": 4, "k": 2}, 100, [0.5], 1, workers=workers)
 
 
 @pytest.mark.parametrize(
@@ -142,14 +224,12 @@ def test_workers_below_one_is_usage_error(monkeypatch, workers):
     ],
 )
 @pytest.mark.parametrize("run", [estimate_ratio_distribution, verify_bounds])
-def test_non_integer_seed_samples_and_workers_are_refused(monkeypatch, run, kw, message):
+def test_non_integer_seed_samples_and_workers_are_refused(forks, run, kw, message):
     # refused on entry, not truncated (a float seed 1.5 would run as seed 1)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
-    monkeypatch.setattr(_PoolSpy, "made", [])
     args = {"samples": 3, "seed": 1, "workers": 1, **kw}
     with pytest.raises(DomainError, match=f"^{message}$"):
         run("kostlan", {"d": 3, "n": 2, "field": REAL}, args["samples"], CFG, args["seed"], args["workers"])
-    assert _PoolSpy.made == []
+    assert forks.children == []
 
 
 @pytest.mark.parametrize(
@@ -168,6 +248,25 @@ def test_missing_model_parameters_are_usage_errors(monkeypatch, run, model, para
     # named on entry, every one of them, before a sample is drawn
     monkeypatch.setattr(experiments, "_ratio_records", None)
     with pytest.raises(UsageError, match=f"^model {model!r} needs {missing}$"):
+        run(model, params)
+
+
+@pytest.mark.parametrize(
+    "run, model, params, unknown",
+    [
+        (lambda m, p: estimate_ratio_distribution(m, p, 2, CFG, 1), "kostlan",
+         {"d": 3, "n": 2, "feild": "complex"}, "feild"),
+        (lambda m, p: verify_bounds(m, p, 4, CFG, 1), "harmonic",
+         {"d": 3, "n": 2, "field": REAL, "shape": (2, 2)}, "field, shape"),
+        (lambda m, p: tail_empirical_vs_bound(m, p, 100, [0.5], 1), "projection",
+         {"N": 10, "k": 3, "d": 2}, "d"),
+    ],
+    ids=["estimate-misspelled-field", "verify-two-keys", "tail-projection"],
+)  # fmt: skip
+def test_unknown_model_parameters_are_usage_errors(monkeypatch, run, model, params, unknown):
+    # a misspelled key must not run as the default it misses
+    monkeypatch.setattr(experiments, "_ratio_records", None)
+    with pytest.raises(UsageError, match=f"^model {model!r} has no parameter {unknown}$"):
         run(model, params)
 
 
@@ -408,7 +507,7 @@ def test_export_csv_row_count(tmp_path):
 
 
 def test_reports_identical_across_workers():
-    # 20 samples: two chunks, so workers=4 runs them in a pool of two
+    # 20 samples: two chunks, so workers=4 runs them in two forked children
     kw = dict(model="kostlan", params={"d": 3, "n": 2, "field": REAL}, samples=20, cfg=CFG, seed=23)
     r1 = verify_bounds(**kw, workers=1)
     r2 = verify_bounds(**kw, workers=4)
