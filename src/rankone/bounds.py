@@ -46,14 +46,6 @@ class BoundSet:
     extras: dict = dataclass_field(default_factory=dict)
 
     @property
-    def lower_log10(self):
-        return math.log10(self.lower)
-
-    @property
-    def upper_log10(self):
-        return math.log10(self.upper)
-
-    @property
     def vacuous(self):
         return self.upper > 1.0
 

@@ -409,7 +409,8 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
 
     # (a) per-sample hard lower bound; the optimizer under-approximates the
     # true ratio, so apparent violations are re-certified in one batch with 4x
-    # starts and the recertified records stand in for the first ones
+    # starts and the recertified records stand in for the first ones (a real
+    # binary form's search is exact, so its recertified record is the first)
     records = list(stats.records)
     violators = [r.index for r in records if r.ratio < bset.lower - _HARD_TOL]
     if violators:

@@ -29,6 +29,15 @@ point where the objective is at least as large and report the objective at
 the vectors they return, so their values are attained: certified LOWER
 bounds on the true maximum.  A deterministic sphere-grid oracle is provided
 for certification at tiny sizes.
+
+Real forms in two variables (one block of two variables over the reals)
+take an exact search instead of the starts: their unit sphere is a single
+great circle, so one circle search per form (``_circle_maxima``) gives |f|^2
+on the whole sphere, every local maximum of its grid is refined and the
+largest |f| found is the result.  Their seeds are checked but nothing is
+drawn, ``starts``, ``max_iters`` and ``tol`` do not apply, and recertifying
+such a form with more starts gives the same value, so a ratio below a lower
+bound there is a genuine failure.
 """
 
 from dataclasses import dataclass
@@ -49,6 +58,7 @@ from .poly import MultiHomogPoly, bw_norm
 from .sampling import _draw_starts, _nonnegative_int
 from .tensor import (
     COMPLEX,
+    REAL,
     FieldError,
     Tensor,
     contract_back,
@@ -311,7 +321,8 @@ class _CircleSearch:
         y = self.cos * x[:, np.newaxis] + self.sin * u[:, np.newaxis]
         samples = np.empty((rows, d + 1), dtype=fx.dtype)
         samples[:, 0] = fx
-        samples[:, 1:] = value(y.reshape(-1, dim), ids).reshape(rows, d)
+        if d:  # a form of degree 0 is its value at x
+            samples[:, 1:] = value(y.reshape(-1, dim), ids).reshape(rows, d)
         return samples
 
     def interpolant(self, samples):
@@ -330,15 +341,30 @@ class _CircleSearch:
 
     def argmax(self, c):
         """Angle (L,) of the maximum of each row's p: the best point of a
-        zero-padded grid of _FINE (2D+1) angles in [0, pi), refined by a
-        parabola through it and its neighbours and then two Newton steps on
-        p' and p''."""
-        fine, step = self.fine, self.step
+        zero-padded grid of _FINE (2D+1) angles in [0, pi), refined."""
         # p - c_0 / 2 at the angles step * i, up to a positive factor
-        grid = np.fft.irfft(c, n=fine, axis=1)
-        i = grid.argmax(axis=1)
+        grid = np.fft.irfft(c, n=self.fine, axis=1)
+        return self.refine(c, grid, np.arange(len(c)), grid.argmax(axis=1))
+
+    def peaks(self, c):
+        """Rows and angles (K,) of every local maximum of each row's p: the
+        grid points of ``argmax`` above their left and at least their right
+        neighbour, and each row's best grid point, all refined.  Two peaks
+        closer in height than the grid resolves can put the best grid point
+        in the lower one's basin, so each is refined, not just the best."""
+        grid = np.fft.irfft(c, n=self.fine, axis=1)
+        top = (grid > np.roll(grid, 1, axis=1)) & (grid >= np.roll(grid, -1, axis=1))
+        top[np.arange(len(c)), grid.argmax(axis=1)] = True
+        rows, i = np.nonzero(top)
+        return rows, self.refine(c[rows], grid, rows, i)
+
+    def refine(self, c, grid, rows, i):
+        """Angles (K,) of the maxima of p near the points i of rows ``rows``
+        of the grid, c the coefficients of each (K, D+1): a parabola through
+        the point and its neighbours and then two Newton steps on p' and p''."""
+        fine, step = self.fine, self.step
         near = (i[:, np.newaxis] + self.offsets) % fine
-        lo, mid, hi = grid[np.arange(len(c))[:, np.newaxis], near].T
+        lo, mid, hi = grid[rows[:, np.newaxis], near].T
         curv = lo - 2.0 * mid + hi
         shift = np.divide(0.5 * (lo - hi), curv, out=np.zeros(len(c)), where=curv < 0.0)
         theta = step * (i + shift)
@@ -494,6 +520,35 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     return start, step
 
 
+def _circle_maxima(forms):
+    """One ``SpectralResult`` per real form of a batch in two variables, by
+    an exact search of the unit circle, which is the whole sphere there.
+
+    Along x = e_1, u = e_2 the circle search (``_CircleSearch``) turns f at
+    the D+1 angles s_j, one batched evaluation, into |f|^2 = p(t) on the
+    whole circle, one row per form.  Each local maximum of its grid is
+    refined (``_CircleSearch.peaks``), f is evaluated once at every refined
+    point, renormalised, and each form keeps the point of largest |f| (the
+    first of equal ones): an attained value with iterations 1, converged.
+    """
+    first = forms[0]
+    coeffs = np.stack([g.coeffs for g in forms])
+    blocks, degree, value, _ = _realified_objective(coeffs, first.exponents, first.ns)
+    circles, ids = _CircleSearch(degree), np.arange(len(forms))
+    x = np.zeros((len(forms), 2))
+    x[:, 0] = 1.0
+    # f(e_1) is the coefficient of x_1^D
+    fx = coeffs[:, np.flatnonzero(first.exponents[:, 0] == degree)[0]]
+    c = circles.interpolant(circles.samples(x, x[:, ::-1], fx, ids, value))
+    rows, theta = circles.peaks(c)
+    y = _Blocks(blocks).unit(np.column_stack((np.cos(theta), np.sin(theta))))
+    f = np.abs(value(y, rows))
+    # rows are sorted, so a stable sort by (row, -|f|) puts each form's best first
+    order = np.lexsort((-f, rows))
+    best = order[np.searchsorted(rows[order], ids)]
+    return tuple(SpectralResult(float(f[b]), (y[b],), 1, True) for b in best)
+
+
 def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=None):
     """Maximize |f(x)| over the unit sphere (realified for complex).
 
@@ -596,7 +651,8 @@ def _brute_force_multi(F, resolution):
 def spectral_value(obj, cfg=MaximizerConfig()):
     """Largest |<T, x^1 (x) ... (x) x^d>| of a tensor over unit vectors by
     alternating maximization, or largest |F(x)| of a polynomial over its
-    product of unit spheres by the great-circle ascent; one object's
+    product of unit spheres by the great-circle ascent (by one exact circle
+    search for a real form in two variables); one object's
     ``SpectralResult``."""
     return spectral_value_many([obj], cfg, [cfg.seed]).results[0]
 
@@ -619,7 +675,9 @@ def spectral_value_many(objs, cfg, seeds):
     every start of every object advances in one batch, and each object's
     result is the best of its own starts: the result ``spectral_value``
     gives with ``cfg.seed = seeds[i]``, up to float rounding.  Returns a
-    ``SpectralBatch``.
+    ``SpectralBatch``.  Real forms in two variables are searched exactly,
+    one circle each (``_circle_maxima``): their seeds are checked but draw
+    nothing, ``cfg`` is not read and the batch takes 1 round.
     """
     objs, seeds = tuple(objs), tuple(seeds)
     if not objs or len(seeds) != len(objs):
@@ -632,6 +690,8 @@ def spectral_value_many(objs, cfg, seeds):
     if any(total_norm(o) == 0.0 for o in objs):
         raise ZeroInputError("zero input")
     first, starts = objs[0], cfg.starts
+    if isinstance(first, MultiHomogPoly) and first.ns == (2,) and first.field == REAL:
+        return SpectralBatch(_circle_maxima(objs), 1)
     which = np.repeat(np.arange(len(objs)), starts)
     sizes = first.shape if isinstance(first, Tensor) else first.ns
     x = np.hstack(_draw_starts(seeds, starts, sizes, first.field))

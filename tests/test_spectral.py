@@ -440,12 +440,13 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
     [
         kostlan_form(6, 3, REAL, 64),
         kostlan_form(5, 2, COMPLEX, 65),
+        kostlan_form(8, 2, REAL, 70),
         kostlan_multi((2, 3), (2, 3), REAL, 66),
         kostlan_multi((2, 2), (2, 3), COMPLEX, 67),
         gaussian_tensor((3, 3, 3), REAL, 68),
         gaussian_tensor((2, 3, 4), COMPLEX, 69),
     ],
-    ids=["real", "complex", "multi", "complex-multi", "tensor", "complex-tensor"],
+    ids=["real", "complex", "real-binary", "multi", "complex-multi", "tensor", "complex-tensor"],
 )
 def test_maximizer_is_one_unit_vector_per_block_attaining_the_value(obj):
     res = spectral_value(obj, CFG)
@@ -469,7 +470,7 @@ def test_maximizer_is_one_unit_vector_per_block_attaining_the_value(obj):
         (31, (3, 3, 3), REAL, 3.944647356125139, 8),
         (32, (2, 3, 4), COMPLEX, 4.135896386787339, 13),
         (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 14),
-        (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 2),
+        (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 1),
         (35, ("kostlan", {"d": 8, "n": 2}), COMPLEX, 1.2948616794233114, 7),
         (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 6),
         (37, ("kostlan_multi", {"ds": (2, 3), "ns": (2, 2)}), REAL, 2.2952944200632626, 13),
@@ -1030,6 +1031,96 @@ def test_zero_direction_block_keeps_values_monotone_and_attained(field):
     if field == REAL:
         assert (np.abs(xf[:, blocks[0].start]) == 1.0).all()
     assert np.sqrt(obj.max()) == pytest.approx(1.0 + np.sqrt(5.0), rel=1e-12)
+
+
+def test_real_binary_search_takes_the_higher_of_two_near_peaks():
+    # f(t) = cos 3t + eps cos(t - 2 pi / 3) on the unit circle: |f| <= 1 + eps,
+    # attained at t = 2 pi / 3 only; its peak at t = 0, 1 - eps / 2, lies on
+    # a grid point of the circle search, while the grid points nearest the
+    # top peak are a third of a step away, so the best grid point is in the
+    # lower peak's basin (the peaks move by O(eps^2) off 0 and 2 pi / 3)
+    eps = 5e-4
+    c, s = -eps / 2.0, eps * math.sqrt(3.0) / 2.0
+    f = poly_from_coeff_dict(2, 3, {(3, 0): 1.0 + c, (2, 1): s, (1, 2): -3.0 + c, (0, 3): s})
+    blocks, degree, value, _ = _realified_objective(f.coeffs[np.newaxis], f.exponents, f.ns)
+    circles, one = _CircleSearch(degree), np.arange(1)
+    x = np.array([[1.0, 0.0]])
+    t = circles.argmax(circles.interpolant(circles.samples(x, x[:, ::-1], f.coeffs[:1], one, value)))
+    lower = abs(value(np.column_stack((np.cos(t), np.sin(t))), one)[0])
+    assert lower == pytest.approx(1.0 - eps / 2.0, rel=1e-7)
+    res = spectral_value(f, CFG)
+    assert res.value == pytest.approx(1.0 + eps, rel=1e-14)
+    assert abs(np.dot(res.maximizer[0], [-0.5, math.sqrt(0.75)])) == pytest.approx(1.0, rel=1e-14)
+
+
+def _real_binary_forms():
+    """Forms of the exactness test: 8 kostlan forms of each d = 1..16 and 8
+    harmonic forms of each d = 3..12, grouped by model and degree."""
+    groups = [[kostlan_form(d, 2, REAL, 27000 + d, i) for i in range(8)] for d in range(1, 17)]
+    return groups + [[gaussian_harmonic(d, 2, 27100 + d, i) for i in range(8)] for d in range(3, 13)]
+
+
+def test_real_binary_search_is_exact_against_the_ascent_and_the_grid():
+    # the circle is the whole sphere: one search matches the best of 12
+    # random ascent starts and is never below a 2^14-point grid of it
+    rng, cfg = np.random.default_rng(27), MaximizerConfig(starts=1, max_iters=1)
+    count = 0
+    for forms in _real_binary_forms():
+        coeffs = np.repeat(np.stack([f.coeffs for f in forms]), 12, axis=0)
+        blocks, degree, value, value_and_grad = _realified_objective(
+            coeffs, forms[0].exponents, forms[0].ns
+        )
+        x0 = rng.standard_normal((len(coeffs), 2))
+        x0 /= np.linalg.norm(x0, axis=1)[:, np.newaxis]
+        _, obj, _, conv = _ascend(blocks, degree, value, value_and_grad, x0, 400)
+        assert conv.all()
+        ascent = np.sqrt(obj).reshape(len(forms), 12).max(axis=1)
+        batch = spectral_value_many(forms, cfg, range(len(forms)))
+        assert batch.iterations == 1
+        for f, res, best in zip(forms, batch.results, ascent):
+            assert res.value == pytest.approx(best, rel=1e-12)
+            assert res.value >= brute_force_uniform_norm(f, 2**14)
+            assert (res.iterations, res.converged) == (1, True)
+            # the maximizer is a unit vector attaining the value
+            (y,) = res.maximizer
+            assert abs(np.linalg.norm(y) - 1.0) <= 1e-15
+            assert abs(poly.evaluate(f, y)) == pytest.approx(res.value, rel=1e-15)
+            count += 1
+    assert count >= 200
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_real_binary_search_of_degree_zero_and_one(d):
+    # a constant is its own value everywhere; a linear form a x + b y peaks
+    # at +-(a, b) / |(a, b)|
+    f = kostlan_form(d, 2, REAL, 28)
+    res = spectral_value(f, CFG)
+    assert res.value == pytest.approx(np.linalg.norm(f.coeffs), rel=1e-15)
+    (y,) = res.maximizer
+    assert abs(np.linalg.norm(y) - 1.0) <= 1e-15
+    if d == 1:
+        assert abs(np.dot(y, f.coeffs)) == pytest.approx(res.value, rel=1e-15)
+
+
+def test_real_binary_batch_matches_single_calls_and_draws_no_starts(monkeypatch):
+    # one row per form: a batch result is the one-form call's bit for bit,
+    # whatever the config; seeds are checked, but no start is drawn
+    def no_starts(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(spectral, "_draw_starts", no_starts)
+    forms = [kostlan_form(8, 2, REAL, 29, i) for i in range(6)]
+    forms += [MultiHomogPoly((2,), (8,), kostlan_form(8, 2, REAL, 30).coeffs, REAL)]
+    seeds = [3 * i for i in range(len(forms))]
+    batch = spectral_value_many(forms, MaximizerConfig(starts=12, max_iters=400), seeds)
+    assert batch.iterations == 1
+    for f, seed, res in zip(forms, seeds, batch.results):
+        for cfg in (CFG, MaximizerConfig(starts=1, max_iters=1, tol=0.5, seed=seed)):
+            one = spectral_value(f, cfg)
+            assert one.value == res.value and one.maximizer[0].tobytes() == res.maximizer[0].tobytes()
+            assert (one.iterations, one.converged) == (res.iterations, res.converged) == (1, True)
+    with pytest.raises(ValueError, match="got -1$"):
+        spectral_value_many(forms[:1], CFG, [-1])
 
 
 def _chebyshev_form(d):
