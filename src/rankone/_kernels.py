@@ -1,22 +1,38 @@
 """Hot numeric kernels: monomial evaluation and gradients in numpy.
 
-The batched kernels build one power table by repeated products, gather each
-variable's factors from it with the point axis innermost, multiply them
-elementwise and write each point's terms into one C-ordered row that is
-summed along the last axis (no matrix product).  So every real row computes
-exactly what it computes in a one-point call, whatever the batch and whatever
-the coefficient shape.  They take one coefficient vector of shape (N,) for
-every point, or one row of an (m, N) coefficient matrix per point, or (an
-evaluation only) an (R, N) matrix with R < m dividing m, whose rows each
-serve a run of m / R consecutive points by broadcasting instead of a
-repeated copy of the row.  The index every call reads from the exponents
-(``_factor_index``) can be built once by the caller and passed in (the
-private ``index``).  A call's largest temporary is the (n, N, m) gradient
-terms of a gradient call, the (N, m) monomials of an evaluation, or the
-power table.  A call whose largest temporary fits in 512 KiB is one pass; a
-larger one runs in passes of as many whole runs of points as fit (one run at
-least), each through the same code, so that its memory stays bounded
-whatever the batch and its temporaries stay on the heap (below).
+An evaluation builds one power table by repeated products and forms each
+monomial as the running product of its nonzero factors x_j^a_j in variable
+order, gathered from the table with the point axis innermost (a factor
+x_j^0 = 1 would leave the product as it is).  Each point's terms c_a x^a are
+added in monomial order by one reduction over the leading monomial axis (no
+matrix product).  A gradient contracts the monomials of one degree less with
+the derivative matrix: df/dx_i = sum_b D[b, i] x^b, where D[a - e_i, i] =
+a_i c_a and b runs over the lowered monomials a - e_i (one set per block of
+variables whose degree is the same in every monomial, so one per block of a
+multi-form), each added in order.  A point so costs its N_{d-1} x n products
+rather than one term per (variable, monomial) pair, most of them weighted
+a_i = 0.  The value of a gradient call is formed exactly as an evaluation
+forms it.  So every real row computes exactly what it computes in a
+one-point call, whatever the batch and whatever the coefficient shape.
+
+The kernels take one coefficient vector of shape (N,) for every point, or one
+row of an (m, N) coefficient matrix per point, or (an evaluation only) an
+(R, N) matrix with R < m dividing m, whose rows each serve a run of m / R
+consecutive points by broadcasting instead of a repeated copy of the row.
+The index every call reads from the exponents (``_factor_index``) is kept
+for the last few tables, or built once by the caller and passed in (the
+private ``index``).  So can the derivative matrices of a stack of
+coefficient rows, one row per object rather than per point
+(``_derivative_matrix``, the private ``mats``); the private ``rows`` then
+names the row each point takes, and a call gathers its points' rows of both
+pass by pass.  A call's largest temporary is a gradient's gathered
+derivative matrices times the lowered monomials (N_{d-1} x n_b per point and
+block), an evaluation's N monomials per point (with the lowered ones in a
+gradient call), or the power table.  A call whose largest temporary fits in
+512 KiB is one pass; a larger one runs in passes of as many whole runs of
+points as fit (one run at least), each through the same code, so that its
+memory stays bounded whatever the batch and its temporaries stay on the heap
+(below).
 
 The kernels and the optimizers that call them allocate and free many numpy
 temporaries of a few KiB to a few hundred KiB in every round.  glibc's malloc
@@ -28,6 +44,7 @@ whole process (see ``_keep_heap_resident``).
 """
 
 import ctypes
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,121 +81,234 @@ def _promote(coeffs, x):
     return np.ascontiguousarray(coeffs, dtype=dt), np.ascontiguousarray(x, dtype=dt)
 
 
-def _power_table(xs, top):
-    """table[e * n + j] = xs[:, j] ** e for e = 0..top, by repeated products;
-    shape ((top+1) * n, m)."""
-    xt = np.ascontiguousarray(xs.T)
-    table = np.empty((top + 1,) + xt.shape, dtype=xs.dtype)
+def _power_table(xt, top):
+    """table[e * n + j] = xt[j] ** e for e = 0..top, by repeated products;
+    xt holds the points' coordinates as (n, m), the table is ((top+1) * n, m)."""
+    table = np.empty((top + 1,) + xt.shape, dtype=xt.dtype)
     table[0] = 1
     if top:
         table[1] = xt
     for e in range(2, top + 1):
         np.multiply(table[e - 1], xt, out=table[e])
-    return table.reshape((top + 1) * len(xt), len(xs))
+    return table.reshape((top + 1) * len(xt), xt.shape[1])
 
 
-def _row_sums(terms, weights, shape, lead=1):
-    """Sum over the monomial axis of terms * weights, both laid out
-    (..., N, *points), through one C-ordered array of ``shape`` = (*points,
-    ..., N) whose ``lead`` leading axes are the point axes."""
-    out = np.empty(shape, dtype=terms.dtype)
-    axes = tuple(range(lead, out.ndim)) + tuple(range(lead))
-    np.multiply(terms, weights, out=out.transpose(axes))
-    return out.sum(axis=-1)
+def _factors(expo, n):
+    """Power-table rows (w, M) of each monomial's nonzero factors x_j^a_j in
+    variable order, padded to the widest monomial's count w >= 1 with row 0,
+    x_0^0 = 1."""
+    r, j = np.nonzero(expo)
+    slot = np.arange(len(r)) - np.searchsorted(r, r)  # the factor's place in its monomial
+    rows = np.zeros((int(slot.max(initial=0)) + 1, len(expo)), dtype=np.intp)
+    rows[slot, r] = expo[r, j] * n + j
+    return rows
 
 
-def _factor_index(expo, n, gradient):
-    """What a call reads from the exponents: the top power, expo.T (n, N),
-    the power-table rows of each factor x_j^a_j and, for a gradient, those of
-    x_j^(a_j - 1) clipped at 0 (else None).  An index built for a gradient
-    also serves evaluations."""
-    et = expo.T
-    cols = np.arange(n)[:, np.newaxis]
-    shifted = np.maximum(et - 1, 0) * n + cols if gradient else None
-    return int(expo.max(initial=0)), et, et * n + cols, shifted
+def _products(table, factors):
+    """The monomials (M, m) of the factor rows ``factors`` (w, M): running
+    products of the gathered factors, the first factor first."""
+    out = table[factors[0]]
+    for f in factors[1:]:
+        out *= table[f]
+    return out
 
 
-def _monomial_sums(coeffs, expo, xs, gradient, index=None):
+def _sum_leading(terms):
+    """Sum over the leading axis, each entry adding its terms in order.  numpy
+    adds the slices of a leading axis in order when a slice holds two
+    entries or more; one entry (one point) it would sum pairwise, so that
+    case is accumulated."""
+    if len(terms) > 1 and terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
+def _factor_index(expo, n):
+    """What a call reads from the exponents: (top, factors, N, blocks,
+    width).  ``top`` is the top power and ``factors`` (``_factors``) are the
+    factor rows of the N monomials and of the lowered monomials after them,
+    whose products a gradient pass forms together (an evaluation takes the
+    first N).  ``blocks`` holds one entry per block and ``width`` the largest
+    of a gradient pass's temporaries per point.
+
+    A block is a run of variables whose degree is the same in every monomial
+    (a multi-form's blocks; all variables when no shorter run has one
+    degree), and its lowered monomials are the distinct a - e_i with i in the
+    block and a_i > 0, in descending lexicographic order, K of them.  A
+    block's entry holds its columns, its slice of the lowered monomials and,
+    per pair (a, i), the row b = a - e_i and column i - (first column) of
+    D[b, i], the monomial a and the weight a_i.  A block without pairs
+    (degree 0) has no entry: its gradient is 0.
+
+    The pairs are found on each monomial's sorted tuple of variables (x_j
+    repeated a_j times, padded with n to the top degree L): a - e_i drops
+    the first i from the tuple, and ascending tuples are descending
+    exponents.  So building the index holds no more than (pairs, L) or (N,
+    n) integers at once."""
+    top, size = int(expo.max(initial=0)), len(expo)
+    r, j = np.nonzero(expo)
+    e = expo[r, j]
+    flat = np.cumsum(e) - e  # where each pair's run starts in the tuples laid end to end
+    start = flat[np.searchsorted(r, r)]  # and where its monomial's tuple starts
+    place = flat - start
+    length = int(expo.sum(axis=1).max(initial=0))
+    tuples = np.full((size, length), n, dtype=np.intp)
+    tuples[np.repeat(r, e), np.arange(int(e.sum())) - np.repeat(start, e)] = np.repeat(j, e)
+    cuts, total = [0], np.zeros(size, dtype=np.int64)
+    for col in range(n - 1):
+        total += expo[:, col]
+        if (total == total[:1]).all():
+            cuts.append(col + 1)
+    cuts.append(n)
+    keep = np.arange(length - 1)
+    blocks, lowered, k = [], [], size
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pairs = np.flatnonzero((j >= lo) & (j < hi))
+        if not len(pairs):
+            continue
+        low = tuples[r[pairs, np.newaxis], keep + (keep >= place[pairs, np.newaxis])]
+        order = np.lexsort(low.T[::-1]) if length > 1 else np.arange(len(low))
+        low = low[order]
+        fresh = np.concatenate(([True], (low[1:] != low[:-1]).any(axis=1)))
+        b = np.empty(len(order), dtype=np.intp)
+        b[order] = np.cumsum(fresh) - 1
+        low = low[fresh]
+        count = len(low)
+        dense = np.zeros((count, n + 1), dtype=expo.dtype)
+        np.add.at(dense, (np.repeat(np.arange(count), low.shape[1]), low.ravel()), 1)
+        lowered.append(dense[:, :n])
+        blocks.append((slice(lo, hi), slice(k, k + count), b, j[pairs] - lo, r[pairs], e[pairs].astype(np.float64)))
+        k += count
+    # the lowered monomials have no more factors than the monomials: pad them
+    factors, low = _factors(expo, n), _factors(np.concatenate(lowered or [expo[:0]]), n)
+    factors = np.hstack((factors, np.pad(low, ((0, len(factors) - len(low)), (0, 0)))))
+    width = max([k] + [(b.stop - b.start) * (c.stop - c.start) for c, b, *_ in blocks])
+    return top, factors, size, tuple(blocks), width
+
+
+@lru_cache(maxsize=16)
+def _index_of(shape, dtype, data):
+    """``_factor_index`` of the exponent table with this shape, dtype and
+    bytes, kept for the last 16 tables, so that one-point calls do not build
+    it each time."""
+    return _factor_index(np.frombuffer(data, dtype=dtype).reshape(shape), shape[1])
+
+
+def _derivative_matrix(coeffs, index):
+    """Each block's derivative matrices of the coefficient rows ``coeffs``
+    (R, N) or (N,) (one row), shape (K, R, n_b): D[b, r, i] = a_i coeffs[r, a]
+    for b = a - e_i, else 0."""
+    c = np.atleast_2d(coeffs)
+    mats = []
+    _, _, _, blocks, _ = index
+    for cols, lows, b, col, src, weight in blocks:
+        d = np.zeros((lows.stop - lows.start, len(c), cols.stop - cols.start), dtype=c.dtype)
+        d[b, :, col] = (c[:, src] * weight).T
+        mats.append(d)
+    return mats
+
+
+def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None):
     """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum,
     in passes of at most 512 KiB per temporary (see the module docstring);
-    ``index`` is ``_factor_index(expo, n, True)`` built by the caller, or
-    None to build the call's own.
+    ``index`` is ``_factor_index(expo, n)`` built by the caller, or None
+    to take the table's kept one.  ``rows``, if given, are the rows of
+    ``coeffs`` that the points (or runs of points) take, and ``mats`` is
+    None or ``_derivative_matrix(coeffs, index)``; each pass gathers its
+    rows of both.
 
-    A monomial is the running product of the variables' factors x_j^a_j in
-    order.  The derivative of x^a in x_i is a_i x^(a - e_i): x_i's factor
-    is swapped for x_i^(a_i - 1) between the product of the factors before
-    it and the product of those after it.  Where a_i = 0 the shifted
-    exponent is clipped to 0 and the term carries the weight a_i = 0.
     An evaluation whose (R, N) coefficient matrix has R < m rows, R dividing
     m, sums its points as (R, m / R), each row broadcast over its run of
     points: the same products and sums as with the row repeated.
     """
     coeffs, xs = _promote(coeffs, xs)
     m, n = xs.shape
-    rows = len(coeffs) if coeffs.ndim == 2 else m
-    if rows != m and (gradient or not 0 < rows < m or m % rows):
-        raise ValueError(f"{rows} coefficient rows for {m} points")
+    count = len(rows) if rows is not None else len(coeffs) if coeffs.ndim == 2 else m
+    if count != m and (gradient or not 0 < count < m or m % count):
+        raise ValueError(f"{count} coefficient rows for {m} points")
     if index is None:
-        index = _factor_index(expo, n, gradient)
-    top, et, factors, shifted = index
-    size = et.shape[1]
+        expo = np.asarray(expo)
+        index = _index_of(expo.shape, expo.dtype.str, expo.tobytes())
+    top, factors, size, blocks, width = index
     # points per coefficient row; a pass takes as many whole runs as keep its
-    # gradient terms, monomials and power table within 512 KiB (one run at
+    # monomials, derivative terms and power table within 512 KiB (one run at
     # least), under the 1 MiB below which _keep_heap_resident keeps blocks on
     # the heap
-    run = m // rows if rows < m else 1
-    width = max(size * (n if gradient else 1), (top + 1) * n) * xs.itemsize
-    step = run * max(1, (1 << 19) // (run * width))
+    run = m // count if count < m else 1
+    width = max(size, (top + 1) * n, width if gradient else 0)
+    step = run * max(1, (1 << 19) // (run * width * xs.itemsize))
+    if gradient and mats is None and coeffs.ndim == 1:  # one matrix for every point
+        mats = _derivative_matrix(coeffs, index)
     if m > step:
         parts = [
             _monomial_sums(
-                coeffs[a // run : (a + step) // run] if coeffs.ndim == 2 else coeffs,
+                coeffs if coeffs.ndim == 1 or rows is not None else coeffs[a // run : (a + step) // run],
                 expo,
                 xs[a : a + step],
                 gradient,
                 index,
+                None if rows is None else rows[a // run : (a + step) // run],
+                mats,
             )
             for a in range(0, m, step)
         ]
         return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
-    table = _power_table(xs, top)
+    own = mats is None or rows is not None  # whether the pass may overwrite its matrices
+    if rows is not None:
+        coeffs = coeffs[rows]
+        if mats is not None:
+            mats = [np.take(mat, rows, axis=1) for mat in mats]
     ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, rows) or (N, 1)
-    # (n, N, m): x_j^(a_j - 1), to be multiplied by the factors before and after
-    terms = table[shifted] if gradient else None
-    mono = table[factors[0]]
-    for i in range(1, n):
-        if gradient:
-            terms[i] *= mono
-        mono *= table[factors[i]]
-    if rows < m:  # an evaluation's runs of points
-        runs = (rows, run)
-        return _row_sums(mono.reshape(size, *runs), ct[:, :, np.newaxis], runs + (size,), 2).reshape(m)
-    value = _row_sums(mono, ct, (m, size))
+    if count < m:  # an evaluation's runs, the points taken run position first
+        table = _power_table(xs.reshape(count, run, n).transpose(2, 1, 0).reshape(n, m), top)
+        terms = _products(table, factors[:, :size]).reshape(size, run, count)
+        terms *= ct[:, np.newaxis]
+        return _sum_leading(terms).T.reshape(m)
+    table = _power_table(np.ascontiguousarray(xs.T), top)
     if not gradient:
-        return value
-    after = table[factors[n - 1]]
-    for i in range(n - 2, -1, -1):
-        terms[i] *= after
-        after *= table[factors[i]]
-    weights = et[:, :, np.newaxis] * ct  # (i, N, m or 1): a_i * c_a
-    return value, _row_sums(terms, weights, (m, n, size))
+        terms = _products(table, factors[:, :size])
+        terms *= ct
+        return _sum_leading(terms)
+    mono = _products(table, factors)
+    terms = mono[:size]
+    terms *= ct
+    value = _sum_leading(terms)
+    if mats is None:
+        mats = _derivative_matrix(coeffs, index)
+    grads = []
+    for (cols, lows, *_), mat in zip(blocks, mats):
+        low = mono[lows, :, np.newaxis]
+        if own and len(mat[0]) == m:
+            mat *= low
+        else:
+            mat = np.multiply(mat, low, out=np.empty((len(mat), m, mat.shape[2]), dtype=mat.dtype))
+        grads.append(_sum_leading(mat))
+    if len(blocks) == 1 and blocks[0][0] == slice(0, n):
+        return value, grads[0]
+    grad = np.zeros_like(xs)
+    for (cols, *_), g in zip(blocks, grads):
+        grad[:, cols] = g
+    return value, grad
 
 
-def evaluate_poly_many(coeffs, expo, xs, *, index=None):
+def evaluate_poly_many(coeffs, expo, xs, *, index=None, rows=None):
     """Evaluate at many points; xs has shape (m, n), coeffs (N,), (m, N) or
     (R, N) with R dividing m, whose row k serves the m / R consecutive points
     from k m / R on.
 
-    ``index`` is private to rankone: a ``_factor_index`` built once for many
-    calls."""
-    return _monomial_sums(coeffs, expo, xs, False, index)
+    ``index`` and ``rows`` are private to rankone: a ``_factor_index`` built
+    once for many calls, and the rows of ``coeffs`` (one per point or run of
+    points) when it holds one row per object rather than per point."""
+    return _monomial_sums(coeffs, expo, xs, False, index, rows)
 
 
-def value_and_gradient_poly_many(coeffs, expo, xs, *, index=None):
+def value_and_gradient_poly_many(coeffs, expo, xs, *, index=None, rows=None, mats=None):
     """Values (m,) and gradients (m, n) at many points from one power table,
     each exactly what ``evaluate_poly_many`` and ``gradient_poly_many``
-    return for the same arguments (``index`` as in ``evaluate_poly_many``)."""
-    return _monomial_sums(coeffs, expo, xs, True, index)
+    return for the same arguments (``index`` and ``rows`` as in
+    ``evaluate_poly_many``; ``mats``, also private, is the
+    ``_derivative_matrix`` of ``coeffs``, built once for many calls)."""
+    return _monomial_sums(coeffs, expo, xs, True, index, rows, mats)
 
 
 def gradient_poly_many(coeffs, expo, xs):

@@ -10,7 +10,6 @@ sorted lexicographically descending, so (d, 0, ..., 0) comes first.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, lgamma, prod
 
 import numpy as np
@@ -275,17 +274,30 @@ def poly_from_symmetric_tensor(t, tol=1e-10):
     return HomogPoly(n, d, coeffs, t.field)
 
 
+@lru_cache(maxsize=None)
+def _entry_monomials(d, n):
+    """Monomial index of every entry of an order-d tensor in n variables, in C
+    order: entry (i_1, ..., i_d) holds the monomial whose exponent of x_j
+    counts the i's equal to j.
+
+    An entry's sorted indices, read as a base-n number, are the flat index of
+    the sorted entry, and the sorted entries in flat order are the monomials
+    in their descending exponent order, so a monomial's index is the rank of
+    its sorted entry among them."""
+    size = n**d
+    digits = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    key = digits @ np.sort(np.indices((n,) * d).reshape(d, size), axis=0)
+    rank = np.cumsum(key == np.arange(size)) - 1
+    out = rank[key]
+    out.setflags(write=False)
+    return out
+
+
 def symmetric_tensor_from_poly(f):
     """Inverse of poly_from_symmetric_tensor: t_idx = f_a / binom(d, a)."""
     n, d = _form_shape(f)
-    idx_map = monomial_index(d, n)
-    w = multinomial_weights(d, n)
-    data = np.empty((n,) * d, dtype=f.coeffs.dtype)
-    for idx in product(range(n), repeat=d):
-        alpha = tuple(np.bincount(idx, minlength=n))
-        i = idx_map[alpha]
-        data[idx] = f.coeffs[i] / w[i]
-    return Tensor(data, f.field)
+    data = (f.coeffs / multinomial_weights(d, n))[_entry_monomials(d, n)]
+    return Tensor(data.reshape((n,) * d), f.field)
 
 
 # -------------------------------------------------------------- serialization

@@ -260,32 +260,39 @@ def _alternating(ts, which, tol):
 # ---------------------------------------------- conjugate great-circle ascent
 
 
-def _realified_objective(coeffs, expo, ns):
+def _realified_objective(coeffs, expo, ns, owner=None):
     """Return (blocks, degree, value_fn, value_and_grad_fn) for f and |f|^2
     on a product of (realified) spheres, over the field of ``coeffs``' dtype.
 
     A point y holds one contiguous block per variable block, a complex block
     of n variables as n (re, im) pairs: ``y.view(complex128)`` is the complex
     point, with no copy.  ``blocks`` are the slices of y on unit spheres and
-    ``degree`` is f's total degree; ``coeffs`` holds one row per start.
+    ``degree`` is f's total degree.  ``coeffs`` holds one row per object and
+    ``owner`` the object of each start (None: start i is object i).
     ``value(ys, ids)`` and ``value_and_grad(ys, ids)`` take points, one per
     row, and the rows' start ids (``value`` also takes one id per run of
     equally many consecutive rows).  ``value`` returns f (complex for a
     complex field); ``value_and_grad`` returns f, |f|^2 and its gradient in
     y's coordinates, 2 f conj(df/dz) viewed as (re, im) pairs, from one
-    fused kernel call with the factor index built here once.
+    fused kernel call.  The kernels' factor index and each object's
+    derivative matrices (one (N_{d-1}, n_b) matrix per block, the form's
+    df/dz = D^T times its monomials of one degree less) are built here once;
+    a call gathers the matrices of its rows' objects.
     """
     dt = coeffs.dtype
     ends = np.cumsum((0, *ns)) * (dt.itemsize // np.dtype(np.float64).itemsize)
     blocks = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
     degree = int(expo[0].sum())
-    index = _kernels._factor_index(expo, expo.shape[1], True)
+    index = _kernels._factor_index(expo, expo.shape[1])
+    mats = _kernels._derivative_matrix(coeffs, index)
+    owner = np.arange(len(coeffs)) if owner is None else owner
 
     def value(ys, ids):
-        return evaluate_poly_many(coeffs[ids], expo, ys.view(dt), index=index)
+        return evaluate_poly_many(coeffs, expo, ys.view(dt), index=index, rows=owner[ids])
 
     def value_and_grad(ys, ids):
-        v, g = value_and_gradient_poly_many(coeffs[ids], expo, ys.view(dt), index=index)
+        rows = owner[ids]
+        v, g = value_and_gradient_poly_many(coeffs, expo, ys.view(dt), index=index, rows=rows, mats=mats)
         return v, (v * v.conj()).real, (2.0 * v[:, np.newaxis] * g.conj()).view(np.float64)
 
     return blocks, degree, value, value_and_grad
@@ -701,9 +708,9 @@ def spectral_value_many(objs, cfg, seeds):
             step, [x, np.full(len(x), -np.inf), np.zeros(len(x))], cfg.max_iters
         )
     else:
-        coeffs = np.stack([o.coeffs for o in objs])[which]
+        coeffs = np.stack([o.coeffs for o in objs])
         blocks, degree, value, value_and_grad = _realified_objective(
-            coeffs, first.exponents, first.ns
+            coeffs, first.exponents, first.ns, which
         )
         start, step = _pga_sphere(blocks, degree, value, value_and_grad, cfg.tol)
         (p,), iters, conv = _lockstep(step, start(x.view(np.float64)), cfg.max_iters)

@@ -29,6 +29,7 @@ from rankone.poly import (
     monomial_index,
     multi_monomial_exponents,
     multinomial,
+    multinomial_weights,
     num_monomials,
     poly_from_coeff_dict,
     poly_from_symmetric_tensor,
@@ -492,14 +493,15 @@ def _passes(monkeypatch):
 
 @pytest.mark.parametrize(
     "field, passes",
-    [(REAL, [780, 780, 440]), (COMPLEX, [390] * 5 + [50])],
+    [(REAL, [1040, 960]), (COMPLEX, [520] * 3 + [440])],
     ids=["real", "complex"],
 )
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, shared):
-    # 2000 gradients of a sextic in 3 variables hold (3, 28, 2000) terms:
-    # passes of 512 KiB of them, 780 real or 390 complex points each, and
-    # every row is exactly what a call over its pass alone returns
+    # 2000 gradients of a sextic in 3 variables hold (21, 2000, 3) products
+    # of the 21 quintic monomials with their derivative matrices: passes of
+    # 512 KiB of them, 1040 real or 520 complex points each, and every row
+    # is exactly what a call over its pass alone returns
     rng = np.random.default_rng(8)
     expo = monomial_exponents(6, 3)
     m = 2000
@@ -519,7 +521,7 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, s
         assert v[b].tobytes() == vb.tobytes() and g[b].tobytes() == gb.tobytes()
         a += rows
     if field == REAL:  # real rows do not depend on the batch at all
-        for k in (0, 779, 780, 1999):
+        for k in (0, 1039, 1040, 1999):
             vk, gk = value_and_gradient_poly_many(c if shared else c[k : k + 1], expo, xs[k : k + 1])
             assert v[k] == vk[0] and g[k].tobytes() == gk[0].tobytes()
 
@@ -593,3 +595,169 @@ def test_coefficient_rows_that_do_not_fit_the_points_are_refused(call, rows):
     xs = rng.standard_normal((6, 3))
     with pytest.raises(ValueError, match=f"^{rows} coefficient rows for 6 points$"):
         call(c, expo, xs)
+
+
+def _random_points(rng, field, shape):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if field == COMPLEX else x
+
+
+def _reference_gradient(c, expo, x):
+    """df/dx_i = sum_a c_a a_i x^(a - e_i) at one point, each term a product
+    of powers of its own, and the sum of the terms' moduli per variable."""
+    grad, scale = np.zeros(len(x), dtype=np.result_type(c, x)), np.zeros(len(x))
+    for i in range(len(x)):
+        has = expo[:, i] > 0
+        low = expo[has].copy()
+        low[:, i] -= 1
+        terms = c[has] * expo[has, i] * np.prod(x**low, axis=1)
+        grad[i], scale[i] = terms.sum(), np.abs(terms).sum()
+    return grad, scale
+
+
+# d = 3: 20 points of 210 quadratic monomials times 20 derivative columns,
+# 15 real or 7 complex points per pass; d = 5: more than 512 KiB of them for
+# one point, so each point is a pass of its own
+_LARGE_N = [(3, 20), (5, 2)]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("d, m", _LARGE_N, ids=["d3n20", "d5n20"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_large_n_rows_match_one_row_calls(monkeypatch, field, d, m, shared):
+    rng = np.random.default_rng(30 + d)
+    expo = monomial_exponents(d, 20)
+    c = _random_points(rng, field, len(expo) if shared else (m, len(expo)))
+    xs = _random_points(rng, field, (m, 20))
+    seen = _passes(monkeypatch)
+    v, g = value_and_gradient_poly_many(c, expo, xs)
+    assert seen[0] == m and len(seen) >= 3  # the call and two passes or more
+    monkeypatch.undo()
+    assert v.tobytes() == evaluate_poly_many(c, expo, xs).tobytes()
+    for k in range(m):
+        ck = c if shared else c[k : k + 1]
+        vk, gk = value_and_gradient_poly_many(ck, expo, xs[k : k + 1])
+        assert v[k] == vk[0] and g[k].tobytes() == gk[0].tobytes()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("d", [3, 5])
+def test_large_n_gradient_matches_the_per_monomial_sum(field, d):
+    rng = np.random.default_rng(40 + d)
+    expo = monomial_exponents(d, 20)
+    c = _random_points(rng, field, (2, len(expo)))
+    xs = _random_points(rng, field, (2, 20))
+    g = gradient_poly_many(c, expo, xs)
+    for k in range(2):
+        want, scale = _reference_gradient(c[k], expo, xs[k])
+        assert (np.abs(g[k] - want) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_large_n_complex_gradient_is_the_holomorphic_derivative(d):
+    # f(x + h e_j) and f(x + i h e_j) both change by the same complex g_j:
+    # central differences along the real and the imaginary axis agree with it
+    rng = np.random.default_rng(50 + d)
+    expo = monomial_exponents(d, 20)
+    c = _random_points(rng, COMPLEX, len(expo))
+    x = _random_points(rng, COMPLEX, 20) / np.sqrt(20)
+    g = gradient_poly(c, expo, x)
+    h, eye = 1e-5, np.eye(20)
+    for step in (h, 1j * h):
+        ends = evaluate_poly_many(c, expo, np.concatenate((x + step * eye, x - step * eye)))
+        diff = (ends[:20] - ends[20:]) / (2 * step)
+        np.testing.assert_allclose(diff, g, rtol=1e-7, atol=1e-7 * np.abs(g).max())
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_degree_zero_has_no_lowered_monomials_and_a_zero_gradient(field):
+    expo = monomial_exponents(0, 3)
+    _, factors, size, blocks, _ = _kernels._factor_index(expo, 3)
+    assert factors.shape[1] == size == 1 and blocks == ()
+    rng = np.random.default_rng(60)
+    c = _random_points(rng, field, 1)
+    xs = _random_points(rng, field, (4, 3))
+    for coeffs in (c, np.repeat(c[np.newaxis], 4, axis=0)):
+        v, g = value_and_gradient_poly_many(coeffs, expo, xs)
+        assert (v == c[0]).all()
+        assert g.shape == (4, 3) and (g == 0).all()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_degree_one_gradient_is_the_coefficients(field):
+    rng = np.random.default_rng(61)
+    expo = monomial_exponents(1, 4)  # the rows of the identity
+    c = _random_points(rng, field, (5, 4))
+    xs = _random_points(rng, field, (5, 4))
+    np.testing.assert_array_equal(gradient_poly_many(c, expo, xs), c)
+    np.testing.assert_array_equal(gradient_poly_many(c[0], expo, xs), np.repeat(c[:1], 5, axis=0))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_zero_points_give_empty_results(field):
+    rng = np.random.default_rng(62)
+    expo = monomial_exponents(3, 3)
+    xs = _random_points(rng, field, (0, 3))
+    for c in (_random_points(rng, field, len(expo)), _random_points(rng, field, (0, len(expo)))):
+        v, g = value_and_gradient_poly_many(c, expo, xs)
+        assert v.shape == (0,) and g.shape == (0, 3)
+        assert evaluate_poly_many(c, expo, xs).shape == (0,)
+        assert gradient_poly_many(c, expo, xs).shape == (0, 3)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_degree_zero_block_of_a_multi_form_has_a_zero_gradient(field):
+    # F(x, y) = q(y), of degree 0 in x: the x block's partials are 0 and the
+    # y block's are q's
+    rng = np.random.default_rng(63)
+    F = MultiHomogPoly((2, 3), (0, 2), _random_points(rng, field, 6), field)
+    xs = _random_points(rng, field, (4, 5))
+    g = gradient_poly_many(F.coeffs, F.exponents, xs)
+    assert (g[:, :2] == 0).all()
+    q = monomial_exponents(2, 3)
+    np.testing.assert_allclose(g[:, 2:], gradient_poly_many(F.coeffs, q, xs[:, 2:]), rtol=1e-15, atol=0)
+
+
+def _tensor_by_entry_loop(f):
+    """The symmetric tensor of a form one entry at a time: t_idx = f_a /
+    binom(d, a), a the exponents that idx counts."""
+    n, d = f.ns[0], f.ds[0]
+    weights, where = multinomial_weights(d, n), monomial_index(d, n)
+    data = np.empty((n,) * d, dtype=f.coeffs.dtype)
+    for idx in product(range(n), repeat=d):
+        i = where[tuple(np.bincount(np.array(idx, dtype=np.intp), minlength=n))]
+        data[idx] = f.coeffs[i] / weights[i]
+    return Tensor(data, f.field)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_symmetric_tensor_matches_the_entry_loop(field):
+    rng = np.random.default_rng(64)
+    for d in range(5):
+        for n in range(1, 5):
+            size = num_monomials(d, n)
+            coeffs = _random_points(rng, field, size) * 10.0 ** rng.uniform(-3, 3, size)
+            f = HomogPoly(n, d, coeffs, field)
+            got, want = symmetric_tensor_from_poly(f).data, _tensor_by_entry_loop(f).data
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (d, n)
+
+
+def test_one_point_calls_reuse_the_index_of_their_table(monkeypatch):
+    # the index of an exponent table is built on the first call and kept for
+    # the calls that follow; another table gets its own
+    built, factor_index = [], _kernels._factor_index
+
+    def counted(*args):
+        built.append(args)
+        return factor_index(*args)
+
+    monkeypatch.setattr(_kernels, "_factor_index", counted)
+    _kernels._index_of.cache_clear()
+    expo = monomial_exponents(4, 3)
+    c, x = np.arange(1.0, 1.0 + len(expo)), np.array([0.5, -1.0, 2.0])
+    for table in (expo, expo.copy(), expo[::-1].copy()):
+        for _ in range(2):
+            evaluate_poly(c, table, x)
+            gradient_poly(c, table, x)
+    assert len(built) == 2
