@@ -15,24 +15,30 @@ a_i = 0.  The value of a gradient call is formed exactly as an evaluation
 forms it.  So every real row computes exactly what it computes in a
 one-point call, whatever the batch and whatever the coefficient shape.
 
-The kernels take one coefficient vector of shape (N,) for every point, or one
-row of an (m, N) coefficient matrix per point, or (an evaluation only) an
-(R, N) matrix with R < m dividing m, whose rows each serve a run of m / R
-consecutive points by broadcasting instead of a repeated copy of the row.
-The index every call reads from the exponents (``_factor_index``) is kept
-for the last few tables, or built once by the caller and passed in (the
-private ``index``).  So can the derivative matrices of a stack of
-coefficient rows, one row per object rather than per point
-(``_derivative_matrix``, the private ``mats``); the private ``rows`` then
-names the row each point takes, and a call gathers its points' rows of both
-pass by pass.  A call's largest temporary is a gradient's gathered
-derivative matrices times the lowered monomials (N_{d-1} x n_b per point and
-block), an evaluation's N monomials per point (with the lowered ones in a
-gradient call), or the power table.  A call whose largest temporary fits in
-512 KiB is one pass; a larger one runs in passes of as many whole runs of
-points as fit (one run at least), each through the same code, so that its
-memory stays bounded whatever the batch and its temporaries stay on the heap
-(below).
+The kernels take R coefficient rows for m points, an (R, N) matrix with
+R >= 1 dividing m (or R = m = 0): row k serves the run of m / R consecutive
+points from k m / R on, by broadcasting instead of a repeated copy of the
+row.  One row per point and one row for every point are the two ends of
+that one rule, for values and gradients alike; an (N,) vector is one row
+broadcast to every point, each point a run of its own.  A call takes its
+points run position first, as (run, count), and forms one power table and
+one running product per pass (the lowered monomials with the monomials in a
+gradient call), so values are summed over (N, run, count) and gradients over
+the products (K, run, count, n_b) of each row's derivative matrix with its
+run's lowered monomials.  The index every call reads from the exponents
+(``_factor_index``) is kept for the last few tables, or built once by the
+caller and passed in (the private ``index``).  So can the derivative
+matrices of a stack of coefficient rows, one row per object rather than per
+point (``_derivative_matrix``, the private ``mats``); the private ``rows``
+then names the row each run takes, and a call gathers its runs' rows of both
+pass by pass.  A call's largest temporary is a gradient's derivative
+products (N_{d-1} x n_b per point and block), an evaluation's N monomials
+per point (with the lowered ones in a gradient call), or the power table.
+A call whose largest temporary fits in 512 KiB is one pass; a larger one
+runs in passes of as many whole runs of points as fit, each through the
+same code, so that its memory stays bounded whatever the batch and its
+temporaries stay on the heap (below).  A run is never split: a call with
+one (1, N) row is one pass, one with an (N,) vector passes per point.
 
 The kernels and the optimizers that call them allocate and free many numpy
 temporaries of a few KiB to a few hundred KiB in every round.  glibc's malloc
@@ -77,20 +83,25 @@ _HEAP_KEPT = _keep_heap_resident()
 
 
 def _promote(coeffs, x):
+    """Both in their common dtype, the points contiguous; the coefficients
+    keep their strides, so that a pass does not copy the stride-0 rows of a
+    shared vector."""
     dt = np.result_type(coeffs, x)
-    return np.ascontiguousarray(coeffs, dtype=dt), np.ascontiguousarray(x, dtype=dt)
+    return np.asarray(coeffs, dtype=dt), np.ascontiguousarray(x, dtype=dt)
 
 
 def _power_table(xt, top):
     """table[e * n + j] = xt[j] ** e for e = 0..top, by repeated products;
-    xt holds the points' coordinates as (n, m), the table is ((top+1) * n, m)."""
+    xt holds the points' coordinates as (n, ...), the table is ((top+1) * n,
+    ...)."""
     table = np.empty((top + 1,) + xt.shape, dtype=xt.dtype)
     table[0] = 1
     if top:
         table[1] = xt
+        xt = table[1]  # contiguous, whatever the strides of the points
     for e in range(2, top + 1):
         np.multiply(table[e - 1], xt, out=table[e])
-    return table.reshape((top + 1) * len(xt), xt.shape[1])
+    return table.reshape(((top + 1) * len(xt),) + xt.shape[1:])
 
 
 def _factors(expo, n):
@@ -196,126 +207,99 @@ def _index_of(shape, dtype, data):
 
 def _derivative_matrix(coeffs, index):
     """Each block's derivative matrices of the coefficient rows ``coeffs``
-    (R, N) or (N,) (one row), shape (K, R, n_b): D[b, r, i] = a_i coeffs[r, a]
-    for b = a - e_i, else 0."""
-    c = np.atleast_2d(coeffs)
+    (R, N), shape (K, R, n_b): D[b, r, i] = a_i coeffs[r, a] for b = a - e_i,
+    else 0."""
     mats = []
     _, _, _, blocks, _ = index
     for cols, lows, b, col, src, weight in blocks:
-        d = np.zeros((lows.stop - lows.start, len(c), cols.stop - cols.start), dtype=c.dtype)
-        d[b, :, col] = (c[:, src] * weight).T
+        d = np.zeros((lows.stop - lows.start, len(coeffs), cols.stop - cols.start), dtype=coeffs.dtype)
+        d[b, :, col] = (coeffs[:, src] * weight).T
         mats.append(d)
     return mats
 
 
 def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None):
-    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum,
-    in passes of at most 512 KiB per temporary (see the module docstring);
-    ``index`` is ``_factor_index(expo, n)`` built by the caller, or None
-    to take the table's kept one.  ``rows``, if given, are the rows of
-    ``coeffs`` that the points (or runs of points) take, and ``mats`` is
+    """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum
+    at the points ``xs`` (m, n), one path for both: R coefficient rows
+    ``coeffs`` (R, N) serve runs of m / R points, an (N,) vector serves
+    every point (see the module docstring), in passes of whole runs of at
+    most 512 KiB per temporary.  ``index`` is ``_factor_index(expo, n)``
+    built by the caller, or None to take the table's kept one.  ``rows``, if
+    given, are the rows of ``coeffs`` that the runs take, and ``mats`` is
     None or ``_derivative_matrix(coeffs, index)``; each pass gathers its
-    rows of both.
-
-    An evaluation whose (R, N) coefficient matrix has R < m rows, R dividing
-    m, sums its points as (R, m / R), each row broadcast over its run of
-    points: the same products and sums as with the row repeated.
-    """
+    rows of both."""
     coeffs, xs = _promote(coeffs, xs)
     m, n = xs.shape
-    count = len(rows) if rows is not None else len(coeffs) if coeffs.ndim == 2 else m
-    if count != m and (gradient or not 0 < count < m or m % count):
+    if coeffs.ndim == 1:  # one row for every point, each point a run of its own:
+        # m rows of stride 0, built directly (np.broadcast_to is much slower)
+        coeffs = np.ndarray((m, len(coeffs)), coeffs.dtype, coeffs, strides=(0, coeffs.itemsize))
+    count = len(coeffs) if rows is None else len(rows)
+    if count != m and not (0 < count < m and m % count == 0):
         raise ValueError(f"{count} coefficient rows for {m} points")
     if index is None:
         expo = np.asarray(expo)
         index = _index_of(expo.shape, expo.dtype.str, expo.tobytes())
     top, factors, size, blocks, width = index
-    # points per coefficient row; a pass takes as many whole runs as keep its
-    # monomials, derivative terms and power table within 512 KiB (one run at
-    # least), under the 1 MiB below which _keep_heap_resident keeps blocks on
-    # the heap
-    run = m // count if count < m else 1
+    # points per run; a pass takes as many whole runs as keep its monomials,
+    # derivative terms and power table within 512 KiB (one run at least),
+    # under the 1 MiB below which _keep_heap_resident keeps blocks on the heap
+    run = m // count if count else 1
     width = max(size, (top + 1) * n, width if gradient else 0)
     step = run * max(1, (1 << 19) // (run * width * xs.itemsize))
-    if gradient and mats is None and coeffs.ndim == 1:  # one matrix for every point
-        mats = _derivative_matrix(coeffs, index)
     if m > step:
+        rows = np.arange(count) if rows is None else rows
         parts = [
-            _monomial_sums(
-                coeffs if coeffs.ndim == 1 or rows is not None else coeffs[a // run : (a + step) // run],
-                expo,
-                xs[a : a + step],
-                gradient,
-                index,
-                None if rows is None else rows[a // run : (a + step) // run],
-                mats,
-            )
+            _monomial_sums(coeffs, expo, xs[a : a + step], gradient, index, rows[a // run : (a + step) // run], mats)
             for a in range(0, m, step)
         ]
         return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
-    own = mats is None or rows is not None  # whether the pass may overwrite its matrices
     if rows is not None:
         coeffs = coeffs[rows]
-        if mats is not None:
-            mats = [np.take(mat, rows, axis=1) for mat in mats]
-    ct = coeffs.T if coeffs.ndim == 2 else coeffs[:, np.newaxis]  # (N, rows) or (N, 1)
-    if count < m:  # an evaluation's runs, the points taken run position first
-        table = _power_table(xs.reshape(count, run, n).transpose(2, 1, 0).reshape(n, m), top)
-        terms = _products(table, factors[:, :size]).reshape(size, run, count)
-        terms *= ct[:, np.newaxis]
-        return _sum_leading(terms).T.reshape(m)
-    table = _power_table(np.ascontiguousarray(xs.T), top)
-    if not gradient:
-        terms = _products(table, factors[:, :size])
-        terms *= ct
-        return _sum_leading(terms)
-    mono = _products(table, factors)
+        mats = None if mats is None else [np.take(mat, rows, axis=1) for mat in mats]
+    # the points run position first: column p count + k is point k run + p
+    table = _power_table(xs.reshape(count, run, n).T, top)
+    mono = _products(table, factors[:, : None if gradient else size])
     terms = mono[:size]
-    terms *= ct
-    value = _sum_leading(terms)
+    terms *= coeffs.T[:, np.newaxis]
+    value = _sum_leading(terms).T.reshape(m)
+    if not gradient:
+        return value
     if mats is None:
         mats = _derivative_matrix(coeffs, index)
-    grads = []
+    grad = np.zeros((run, count, n), dtype=xs.dtype)
     for (cols, lows, *_), mat in zip(blocks, mats):
-        low = mono[lows, :, np.newaxis]
-        if own and len(mat[0]) == m:
-            mat *= low
-        else:
-            mat = np.multiply(mat, low, out=np.empty((len(mat), m, mat.shape[2]), dtype=mat.dtype))
-        grads.append(_sum_leading(mat))
-    if len(blocks) == 1 and blocks[0][0] == slice(0, n):
-        return value, grads[0]
-    grad = np.zeros_like(xs)
-    for (cols, *_), g in zip(blocks, grads):
-        grad[:, cols] = g
-    return value, grad
+        grad[..., cols] = _sum_leading(mat[:, np.newaxis] * mono[lows, ..., np.newaxis])
+    return value, grad.transpose(1, 0, 2).reshape(m, n)
 
 
 def evaluate_poly_many(coeffs, expo, xs, *, index=None, rows=None):
-    """Evaluate at many points; xs has shape (m, n), coeffs (N,), (m, N) or
-    (R, N) with R dividing m, whose row k serves the m / R consecutive points
-    from k m / R on.
+    """Evaluate at many points; xs has shape (m, n), coeffs (N,) for every
+    point or (R, N) with R >= 1 dividing m, whose row k serves the m / R
+    consecutive points from k m / R on (R = m: one row per point); any other
+    row count is a ``ValueError``.
 
     ``index`` and ``rows`` are private to rankone: a ``_factor_index`` built
-    once for many calls, and the rows of ``coeffs`` (one per point or run of
-    points) when it holds one row per object rather than per point."""
+    once for many calls, and the rows of ``coeffs`` (one per run of points)
+    when it holds one row per object rather than per run."""
     return _monomial_sums(coeffs, expo, xs, False, index, rows)
 
 
 def value_and_gradient_poly_many(coeffs, expo, xs, *, index=None, rows=None, mats=None):
     """Values (m,) and gradients (m, n) at many points from one power table,
     each exactly what ``evaluate_poly_many`` and ``gradient_poly_many``
-    return for the same arguments (``index`` and ``rows`` as in
-    ``evaluate_poly_many``; ``mats``, also private, is the
-    ``_derivative_matrix`` of ``coeffs``, built once for many calls)."""
+    return for the same arguments, with the same coefficient rows
+    (``index`` and ``rows`` as in ``evaluate_poly_many``; ``mats``, also
+    private, is the ``_derivative_matrix`` of ``coeffs``, built once for
+    many calls)."""
     return _monomial_sums(coeffs, expo, xs, True, index, rows, mats)
 
 
 def gradient_poly_many(coeffs, expo, xs):
     """Gradients at many points, shape (m, n); holomorphic derivative for complex.
 
-    coeffs is one vector (N,) for all points or an (m, N) matrix, row k for
-    point k; any other row count is a ``ValueError``.
+    coeffs is one vector (N,) for all points or (R, N) with R >= 1 dividing
+    m, row k serving the m / R points from k m / R on, as in
+    ``evaluate_poly_many``; any other row count is a ``ValueError``.
     """
     return _monomial_sums(coeffs, expo, xs, True)[1]
 

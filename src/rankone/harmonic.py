@@ -14,6 +14,7 @@ from .poly import (
     _check_monomial_budget,
     _check_same_space,
     _form_shape,
+    evaluate,
     laplacian_matrix,
     monomial_exponents,
     multinomial_weights,
@@ -166,11 +167,8 @@ def zonal(basis, x):
         raise ValueError("pole must be a unit vector")
     c = bw_l2_constant(basis.d, basis.n)
     # the BW-orthonormal basis rescaled by sqrt(c) is L2-orthonormal
-    mat = basis.coeff_matrix
-    vals = np.array(
-        [np.prod(x[np.newaxis, :] ** b.exponents, axis=1) @ b.coeffs for b in basis.basis]
-    )
-    coeffs = c * (mat @ vals)
+    vals = np.array([evaluate(b, x) for b in basis.basis])
+    coeffs = c * (basis.coeff_matrix @ vals)
     return HomogPoly(basis.n, basis.d, coeffs, REAL)
 
 

@@ -75,6 +75,16 @@ def monomial_index(d, n):
     return {tuple(row): i for i, row in enumerate(monomial_exponents(d, n))}
 
 
+def _monomial_position(d, n, alpha):
+    """Index of the multi-index ``alpha`` among the degree-d monomials in n
+    variables; a ``ShapeError`` naming it if it is not one of them."""
+    alpha = tuple(alpha)
+    i = monomial_index(d, n).get(alpha)
+    if i is None:
+        raise ShapeError(f"multi-index {alpha} is not a monomial of degree {d} in {n} variables")
+    return i
+
+
 def num_monomials(d, n):
     return comb(d + n - 1, d)
 
@@ -144,7 +154,7 @@ class HomogPoly(MultiHomogPoly):
         return self.ds[0]
 
     def coefficient(self, alpha):
-        return self.coeffs[monomial_index(self.d, self.n)[tuple(alpha)]]
+        return self.coeffs[_monomial_position(self.d, self.n, alpha)]
 
 
 @lru_cache(maxsize=None)
@@ -172,11 +182,8 @@ def multi_multinomial_weights(ds, ns):
 
 def poly_from_coeff_dict(n, d, entries, field=REAL):
     coeffs = np.zeros(num_monomials(d, n), dtype=_dtype_for(field))
-    idx = monomial_index(d, n)
     for alpha, c in entries.items():
-        if sum(alpha) != d:
-            raise ShapeError(f"multi-index {alpha} has degree {sum(alpha)} != {d}")
-        coeffs[idx[tuple(alpha)]] = c
+        coeffs[_monomial_position(d, n, alpha)] = c
     return HomogPoly(n, d, coeffs, field)
 
 
@@ -260,25 +267,22 @@ def laplacian(f):
 
 
 def poly_from_symmetric_tensor(t, tol=1e-10):
-    """f(x) = <T, x (x) ... (x) x>; coefficient rule f_a = binom(d, a) t_rep."""
+    """f(x) = <T, x (x) ... (x) x>; coefficient rule f_a = binom(d, a) t_rep,
+    t_rep the entry of a's sorted indices."""
     if not is_symmetric(t, tol):
         raise SymmetryError("tensor is not symmetric within tolerance")
-    n = t.shape[0]
-    d = t.order
-    expo = monomial_exponents(d, n)
-    coeffs = np.empty(expo.shape[0], dtype=t.data.dtype)
-    w = multinomial_weights(d, n)
-    for i, alpha in enumerate(expo):
-        rep = tuple(np.repeat(np.arange(n), alpha))
-        coeffs[i] = w[i] * t.data[rep]
-    return HomogPoly(n, d, coeffs, t.field)
+    n, d = t.shape[0], t.order
+    _, reps = _entry_monomials(d, n)
+    return HomogPoly(n, d, multinomial_weights(d, n) * t.data.ravel()[reps], t.field)
 
 
 @lru_cache(maxsize=None)
 def _entry_monomials(d, n):
-    """Monomial index of every entry of an order-d tensor in n variables, in C
-    order: entry (i_1, ..., i_d) holds the monomial whose exponent of x_j
-    counts the i's equal to j.
+    """The monomial index of every entry of an order-d tensor in n variables,
+    in C order, and the flat index of every monomial's sorted entry, in
+    monomial order: entry (i_1, ..., i_d) holds the monomial whose exponent
+    of x_j counts the i's equal to j, and its sorted entry has i_1 <= ... <=
+    i_d.
 
     An entry's sorted indices, read as a base-n number, are the flat index of
     the sorted entry, and the sorted entries in flat order are the monomials
@@ -287,16 +291,18 @@ def _entry_monomials(d, n):
     size = n**d
     digits = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
     key = digits @ np.sort(np.indices((n,) * d).reshape(d, size), axis=0)
-    rank = np.cumsum(key == np.arange(size)) - 1
-    out = rank[key]
-    out.setflags(write=False)
-    return out
+    is_sorted = key == np.arange(size)
+    monomials, reps = (np.cumsum(is_sorted) - 1)[key], np.flatnonzero(is_sorted)
+    monomials.setflags(write=False)
+    reps.setflags(write=False)
+    return monomials, reps
 
 
 def symmetric_tensor_from_poly(f):
     """Inverse of poly_from_symmetric_tensor: t_idx = f_a / binom(d, a)."""
     n, d = _form_shape(f)
-    data = (f.coeffs / multinomial_weights(d, n))[_entry_monomials(d, n)]
+    monomials, _ = _entry_monomials(d, n)
+    data = (f.coeffs / multinomial_weights(d, n))[monomials]
     return Tensor(data.reshape((n,) * d), f.field)
 
 

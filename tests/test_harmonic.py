@@ -25,6 +25,7 @@ from rankone.poly import (
     monomial_exponents,
     multinomial,
     num_monomials,
+    ShapeError,
     poly_from_coeff_dict,
 )
 
@@ -176,3 +177,6 @@ def test_zonal_rejects_non_unit_pole():
     basis = harmonic_basis(2, 3)
     with pytest.raises(ValueError):
         zonal(basis, np.array([1.0, 1.0, 0.0]))
+    # a unit pole of the wrong length
+    with pytest.raises(ShapeError, match=r"points have shape \(2,\), expected \(3,\)"):
+        zonal(basis, np.array([1.0, 0.0]))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import product
 
@@ -206,6 +207,47 @@ def test_form_operations_accept_one_block_multi_forms(field):
     for op in operations + [lambda g: l2_sphere_inner(two, g)]:
         with pytest.raises(ShapeError, match=r"\(ns, ds\) = \(\(2, 2\), \(1, 2\)\)"):
             op(two)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(1, 1, 1), (4, -1), (2, 2), (1,)],
+    ids=["too-long", "negative", "wrong-degree", "too-short"],
+)
+def test_multi_indices_that_are_not_monomials_are_refused(alpha):
+    # every multi-index that is not a degree-3 monomial in 2 variables is a
+    # ShapeError naming it, in a coefficient dict and in a coefficient lookup
+    message = rf"^multi-index {re.escape(str(alpha))} is not a monomial of degree 3 in 2 variables$"
+    with pytest.raises(ShapeError, match=message):
+        poly_from_coeff_dict(2, 3, {alpha: 1.0})
+    f = poly_from_coeff_dict(2, 3, {(2, 1): 1.0})
+    with pytest.raises(ShapeError, match=message):
+        f.coefficient(alpha)
+    assert f.coefficient((2, 1)) == 1.0
+
+
+def _poly_by_monomial_loop(t):
+    """The form of a symmetric tensor one monomial at a time: f_a =
+    binom(d, a) t_rep, rep the sorted indices that a counts."""
+    n, d = t.shape[0], t.order
+    expo = monomial_exponents(d, n)
+    coeffs = np.empty(len(expo), dtype=t.data.dtype)
+    w = multinomial_weights(d, n)
+    for i, alpha in enumerate(expo):
+        coeffs[i] = w[i] * t.data[tuple(np.repeat(np.arange(n), alpha))]
+    return coeffs
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_poly_from_symmetric_tensor_matches_the_monomial_loop(field):
+    rng = np.random.default_rng(65)
+    for d in range(5):
+        for n in range(1, 5):
+            raw = _random_points(rng, field, (n,) * d) * 10.0 ** rng.uniform(-3, 3, (n,) * d)
+            t = symmetrize(Tensor(raw, field))
+            got, want = poly_from_symmetric_tensor(t).coeffs, _poly_by_monomial_loop(t)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (d, n)
 
 
 def test_tensor_poly_dictionary_round_trip():
@@ -457,11 +499,21 @@ def test_fused_value_and_gradient_match_separate_kernels(field, shared):
     np.testing.assert_array_equal(g, gradient_poly_many(c, expo, xs))
 
 
+def _bytes(out):
+    """The bytes of a kernel's result, values and gradients alike."""
+    return b"".join(a.tobytes() for a in (out if isinstance(out, tuple) else (out,)))
+
+
+def _slice(out, a, b):
+    """Rows a to b of a kernel's result, values and gradients alike."""
+    return tuple(x[a:b] for x in out) if isinstance(out, tuple) else out[a:b]
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_grouped_points_match_repeated_coefficient_rows(field):
-    # an evaluation with fewer coefficient rows than points gives row k the
-    # run of points k g ... k g + g - 1, g = m / rows: the same products and
-    # sums as the row repeated g times
+    # R coefficient rows for m points give row k the run of points
+    # k g ... k g + g - 1, g = m / R: the same products and sums as the row
+    # repeated g times, for values and gradients alike
     rng = np.random.default_rng(12)
     expo = monomial_exponents(5, 3)
     starts, g = 11, 6
@@ -471,11 +523,12 @@ def test_grouped_points_match_repeated_coefficient_rows(field):
         c = c + 1j * rng.standard_normal(c.shape)
         xs = xs + 1j * rng.standard_normal(xs.shape)
     repeated = np.repeat(c, g, axis=0)
-    v = evaluate_poly_many(c, expo, xs)
-    assert v.tobytes() == evaluate_poly_many(repeated, expo, xs).tobytes()
-    # one row serves every point, like the shared coefficient vector
-    one = evaluate_poly_many(c[:1], expo, xs)
-    assert one.tobytes() == evaluate_poly_many(c[0], expo, xs).tobytes()
+    for call in (evaluate_poly_many, gradient_poly_many, value_and_gradient_poly_many):
+        assert _bytes(call(c, expo, xs)) == _bytes(call(repeated, expo, xs))
+        # 3 rows for 6 points
+        assert _bytes(call(c[:3], expo, xs[:6])) == _bytes(call(np.repeat(c[:3], 2, axis=0), expo, xs[:6]))
+        # one row serves every point, like the shared coefficient vector
+        assert _bytes(call(c[:1], expo, xs)) == _bytes(call(c[0], expo, xs))
 
 
 def _passes(monkeypatch):
@@ -528,12 +581,17 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, s
 
 @pytest.mark.parametrize(
     "field, passes",
-    [(REAL, [2340, 2340, 120]), (COMPLEX, [1170] * 4 + [120])],
+    [
+        (REAL, ([2340, 2340, 120], [1038] * 4 + [648])),
+        (COMPLEX, ([1170] * 4 + [120], [516] * 9 + [156])),
+    ],
     ids=["real", "complex"],
 )
 def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, passes):
     # 800 coefficient rows, each serving a run of 6 points: a pass takes
-    # whole runs, its coefficient rows with them
+    # whole runs, its coefficient rows with them (fewer of them for the
+    # fused kernel, whose derivative terms are 63 per point); one row is one
+    # run, so a one-row call is one pass
     rng = np.random.default_rng(9)
     expo = monomial_exponents(6, 3)
     runs, g = 800, 6
@@ -542,53 +600,58 @@ def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, pas
     if field == COMPLEX:
         c = c + 1j * rng.standard_normal(c.shape)
         xs = xs + 1j * rng.standard_normal(xs.shape)
-    seen = _passes(monkeypatch)
-    v = evaluate_poly_many(c, expo, xs)
-    assert seen == [runs * g] + passes
-    monkeypatch.undo()
-    a = 0
-    for rows in passes:
-        part = evaluate_poly_many(c[a // g : (a + rows) // g], expo, xs[a : a + rows])
-        assert v[a : a + rows].tobytes() == part.tobytes()
-        a += rows
-    if field == REAL:
-        assert v.tobytes() == evaluate_poly_many(np.repeat(c, g, axis=0), expo, xs).tobytes()
+    for call, want in zip((evaluate_poly_many, value_and_gradient_poly_many), passes):
+        seen = _passes(monkeypatch)
+        out = call(c, expo, xs)
+        assert seen == [runs * g] + want
+        seen.clear()
+        call(c[:1], expo, xs)
+        assert seen == [runs * g]
+        monkeypatch.undo()
+        a = 0
+        for rows in want:
+            part = call(c[a // g : (a + rows) // g], expo, xs[a : a + rows])
+            assert _bytes(_slice(out, a, a + rows)) == _bytes(part)
+            a += rows
+        if field == REAL:
+            assert _bytes(out) == _bytes(call(np.repeat(c, g, axis=0), expo, xs))
 
 
 @pytest.mark.parametrize("call", [evaluate_poly_many, value_and_gradient_poly_many])
 def test_large_batches_keep_kernel_memory_bounded(call):
     # 512 points of a quintic in 10 variables (N = 2002), one coefficient row
-    # each: one pass would hold (N, 512) monomials of 7.8 MiB, (10, N, 512)
-    # gradient terms of 78 MiB; passes of 512 KiB keep the peak under 4 MiB
+    # each or one shared vector: one pass would hold (N, 512) monomials of
+    # 7.8 MiB, (10, N, 512) gradient terms of 78 MiB; passes of 512 KiB keep
+    # the peak under 4 MiB
     rng = np.random.default_rng(15)
     expo = monomial_exponents(5, 10)
-    c = rng.standard_normal((512, len(expo)))
     xs = rng.standard_normal((512, 10))
-    tracemalloc.start()
-    try:
-        call(c, expo, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    for c in (rng.standard_normal((512, len(expo))), rng.standard_normal(len(expo))):
+        tracemalloc.start()
+        try:
+            call(c, expo, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 @pytest.mark.parametrize(
     "call, rows",
     [
-        (gradient_poly_many, 3),
-        (value_and_gradient_poly_many, 3),
-        (gradient_poly_many, 1),
+        (gradient_poly_many, 4),
+        (gradient_poly_many, 0),
+        (value_and_gradient_poly_many, 4),
         (gradient_poly_many, 7),
         (evaluate_poly_many, 4),
         (evaluate_poly_many, 7),
         (evaluate_poly_many, 0),
     ],
-    ids=["grad-fewer", "fused-fewer", "grad-one-row", "grad-more", "eval-not-dividing", "eval-more", "eval-none"],
+    ids=["grad-not-dividing", "grad-none", "fused-not-dividing", "grad-more", "eval-not-dividing", "eval-more", "eval-none"],
 )
 def test_coefficient_rows_that_do_not_fit_the_points_are_refused(call, rows):
-    # a gradient takes one coefficient row per point (or one shared vector);
-    # an evaluation's rows must divide its points
+    # R coefficient rows serve m points when R >= 1 divides m, for values and
+    # gradients alike
     rng = np.random.default_rng(14)
     expo = monomial_exponents(4, 3)
     c = rng.standard_normal((rows, len(expo)))
