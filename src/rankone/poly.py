@@ -272,8 +272,9 @@ def poly_from_symmetric_tensor(t, tol=1e-10):
     if not is_symmetric(t, tol):
         raise SymmetryError("tensor is not symmetric within tolerance")
     n, d = t.shape[0], t.order
+    weights = multinomial_weights(d, n)  # checks the monomial budget first
     _, reps = _entry_monomials(d, n)
-    return HomogPoly(n, d, multinomial_weights(d, n) * t.data.ravel()[reps], t.field)
+    return HomogPoly(n, d, weights * t.data.ravel()[reps], t.field)
 
 
 @lru_cache(maxsize=None)

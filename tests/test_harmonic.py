@@ -18,6 +18,7 @@ from rankone.harmonic import (
     zonal_pole_value,
 )
 from rankone.poly import (
+    ShapeError,
     bw_inner,
     evaluate,
     laplacian,
@@ -25,7 +26,6 @@ from rankone.poly import (
     monomial_exponents,
     multinomial,
     num_monomials,
-    ShapeError,
     poly_from_coeff_dict,
 )
 
