@@ -232,6 +232,7 @@ def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None)
     m, n = xs.shape
     if coeffs.ndim == 1:  # one row for every point, each point a run of its own:
         # m rows of stride 0, built directly (np.broadcast_to is much slower)
+        coeffs = np.ascontiguousarray(coeffs)
         coeffs = np.ndarray((m, len(coeffs)), coeffs.dtype, coeffs, strides=(0, coeffs.itemsize))
     count = len(coeffs) if rows is None else len(rows)
     if count != m and not (0 < count < m and m % count == 0):

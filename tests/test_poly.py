@@ -531,6 +531,20 @@ def test_grouped_points_match_repeated_coefficient_rows(field):
         assert _bytes(call(c[:1], expo, xs)) == _bytes(call(c[0], expo, xs))
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_strided_coefficients_match_contiguous_ones(field):
+    # a shared vector taken as a column of a matrix, and a matrix of rows
+    # taken every other column, give the bytes of their contiguous copies
+    rng = np.random.default_rng(16)
+    expo = monomial_exponents(4, 3)
+    table = _random_points(rng, field, (len(expo), 6))
+    xs = _random_points(rng, field, (6, 3))
+    for c in (table[:, 1], table.T[::2]):
+        assert not c.flags.c_contiguous
+        for call in (evaluate_poly_many, gradient_poly_many, value_and_gradient_poly_many):
+            assert _bytes(call(c, expo, xs)) == _bytes(call(c.copy(), expo, xs))
+
+
 def _passes(monkeypatch):
     """The point counts of the kernel passes of the calls that follow: the
     whole call first, then its passes if it ran in more than one."""
