@@ -674,6 +674,21 @@ def test_coefficient_rows_that_do_not_fit_the_points_are_refused(call, rows):
         call(c, expo, xs)
 
 
+@pytest.mark.parametrize(
+    "call, rows",
+    [(gradient_poly_many, 3), (value_and_gradient_poly_many, 3), (gradient_poly_many, 1)],
+    ids=["grad-fewer", "fused-fewer", "grad-one-row"],
+)
+def test_coefficient_rows_that_divide_the_points_are_accepted(call, rows):
+    # fewer rows than points, a gradient's or a fused call's, serve runs of
+    # 6 / rows points: the bytes of the rows repeated
+    rng = np.random.default_rng(14)
+    expo = monomial_exponents(4, 3)
+    c = rng.standard_normal((rows, len(expo)))
+    xs = rng.standard_normal((6, 3))
+    assert _bytes(call(c, expo, xs)) == _bytes(call(np.repeat(c, 6 // rows, axis=0), expo, xs))
+
+
 def _random_points(rng, field, shape):
     x = rng.standard_normal(shape)
     return x + 1j * rng.standard_normal(shape) if field == COMPLEX else x
