@@ -18,11 +18,11 @@ one-point call, whatever the batch and whatever the coefficient shape.
 The kernels take R coefficient rows for m points, an (R, N) matrix with
 R >= 1 dividing m (or R = m = 0): row k serves the run of m / R consecutive
 points from k m / R on, by broadcasting instead of a repeated copy of the
-row.  One row per point and one row for every point are the two ends of
-that one rule, for values and gradients alike; an (N,) vector is one row
-broadcast to every point, each point a run of its own.  A call takes its
-points run position first, as (run, count), and forms one power table and
-one running product per pass (the lowered monomials with the monomials in a
+row.  One row per point and one row for every point are the two ends of that
+one rule, for values and gradients alike; an (N,) vector is the one row of
+the one run of all m points (no run when m = 0).  A call takes its points
+run position first, as (run, count), and forms one power table and one
+running product per pass (the lowered monomials with the monomials in a
 gradient call), so values are summed over (N, run, count) and gradients over
 the products (K, run, count, n_b) of each row's derivative matrix with its
 run's lowered monomials.  The index every call reads from the exponents
@@ -30,15 +30,16 @@ run's lowered monomials.  The index every call reads from the exponents
 caller and passed in (the private ``index``).  So can the derivative
 matrices of a stack of coefficient rows, one row per object rather than per
 point (``_derivative_matrix``, the private ``mats``); the private ``rows``
-then names the row each run takes, and a call gathers its runs' rows of both
-pass by pass.  A call's largest temporary is a gradient's derivative
-products (N_{d-1} x n_b per point and block), an evaluation's N monomials
-per point (with the lowered ones in a gradient call), or the power table.
-A call whose largest temporary fits in 512 KiB is one pass; a larger one
-runs in passes of as many whole runs of points as fit, each through the
-same code, so that its memory stays bounded whatever the batch and its
-temporaries stay on the heap (below).  A run is never split: a call with
-one (1, N) row is one pass, one with an (N,) vector passes per point.
+names the row of each run (all R in order by default), and every pass
+gathers its runs' rows of both, or builds its matrices from its rows.  A
+call's largest temporary is a gradient's derivative products (N_{d-1} x n_b
+per point and block), an evaluation's N monomials per point (with the
+lowered ones in a gradient call), or the power table.  A call whose largest
+temporary fits in 512 KiB is one pass; a larger one runs in passes of as
+many whole runs of points as fit, each through the same code, so that its
+memory stays bounded whatever the batch and its temporaries stay on the heap
+(below).  A run longer than a pass is cut into the fewest equal runs that
+fit, each taking its row.
 
 The kernels and the optimizers that call them allocate and free many numpy
 temporaries of a few KiB to a few hundred KiB in every round.  glibc's malloc
@@ -83,9 +84,8 @@ _HEAP_KEPT = _keep_heap_resident()
 
 
 def _promote(coeffs, x):
-    """Both in their common dtype, the points contiguous; the coefficients
-    keep their strides, so that a pass does not copy the stride-0 rows of a
-    shared vector."""
+    """Both in their common dtype, the points contiguous (a pass gathers its
+    coefficient rows)."""
     dt = np.result_type(coeffs, x)
     return np.asarray(coeffs, dtype=dt), np.ascontiguousarray(x, dtype=dt)
 
@@ -221,42 +221,42 @@ def _derivative_matrix(coeffs, index):
 def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None):
     """Values (m,) and, if ``gradient``, gradients (m, n) of the monomial sum
     at the points ``xs`` (m, n), one path for both: R coefficient rows
-    ``coeffs`` (R, N) serve runs of m / R points, an (N,) vector serves
-    every point (see the module docstring), in passes of whole runs of at
-    most 512 KiB per temporary.  ``index`` is ``_factor_index(expo, n)``
-    built by the caller, or None to take the table's kept one.  ``rows``, if
-    given, are the rows of ``coeffs`` that the runs take, and ``mats`` is
-    None or ``_derivative_matrix(coeffs, index)``; each pass gathers its
-    rows of both."""
+    ``coeffs`` (R, N) serve runs of m / R points, an (N,) vector is the row
+    of one run of all points (see the module docstring), in passes of whole
+    runs of at most 512 KiB per temporary, a longer run cut into equal ones.
+    ``index`` is ``_factor_index(expo, n)`` built by the caller, or None to
+    take the table's kept one.  ``rows`` are the rows of ``coeffs`` that the
+    runs take (all in order if None), and ``mats`` is None or
+    ``_derivative_matrix(coeffs, index)``; each pass gathers its rows of both."""
     coeffs, xs = _promote(coeffs, xs)
     m, n = xs.shape
-    if coeffs.ndim == 1:  # one row for every point, each point a run of its own:
-        # m rows of stride 0, built directly (np.broadcast_to is much slower)
-        coeffs = np.ascontiguousarray(coeffs)
-        coeffs = np.ndarray((m, len(coeffs)), coeffs.dtype, coeffs, strides=(0, coeffs.itemsize))
-    count = len(coeffs) if rows is None else len(rows)
+    if coeffs.ndim == 1:  # the row of the one run of all m points, no run if m = 0
+        coeffs = coeffs[np.newaxis][:m]
+    rows = np.arange(len(coeffs)) if rows is None else rows
+    count = len(rows)
     if count != m and not (0 < count < m and m % count == 0):
         raise ValueError(f"{count} coefficient rows for {m} points")
     if index is None:
         expo = np.asarray(expo)
         index = _index_of(expo.shape, expo.dtype.str, expo.tobytes())
     top, factors, size, blocks, width = index
-    # points per run; a pass takes as many whole runs as keep its monomials,
-    # derivative terms and power table within 512 KiB (one run at least),
-    # under the 1 MiB below which _keep_heap_resident keeps blocks on the heap
+    # points per pass that keep its monomials, derivative terms and power
+    # table within 512 KiB (one at least), under the 1 MiB below which
+    # _keep_heap_resident keeps blocks on the heap; a longer run is cut into
+    # the fewest equal runs that fit, and a pass takes as many whole runs
+    fit = max(1, (1 << 19) // (max(size, (top + 1) * n, width if gradient else 0) * xs.itemsize))
     run = m // count if count else 1
-    width = max(size, (top + 1) * n, width if gradient else 0)
-    step = run * max(1, (1 << 19) // (run * width * xs.itemsize))
+    if run > fit:
+        cut = next(p for p in range(-(-run // fit), run + 1) if run % p == 0)
+        rows, run = np.repeat(rows, cut), run // cut
+    step = run * (fit // run)
     if m > step:
-        rows = np.arange(count) if rows is None else rows
         parts = [
             _monomial_sums(coeffs, expo, xs[a : a + step], gradient, index, rows[a // run : (a + step) // run], mats)
             for a in range(0, m, step)
         ]
         return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
-    if rows is not None:
-        coeffs = coeffs[rows]
-        mats = None if mats is None else [np.take(mat, rows, axis=1) for mat in mats]
+    coeffs, count = coeffs.take(rows, 0), len(rows)
     # the points run position first: column p count + k is point k run + p
     table = _power_table(xs.reshape(count, run, n).T, top)
     mono = _products(table, factors[:, : None if gradient else size])
@@ -265,8 +265,7 @@ def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None)
     value = _sum_leading(terms).T.reshape(m)
     if not gradient:
         return value
-    if mats is None:
-        mats = _derivative_matrix(coeffs, index)
+    mats = _derivative_matrix(coeffs, index) if mats is None else [mat.take(rows, 1) for mat in mats]
     grad = np.zeros((run, count, n), dtype=xs.dtype)
     for (cols, lows, *_), mat in zip(blocks, mats):
         grad[..., cols] = _sum_leading(mat[:, np.newaxis] * mono[lows, ..., np.newaxis])
@@ -274,10 +273,10 @@ def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None)
 
 
 def evaluate_poly_many(coeffs, expo, xs, *, index=None, rows=None):
-    """Evaluate at many points; xs has shape (m, n), coeffs (N,) for every
-    point or (R, N) with R >= 1 dividing m, whose row k serves the m / R
-    consecutive points from k m / R on (R = m: one row per point); any other
-    row count is a ``ValueError``.
+    """Evaluate at many points; xs has shape (m, n), coeffs (R, N) with
+    R >= 1 dividing m, whose row k serves the m / R consecutive points from
+    k m / R on (R = m: one row per point), or (N,), the one row of all m
+    points; any other row count is a ``ValueError``.
 
     ``index`` and ``rows`` are private to rankone: a ``_factor_index`` built
     once for many calls, and the rows of ``coeffs`` (one per run of points)
@@ -298,8 +297,8 @@ def value_and_gradient_poly_many(coeffs, expo, xs, *, index=None, rows=None, mat
 def gradient_poly_many(coeffs, expo, xs):
     """Gradients at many points, shape (m, n); holomorphic derivative for complex.
 
-    coeffs is one vector (N,) for all points or (R, N) with R >= 1 dividing
-    m, row k serving the m / R points from k m / R on, as in
+    coeffs is (R, N) with R >= 1 dividing m, row k serving the m / R points
+    from k m / R on, or (N,), the one row of all m points, as in
     ``evaluate_poly_many``; any other row count is a ``ValueError``.
     """
     return _monomial_sums(coeffs, expo, xs, True)[1]

@@ -271,7 +271,8 @@ def _cmd_ratio(args):
     elif args.infile:
         with open(args.infile) as fh:
             text = fh.read()
-        obj = load_tensor(text) if text.startswith("tensor") else load_poly(text)
+        # the first word of the first non-blank line names the kind, as the loaders read it
+        obj = load_tensor(text) if text.split(maxsplit=1)[:1] == ["tensor"] else load_poly(text)
     elif args.random:
         if args.seed is None:
             raise UsageError("--random needs an explicit --seed")

@@ -734,10 +734,7 @@ def total_norm(obj):
 
 def ratio(obj, cfg=MaximizerConfig()):
     """Lower estimate of spectral norm / Frobenius (Bombieri-Weyl) norm."""
-    nrm = total_norm(obj)
-    if nrm == 0.0:
-        raise ZeroInputError("zero input")
-    return spectral_value(obj, cfg).value / nrm
+    return spectral_value(obj, cfg).value / total_norm(obj)
 
 
 def approx_error(obj, cfg=MaximizerConfig()):

@@ -81,6 +81,10 @@ def test_ratio_from_file(capsys, tmp_path, model):
     assert 0.0 < float(data["ratio"]) <= 1.0 + 1e-9
     code, out3, _ = run_cli(capsys, "ratio", "--random", *draw, "--starts", "8")
     assert code == 0 and out3 == out2
+    # the kind is the first word of the first non-blank line, as the loaders read it
+    p.write_text("\n  " + out)
+    code, out4, _ = run_cli(capsys, "ratio", "--in", str(p), "--starts", "8", "--seed", "5")
+    assert code == 0 and out4 == out2
 
 
 def test_sample_deterministic(capsys):

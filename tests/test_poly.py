@@ -559,16 +559,22 @@ def _passes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, passes",
-    [(REAL, [1040, 960]), (COMPLEX, [520] * 3 + [440])],
-    ids=["real", "complex"],
+    "field, shared, passes",
+    [
+        (REAL, True, [1000, 1000]),
+        (COMPLEX, True, [500] * 4),
+        (REAL, False, [1040, 960]),
+        (COMPLEX, False, [520] * 3 + [440]),
+    ],
+    ids=["shared-real", "shared-complex", "per-row-real", "per-row-complex"],
 )
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, shared):
+def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, shared, passes):
     # 2000 gradients of a sextic in 3 variables hold (21, 2000, 3) products
     # of the 21 quintic monomials with their derivative matrices: passes of
-    # 512 KiB of them, 1040 real or 520 complex points each, and every row
-    # is exactly what a call over its pass alone returns
+    # 512 KiB of them, 1040 real or 520 complex points each; a shared vector
+    # is one run of 2000 points, cut into the fewest equal runs that fit, and
+    # each pass builds the derivative matrices of its one row.  Every row is
+    # exactly what a call over its pass alone returns
     rng = np.random.default_rng(8)
     expo = monomial_exponents(6, 3)
     m = 2000
@@ -577,9 +583,17 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, s
     if field == COMPLEX:
         c = c + 1j * rng.standard_normal(c.shape)
         xs = xs + 1j * rng.standard_normal(xs.shape)
+    built, derivative_matrix = [], _kernels._derivative_matrix
+
+    def counted(rows, index):
+        built.append(len(rows))
+        return derivative_matrix(rows, index)
+
+    monkeypatch.setattr(_kernels, "_derivative_matrix", counted)
     seen = _passes(monkeypatch)
     v, g = value_and_gradient_poly_many(c, expo, xs)
     assert seen == [m] + passes
+    assert built == ([1] * len(passes) if shared else passes)
     monkeypatch.undo()
     a = 0
     for rows in passes:
@@ -594,18 +608,19 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, passes, s
 
 
 @pytest.mark.parametrize(
-    "field, passes",
+    "field, passes, one_row",
     [
-        (REAL, ([2340, 2340, 120], [1038] * 4 + [648])),
-        (COMPLEX, ([1170] * 4 + [120], [516] * 9 + [156])),
+        (REAL, ([2340, 2340, 120], [1038] * 4 + [648]), ([1600] * 3, [960] * 5)),
+        (COMPLEX, ([1170] * 4 + [120], [516] * 9 + [156]), ([960] * 5, [480] * 10)),
     ],
     ids=["real", "complex"],
 )
-def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, passes):
+def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, passes, one_row):
     # 800 coefficient rows, each serving a run of 6 points: a pass takes
     # whole runs, its coefficient rows with them (fewer of them for the
     # fused kernel, whose derivative terms are 63 per point); one row is one
-    # run, so a one-row call is one pass
+    # run of 4800 points, cut into the fewest equal runs that fit a pass,
+    # and an (N,) vector is that one row
     rng = np.random.default_rng(9)
     expo = monomial_exponents(6, 3)
     runs, g = 800, 6
@@ -614,14 +629,18 @@ def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, pas
     if field == COMPLEX:
         c = c + 1j * rng.standard_normal(c.shape)
         xs = xs + 1j * rng.standard_normal(xs.shape)
-    for call, want in zip((evaluate_poly_many, value_and_gradient_poly_many), passes):
+    for call, want, cut in zip((evaluate_poly_many, value_and_gradient_poly_many), passes, one_row):
         seen = _passes(monkeypatch)
         out = call(c, expo, xs)
         assert seen == [runs * g] + want
         seen.clear()
-        call(c[:1], expo, xs)
-        assert seen == [runs * g]
+        row = call(c[:1], expo, xs)
+        assert seen == [runs * g] + cut
+        seen.clear()
+        assert _bytes(call(c[0], expo, xs)) == _bytes(row) and seen == [runs * g] + cut
         monkeypatch.undo()
+        if field == REAL:
+            assert _bytes(row) == _bytes(call(np.repeat(c[:1], runs * g, axis=0), expo, xs))
         a = 0
         for rows in want:
             part = call(c[a // g : (a + rows) // g], expo, xs[a : a + rows])
@@ -634,13 +653,14 @@ def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, pas
 @pytest.mark.parametrize("call", [evaluate_poly_many, value_and_gradient_poly_many])
 def test_large_batches_keep_kernel_memory_bounded(call):
     # 512 points of a quintic in 10 variables (N = 2002), one coefficient row
-    # each or one shared vector: one pass would hold (N, 512) monomials of
-    # 7.8 MiB, (10, N, 512) gradient terms of 78 MiB; passes of 512 KiB keep
-    # the peak under 4 MiB
+    # each, one shared vector or one (1, N) row: one pass would hold (N, 512)
+    # monomials of 7.8 MiB, (10, N, 512) gradient terms of 78 MiB; passes of
+    # 512 KiB keep the peak under 4 MiB
     rng = np.random.default_rng(15)
     expo = monomial_exponents(5, 10)
     xs = rng.standard_normal((512, 10))
-    for c in (rng.standard_normal((512, len(expo))), rng.standard_normal(len(expo))):
+    for shape in ((512, len(expo)), len(expo), (1, len(expo))):
+        c = rng.standard_normal(shape)
         tracemalloc.start()
         try:
             call(c, expo, xs)

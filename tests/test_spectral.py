@@ -235,8 +235,11 @@ def test_config_accepts_numpy_scalars():
 def test_zero_tensor_rejected():
     from rankone.spectral import ZeroInputError
 
-    with pytest.raises(ZeroInputError):
-        spectral_value(Tensor(np.zeros((2, 2, 2)), REAL), CFG)
+    zero = Tensor(np.zeros((2, 2, 2)), REAL)
+    with pytest.raises(ZeroInputError, match="^zero input$"):
+        spectral_value(zero, CFG)
+    with pytest.raises(ZeroInputError, match="^zero input$"):
+        ratio(zero, CFG)
 
 
 def test_deterministic_given_seed():
