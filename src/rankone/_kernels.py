@@ -38,8 +38,9 @@ lowered ones in a gradient call), or the power table.  A call whose largest
 temporary fits in 512 KiB is one pass; a larger one runs in passes of as
 many whole runs of points as fit, each through the same code, so that its
 memory stays bounded whatever the batch and its temporaries stay on the heap
-(below).  A run longer than a pass is cut into the fewest equal runs that
-fit, each taking its row.
+(below).  A run longer than a pass is cut into passes of at most a pass's
+points, whatever its length, which share the run's one gathered row and its
+derivative matrix.
 
 The kernels and the optimizers that call them allocate and free many numpy
 temporaries of a few KiB to a few hundred KiB in every round.  glibc's malloc
@@ -223,7 +224,8 @@ def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None)
     at the points ``xs`` (m, n), one path for both: R coefficient rows
     ``coeffs`` (R, N) serve runs of m / R points, an (N,) vector is the row
     of one run of all points (see the module docstring), in passes of whole
-    runs of at most 512 KiB per temporary, a longer run cut into equal ones.
+    runs of at most 512 KiB per temporary, a longer run cut into passes of
+    at most that size.
     ``index`` is ``_factor_index(expo, n)`` built by the caller, or None to
     take the table's kept one.  ``rows`` are the rows of ``coeffs`` that the
     runs take (all in order if None), and ``mats`` is None or
@@ -242,19 +244,27 @@ def _monomial_sums(coeffs, expo, xs, gradient, index=None, rows=None, mats=None)
     top, factors, size, blocks, width = index
     # points per pass that keep its monomials, derivative terms and power
     # table within 512 KiB (one at least), under the 1 MiB below which
-    # _keep_heap_resident keeps blocks on the heap; a longer run is cut into
-    # the fewest equal runs that fit, and a pass takes as many whole runs
+    # _keep_heap_resident keeps blocks on the heap; a pass takes as many
+    # whole runs as fit, and a longer run is cut into passes of fit points
+    # that share its one gathered row and derivative matrix
     fit = max(1, (1 << 19) // (max(size, (top + 1) * n, width if gradient else 0) * xs.itemsize))
     run = m // count if count else 1
-    if run > fit:
-        cut = next(p for p in range(-(-run // fit), run + 1) if run % p == 0)
-        rows, run = np.repeat(rows, cut), run // cut
-    step = run * (fit // run)
+    step = run * (fit // run)  # 0 for a run longer than a pass
     if m > step:
-        parts = [
-            _monomial_sums(coeffs, expo, xs[a : a + step], gradient, index, rows[a // run : (a + step) // run], mats)
-            for a in range(0, m, step)
-        ]
+        parts = []
+        if run > fit:
+            for k in range(count):
+                one = rows[k : k + 1]
+                row, own = coeffs.take(one, 0), mats and [mat.take(one, 1) for mat in mats]
+                if gradient and mats is None:
+                    own = _derivative_matrix(row, index)
+                for a in range(k * run, (k + 1) * run, fit):
+                    part = xs[a : min(a + fit, (k + 1) * run)]
+                    parts.append(_monomial_sums(row, expo, part, gradient, index, None, own))
+        else:
+            for a in range(0, m, step):
+                runs = rows[a // run : (a + step) // run]
+                parts.append(_monomial_sums(coeffs, expo, xs[a : a + step], gradient, index, runs, mats))
         return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
     coeffs, count = coeffs.take(rows, 0), len(rows)
     # the points run position first: column p count + k is point k run + p

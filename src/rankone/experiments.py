@@ -53,6 +53,7 @@ from .sampling import (
 )
 from .spectral import (
     MaximizerConfig,
+    _searched_exactly,
     spectral_norm_symmetric,
     spectral_value_many,
     total_norm,
@@ -409,11 +410,12 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
 
     # (a) per-sample hard lower bound; the optimizer under-approximates the
     # true ratio, so apparent violations are re-certified in one batch with 4x
-    # starts and the recertified records stand in for the first ones (a real
-    # binary form's search is exact, so its recertified record is the first)
+    # starts and the recertified records stand in for the first ones.  Forms
+    # in two variables, over either field, are searched without starts, so
+    # more starts would recompute the same records: theirs stand as they are
     records = list(stats.records)
     violators = [r.index for r in records if r.ratio < bset.lower - _HARD_TOL]
-    if violators:
+    if violators and not _searched_exactly(_draw(model, params, int(seed), violators[0])):
         recheck = replace(cfg, starts=4 * cfg.starts)
         for r in _ratio_records((model, params, recheck, int(seed), violators)):
             records[r.index] = r

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankone import _kernels, experiments
-from rankone.bounds import DomainError
+from rankone.bounds import DomainError, bounds_symmetric
 from rankone.experiments import (
     Check,
     RatioStats,
@@ -641,6 +641,31 @@ def test_violators_are_recertified_in_one_batch(monkeypatch):
         (4 * CFG.starts, [ex._cfg_seed(seed, i) for i in low]),
     ]
     assert rep.checks[0].passed
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_binary_forms_are_not_recertified(monkeypatch, field):
+    # forms in two variables are searched without starts, so a sample below
+    # the lower bound (here every one, under a bound of 0.99) stands as a
+    # failure without a second batch with more starts
+    import dataclasses
+
+    import rankone.experiments as ex
+
+    calls, records = [], ex._ratio_records
+
+    def counted(args):
+        calls.append(args[2].starts)
+        return records(args)
+
+    def high(p):
+        return dataclasses.replace(bounds_symmetric(p["d"], p["n"], p["field"]), lower=0.99)
+
+    monkeypatch.setitem(ex.MODELS, "kostlan", dataclasses.replace(ex.MODELS["kostlan"], bound_set=high))
+    monkeypatch.setattr(ex, "_ratio_records", counted)
+    rep = verify_bounds("kostlan", {"d": 4, "n": 2, "field": field}, 6, CFG, 39)
+    assert calls == [CFG.starts]
+    assert not rep.checks[0].passed and rep.checks[0].lhs == rep.stats[0].min
 
 
 def test_record_unpacks_and_pickles_as_a_triple():

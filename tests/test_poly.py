@@ -559,25 +559,26 @@ def _passes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, shared, passes",
+    "field, shared, m, passes",
     [
-        (REAL, True, [1000, 1000]),
-        (COMPLEX, True, [500] * 4),
-        (REAL, False, [1040, 960]),
-        (COMPLEX, False, [520] * 3 + [440]),
+        (REAL, True, 2000, [1040, 960]),
+        (COMPLEX, True, 2000, [520] * 3 + [440]),
+        (REAL, False, 2000, [1040, 960]),
+        (COMPLEX, False, 2000, [520] * 3 + [440]),
+        (REAL, True, 2003, [1040, 963]),
     ],
-    ids=["shared-real", "shared-complex", "per-row-real", "per-row-complex"],
+    ids=["shared-real", "shared-complex", "per-row-real", "per-row-complex", "shared-real-prime"],
 )
-def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, shared, passes):
+def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, shared, m, passes):
     # 2000 gradients of a sextic in 3 variables hold (21, 2000, 3) products
     # of the 21 quintic monomials with their derivative matrices: passes of
     # 512 KiB of them, 1040 real or 520 complex points each; a shared vector
-    # is one run of 2000 points, cut into the fewest equal runs that fit, and
-    # each pass builds the derivative matrices of its one row.  Every row is
-    # exactly what a call over its pass alone returns
+    # is one run of all the points, cut into passes of that many whatever
+    # its length (2003 is prime), which share the derivative matrices of its
+    # one row, built once.  Every row is exactly what a call over its pass
+    # alone returns
     rng = np.random.default_rng(8)
     expo = monomial_exponents(6, 3)
-    m = 2000
     c = rng.standard_normal(len(expo) if shared else (m, len(expo)))
     xs = rng.standard_normal((m, 3))
     if field == COMPLEX:
@@ -593,7 +594,7 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, shared, p
     seen = _passes(monkeypatch)
     v, g = value_and_gradient_poly_many(c, expo, xs)
     assert seen == [m] + passes
-    assert built == ([1] * len(passes) if shared else passes)
+    assert built == ([1] if shared else passes)
     monkeypatch.undo()
     a = 0
     for rows in passes:
@@ -602,7 +603,7 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, shared, p
         assert v[b].tobytes() == vb.tobytes() and g[b].tobytes() == gb.tobytes()
         a += rows
     if field == REAL:  # real rows do not depend on the batch at all
-        for k in (0, 1039, 1040, 1999):
+        for k in (0, 1039, 1040, m - 1):
             vk, gk = value_and_gradient_poly_many(c if shared else c[k : k + 1], expo, xs[k : k + 1])
             assert v[k] == vk[0] and g[k].tobytes() == gk[0].tobytes()
 
@@ -610,8 +611,8 @@ def test_gradient_calls_over_512_kib_run_in_passes(monkeypatch, field, shared, p
 @pytest.mark.parametrize(
     "field, passes, one_row",
     [
-        (REAL, ([2340, 2340, 120], [1038] * 4 + [648]), ([1600] * 3, [960] * 5)),
-        (COMPLEX, ([1170] * 4 + [120], [516] * 9 + [156]), ([960] * 5, [480] * 10)),
+        (REAL, ([2340, 2340, 120], [1038] * 4 + [648]), ([2340, 2340, 120], [1040] * 4 + [640])),
+        (COMPLEX, ([1170] * 4 + [120], [516] * 9 + [156]), ([1170] * 4 + [120], [520] * 9 + [120])),
     ],
     ids=["real", "complex"],
 )
@@ -619,8 +620,8 @@ def test_grouped_evaluations_run_in_passes_of_whole_runs(monkeypatch, field, pas
     # 800 coefficient rows, each serving a run of 6 points: a pass takes
     # whole runs, its coefficient rows with them (fewer of them for the
     # fused kernel, whose derivative terms are 63 per point); one row is one
-    # run of 4800 points, cut into the fewest equal runs that fit a pass,
-    # and an (N,) vector is that one row
+    # run of 4800 points, cut into passes of as many points as fit, and an
+    # (N,) vector is that one row
     rng = np.random.default_rng(9)
     expo = monomial_exponents(6, 3)
     runs, g = 800, 6

@@ -36,6 +36,7 @@ from rankone.spectral import (
     total_norm,
     _RHO,
     _alternating,
+    _pick_best,
     _Blocks,
     _CircleSearch,
     _lockstep,
@@ -474,7 +475,7 @@ def test_maximizer_is_one_unit_vector_per_block_attaining_the_value(obj):
         (32, (2, 3, 4), COMPLEX, 4.135896386787339, 13),
         (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 14),
         (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 1),
-        (35, ("kostlan", {"d": 8, "n": 2}), COMPLEX, 1.2948616794233114, 7),
+        (35, ("kostlan", {"d": 4, "n": 3}), COMPLEX, 1.7944538740405913, 21),
         (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 6),
         (37, ("kostlan_multi", {"ds": (2, 3), "ns": (2, 2)}), REAL, 2.2952944200632626, 13),
     ],
@@ -490,10 +491,27 @@ def test_general_values_pinned(seed, shape, field, value, iterations):
     assert res.iterations == iterations and res.converged
 
 
+def _ascent_results(forms, starts, seeds, max_iters=400):
+    """The multi-start sphere ascent that ``spectral_value_many`` runs on
+    forms, here also on binary ones (which it searches without starts):
+    each form's best start as (value, iterations, converged), and the
+    batch's lockstep rounds."""
+    first = forms[0]
+    which = np.repeat(np.arange(len(forms)), starts)
+    x = np.hstack(_draw_starts(seeds, starts, first.ns, first.field))
+    coeffs = np.stack([f.coeffs for f in forms])
+    blocks, degree, value, value_and_grad = _realified_objective(coeffs, first.exponents, first.ns, which)
+    start, step = _pga_sphere(blocks, degree, value, value_and_grad, 1e-12)
+    (p,), iters, conv = _lockstep(step, start(x.view(np.float64)), max_iters)
+    values = np.sqrt(p[:, blocks[-1].stop])
+    best = [a + _pick_best(values[a : a + starts]) for a in range(0, len(which), starts)]
+    return [(values[b], iters[b], conv[b]) for b in best], int(iters.max())
+
+
 def test_conjugate_directions_keep_the_steepest_ascent_values():
-    # the values the steepest-ascent circle search reached on this batch;
-    # the conjugate directions must reach them in fewer lockstep rounds (28
-    # with steepest ascent)
+    # the values the steepest-ascent circle search reached on this batch of
+    # complex binary forms; the conjugate directions must reach them in
+    # fewer lockstep rounds (28 with steepest ascent)
     steepest = [
         1.4319285320763717,
         1.6333946709726652,
@@ -505,12 +523,11 @@ def test_conjugate_directions_keep_the_steepest_ascent_values():
         2.1900121499575764,
     ]
     objs = [kostlan_form(8, 2, COMPLEX, 60, i) for i in range(8)]
-    cfg = MaximizerConfig(starts=12, max_iters=400)
-    batch = spectral_value_many(objs, cfg, [2000 + i for i in range(8)])
-    assert batch.iterations == 11
-    for res, value in zip(batch.results, steepest):
-        assert res.value == pytest.approx(value, rel=1e-12)
-        assert res.converged
+    results, rounds = _ascent_results(objs, 12, [2000 + i for i in range(8)])
+    assert rounds == 11
+    for (got, _, converged), value in zip(results, steepest):
+        assert got == pytest.approx(value, rel=1e-12)
+        assert converged
 
 
 def _pairing(t, xs):
@@ -738,7 +755,7 @@ def test_edge_order_tensors(field):
     "draw",
     [
         lambda i: kostlan_form(6, 3, REAL, 40, i),
-        lambda i: kostlan_form(5, 2, COMPLEX, 41, i),
+        lambda i: kostlan_form(5, 3, COMPLEX, 41, i),
         lambda i: kostlan_multi((2, 3), (2, 3), REAL, 42, i),
         lambda i: gaussian_tensor((3, 3, 3), REAL, 43, i),
         lambda i: gaussian_tensor((2, 3, 4), COMPLEX, 44, i),
@@ -1181,9 +1198,92 @@ def test_twelve_starts_reach_the_48_start_harmonic_maximum(d):
 @pytest.mark.parametrize("d, n", [(8, 2), (4, 3)])
 def test_twelve_starts_reach_the_48_start_complex_maximum(d, n):
     # over the complex sphere (realified S^3 and S^5) one circle is not the
-    # whole sphere; held-out seed
+    # whole sphere; held-out seed.  Binary forms are searched without starts,
+    # which must reach the 48-start ascent as 12 starts do at n = 3
     params = {"d": d, "n": n, "field": COMPLEX}
     few = estimate_ratio_distribution("kostlan", params, 64, MaximizerConfig(starts=12, max_iters=400), 4000)
-    many = estimate_ratio_distribution("kostlan", params, 64, MaximizerConfig(starts=48, max_iters=400), 4000)
-    for (i, r12, _), (_, r48, _) in zip(few.records, many.records):
-        assert r12 == pytest.approx(r48, rel=1e-9), i
+    forms = [_draw("kostlan", params, 4000, i) for i in range(64)]
+    many, _ = _ascent_results(forms, 48, [_cfg_seed(4000, i) for i in range(64)])
+    for (i, r12, _), f, (v48, *_) in zip(few.records, forms, many):
+        assert r12 == pytest.approx(v48 / total_norm(f), rel=1e-9), i
+
+
+def _complex(f):
+    """A form read over the complex field."""
+    return MultiHomogPoly(f.ns, f.ds, f.coeffs, COMPLEX)
+
+
+def _no_starts(monkeypatch):
+    def no_starts(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(spectral, "_draw_starts", no_starts)
+
+
+@pytest.mark.parametrize(
+    "terms, anchor",
+    [
+        ({(2, 1): math.sqrt(3.0)}, 2.0 / 3.0),
+        ({(4, 0): 1.0 / math.sqrt(3.0), (1, 3): 2.0 * math.sqrt(2.0 / 3.0)}, 1.0 / math.sqrt(3.0)),
+        ({(5, 1): math.sqrt(3.0), (1, 5): -math.sqrt(3.0)}, math.sqrt(2.0) / 3.0),
+    ],
+    ids=["w", "tetrahedron", "octahedron"],
+)
+def test_complex_binary_search_reaches_the_majorana_anchors(monkeypatch, terms, anchor):
+    # the complex binary forms of least ratio at d = 3, 4, 6 (Aulbach,
+    # Markham & Murao 2010); the maxima of W's |f| = sqrt(3) |x_0|^2 |x_1|
+    # fill the whole latitude |x_0|^2 = 2/3.  No start is drawn
+    _no_starts(monkeypatch)
+    (d,) = {sum(a) for a in terms}
+    f = _complex(poly_from_coeff_dict(2, d, terms))
+    res = spectral_value(f, CFG)
+    assert res.value / total_norm(f) == pytest.approx(anchor, rel=1e-14)
+    assert (res.iterations, res.converged) == (1, True)
+
+
+@pytest.mark.parametrize(
+    "d, seed, index, value",
+    [(8, 7809, 8, 2.293414554898268), (10, 8004, 7, 1.605361938226145), (10, 8006, 5, 2.539271832383920)],
+)
+def test_complex_binary_search_reaches_the_96_start_value(d, seed, index, value):
+    # real binary forms over C whose maxima lie on or beside the real circle,
+    # where an unguarded Newton refinement stopped below the maximum; the
+    # values are those of a 96-start ascent
+    f = _complex(kostlan_form(d, 2, REAL, seed, index))
+    assert spectral_value(f, CFG).value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("pole", [0, 1])
+def test_complex_binary_search_finds_a_maximum_at_a_pole(pole):
+    # |x_0^4 + 0.1 x_0^2 x_1^2| <= |x_0|^2 (|x_0|^2 + 0.1 |x_1|^2) <= 1,
+    # attained at x = e_1 alone (e_2 with the variables swapped)
+    terms = {(4, 0): 1.0, (2, 2): 0.1 + 0.2j}
+    f = poly_from_coeff_dict(2, 4, {a[::-1] if pole else a: c for a, c in terms.items()}, COMPLEX)
+    res = spectral_value(f, CFG)
+    assert res.value == pytest.approx(1.0, rel=1e-15)
+    assert abs(res.maximizer[0][pole]) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_complex_binary_search_is_never_below_the_ascent(monkeypatch, field):
+    # 64 forms of each degree 3..8 (real coefficients lifted to C, or
+    # complex ones): the search is never below the 12-start ascent it
+    # replaced, its maximizer is a unit vector attaining the value, and a
+    # batch gives each form what its own call gives
+    for d in range(3, 9):
+        forms = [_complex(kostlan_form(d, 2, field, 31100 + d, i)) for i in range(64)]
+        seeds = [_cfg_seed(31100 + d, i) for i in range(64)]
+        ascent, _ = _ascent_results(forms, 12, seeds)
+        with monkeypatch.context() as m:
+            _no_starts(m)
+            batch = spectral_value_many(forms, MaximizerConfig(starts=12, max_iters=400), seeds)
+        assert batch.iterations == 1
+        for f, res, (best, *_) in zip(forms, batch.results, ascent):
+            assert res.value >= best * (1.0 - 1e-12)
+            (y,) = res.maximizer
+            assert y.dtype == np.complex128 and abs(np.linalg.norm(y) - 1.0) <= 1e-15
+            assert abs(poly.evaluate(f, y)) == pytest.approx(res.value, rel=1e-15)
+        for k in (0, 63):
+            one = spectral_value(forms[k], CFG)
+            assert one.value == batch.results[k].value
+            assert one.maximizer[0].tobytes() == batch.results[k].maximizer[0].tobytes()
