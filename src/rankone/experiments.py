@@ -411,8 +411,9 @@ def verify_bounds(model, params, samples, cfg, seed, workers=1):
     # (a) per-sample hard lower bound; the optimizer under-approximates the
     # true ratio, so apparent violations are re-certified in one batch with 4x
     # starts and the recertified records stand in for the first ones.  Forms
-    # in two variables, over either field, are searched without starts, so
-    # more starts would recompute the same records: theirs stand as they are
+    # in two variables, over either field, and real forms in three are
+    # searched without starts, so more starts would recompute the same
+    # records: theirs stand as they are
     records = list(stats.records)
     violators = [r.index for r in records if r.ratio < bset.lower - _HARD_TOL]
     if violators and not _searched_exactly(_draw(model, params, int(seed), violators[0])):

@@ -31,17 +31,20 @@ bounds on the true maximum.  A deterministic sphere-grid oracle is provided
 for certification at tiny sizes.
 
 Forms in two variables (one block of two variables, over either field)
-take a search of their whole sphere instead of the starts.  Over the reals
-the unit sphere is a single great circle, so one circle search per form
-(``_circle_maxima``) gives |f|^2 on the whole sphere.  Over the complex
-numbers |f| does not depend on the phase of x, so a latitude-longitude grid
-of the Bloch sphere, one inverse FFT per latitude, gives |f|^2 everywhere
-that matters (``_bloch.maxima``).  Either way every local maximum of the
-grid is refined and the largest |f| found is the result.  Their seeds are
-checked but nothing is drawn, ``starts``, ``max_iters`` and ``tol`` do not
-apply, and recertifying such a form with more starts would give the same
-value (``_searched_exactly``), so a ratio below a lower bound there is a
-genuine failure.
+and real forms in three take a search of their whole sphere instead of the
+starts.  Over the reals the unit sphere of R^2 is a single great circle, so
+one circle search per form (``_circle_maxima``) gives |f|^2 on the whole
+sphere.  Over the complex numbers |f| does not depend on the phase of x, so
+a latitude-longitude grid of the Bloch sphere, one inverse FFT per
+latitude, gives |f|^2 everywhere that matters (``_bloch.binary_maxima``).
+On S^2 a real ternary form times e^{iD phi} is a polynomial of degree 2D in
+e^{i phi} on each latitude, so the same grid, one inverse FFT per latitude,
+gives f^2 on the sphere (``_bloch.ternary_maxima``).  Every local maximum of
+the grid is refined by Newton steps, and the largest |f| found is the
+result.  Their seeds are checked but nothing is drawn, ``starts``,
+``max_iters`` and ``tol`` do not apply, and recertifying such a form with
+more starts would give the same value (``_searched_exactly``), so a ratio
+below a lower bound there is a genuine failure.
 """
 
 from dataclasses import dataclass
@@ -566,12 +569,12 @@ def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=Non
     ``over_field=COMPLEX`` maximizes a real form over the complex sphere
     (``FieldError`` for a complex form over the reals); a multi-form is
     lifted the same way, over its product of spheres.  A form in two
-    variables, lifted or not, is searched without starts (see
-    ``spectral_value_many``).  Without ``seeds`` this returns the one form's
-    ``SpectralResult``.  With ``seeds``, ``f`` is a sequence of forms of one
-    d, n and field, form i draws its starts from ``seeds[i]``, all of them
-    run in one ``spectral_value_many`` batch and its ``SpectralBatch`` is
-    returned.
+    variables, lifted or not, and a real form in three are searched without
+    starts (see ``spectral_value_many``).  Without ``seeds`` this returns
+    the one form's ``SpectralResult``.  With ``seeds``, ``f`` is a sequence
+    of forms of one d, n and field, form i draws its starts from
+    ``seeds[i]``, all of them run in one ``spectral_value_many`` batch and
+    its ``SpectralBatch`` is returned.
     """
     forms = [f] if seeds is None else list(f)
     for i, g in enumerate(forms):
@@ -665,8 +668,8 @@ def spectral_value(obj, cfg=MaximizerConfig()):
     """Largest |<T, x^1 (x) ... (x) x^d>| of a tensor over unit vectors by
     alternating maximization, or largest |F(x)| of a polynomial over its
     product of unit spheres by the great-circle ascent (by a search of the
-    whole sphere without starts for a form in two variables); one object's
-    ``SpectralResult``."""
+    whole sphere without starts for a form in two variables, or a real one
+    in three); one object's ``SpectralResult``."""
     return spectral_value_many([obj], cfg, [cfg.seed]).results[0]
 
 
@@ -681,8 +684,9 @@ def _space(obj):
 
 def _searched_exactly(obj):
     """Whether ``spectral_value_many`` searches ``obj`` without starts: a
-    form with one block of two variables, over either field."""
-    return isinstance(obj, MultiHomogPoly) and obj.ns == (2,)
+    form with one block of two variables, over either field, or of three
+    over the reals."""
+    return isinstance(obj, MultiHomogPoly) and (obj.ns == (2,) or obj.ns == (3,) and obj.field == REAL)
 
 
 def spectral_value_many(objs, cfg, seeds):
@@ -694,12 +698,16 @@ def spectral_value_many(objs, cfg, seeds):
     every start of every object advances in one batch, and each object's
     result is the best of its own starts: the result ``spectral_value``
     gives with ``cfg.seed = seeds[i]``, up to float rounding.  Returns a
-    ``SpectralBatch``.  Forms in two variables are searched without
-    starts: real ones one circle each (``_circle_maxima``), complex ones
-    (real ones lifted by ``over_field=COMPLEX`` among them) on a grid of
-    their Bloch sphere refined by Newton steps (``_bloch.maxima``).  Their
-    seeds are checked but draw nothing, ``cfg`` is not read and the batch
-    takes 1 round.
+    ``SpectralBatch``.  Forms in two variables and real forms in three are
+    searched without starts: real binary ones one circle each
+    (``_circle_maxima``), complex binary ones (real ones lifted by
+    ``over_field=COMPLEX`` among them) on a grid of their Bloch sphere
+    refined by Newton steps in a chart (``_bloch.binary_maxima``), real
+    ternary ones on a grid of S^2 refined by Riemannian Newton steps
+    (``_bloch.ternary_maxima``).  Their seeds are checked but draw nothing,
+    ``cfg`` is not read and the batch takes 1 round.  Complex forms in three
+    variables (the lifts of real ternary forms to C^3 among them) and forms
+    in four or more take the starts.
     """
     objs, seeds = tuple(objs), tuple(seeds)
     if not objs or len(seeds) != len(objs):
@@ -713,11 +721,12 @@ def spectral_value_many(objs, cfg, seeds):
         raise ZeroInputError("zero input")
     first, starts = objs[0], cfg.starts
     if _searched_exactly(first):
-        if first.field == REAL:
+        if first.ns == (2,) and first.field == REAL:
             return SpectralBatch(_circle_maxima(objs), 1)
-        from . import _bloch  # only runs that hold complex binary forms compile it
+        from . import _bloch  # only runs that hold such forms compile it
 
-        values, points = _bloch.maxima(np.stack([o.coeffs for o in objs]), first.exponents)
+        search = _bloch.binary_maxima if first.ns == (2,) else _bloch.ternary_maxima
+        values, points = search(np.stack([o.coeffs for o in objs]), first.exponents)
         return SpectralBatch(tuple(SpectralResult(float(v), (y,), 1, True) for v, y in zip(values, points)), 1)
     which = np.repeat(np.arange(len(objs)), starts)
     sizes = first.shape if isinstance(first, Tensor) else first.ns

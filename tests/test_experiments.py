@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankone import _kernels, experiments
-from rankone.bounds import DomainError, bounds_symmetric
+from rankone.bounds import DomainError
 from rankone.experiments import (
     Check,
     RatioStats,
@@ -643,27 +643,45 @@ def test_violators_are_recertified_in_one_batch(monkeypatch):
     assert rep.checks[0].passed
 
 
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_binary_forms_are_not_recertified(monkeypatch, field):
-    # forms in two variables are searched without starts, so a sample below
-    # the lower bound (here every one, under a bound of 0.99) stands as a
-    # failure without a second batch with more starts
+def _verify_below_a_high_bound(monkeypatch, model, params):
+    """``verify_bounds`` of 6 samples under a lower bound of 0.99, which
+    every sample misses, and the starts of each batch of records it ran."""
     import dataclasses
 
     import rankone.experiments as ex
 
-    calls, records = [], ex._ratio_records
+    calls, records, bound_set = [], ex._ratio_records, ex.MODELS[model].bound_set
 
     def counted(args):
         calls.append(args[2].starts)
         return records(args)
 
     def high(p):
-        return dataclasses.replace(bounds_symmetric(p["d"], p["n"], p["field"]), lower=0.99)
+        return dataclasses.replace(bound_set(p), lower=0.99)
 
-    monkeypatch.setitem(ex.MODELS, "kostlan", dataclasses.replace(ex.MODELS["kostlan"], bound_set=high))
+    monkeypatch.setitem(ex.MODELS, model, dataclasses.replace(ex.MODELS[model], bound_set=high))
     monkeypatch.setattr(ex, "_ratio_records", counted)
-    rep = verify_bounds("kostlan", {"d": 4, "n": 2, "field": field}, 6, CFG, 39)
+    return verify_bounds(model, params, 6, CFG, 39), calls
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_binary_forms_are_not_recertified(monkeypatch, field):
+    # forms in two variables are searched without starts, so a sample below
+    # the lower bound stands as a failure without a second batch with more
+    # starts
+    rep, calls = _verify_below_a_high_bound(monkeypatch, "kostlan", {"d": 4, "n": 2, "field": field})
+    assert calls == [CFG.starts]
+    assert not rep.checks[0].passed and rep.checks[0].lhs == rep.stats[0].min
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [("kostlan", {"d": 4, "n": 3, "field": REAL}), ("harmonic", {"d": 4, "n": 3})],
+    ids=["kostlan", "harmonic"],
+)
+def test_real_ternary_forms_are_not_recertified(monkeypatch, model, params):
+    # real forms in three variables are searched without starts too
+    rep, calls = _verify_below_a_high_bound(monkeypatch, model, params)
     assert calls == [CFG.starts]
     assert not rep.checks[0].passed and rep.checks[0].lhs == rep.stats[0].min
 

@@ -442,15 +442,18 @@ def test_lockstep_tensor_starts_match_single_runs(shape, field):
 @pytest.mark.parametrize(
     "obj",
     [
-        kostlan_form(6, 3, REAL, 64),
+        kostlan_form(6, 4, REAL, 64),
         kostlan_form(5, 2, COMPLEX, 65),
         kostlan_form(8, 2, REAL, 70),
+        kostlan_form(6, 3, REAL, 71),
         kostlan_multi((2, 3), (2, 3), REAL, 66),
         kostlan_multi((2, 2), (2, 3), COMPLEX, 67),
         gaussian_tensor((3, 3, 3), REAL, 68),
         gaussian_tensor((2, 3, 4), COMPLEX, 69),
     ],
-    ids=["real", "complex", "real-binary", "multi", "complex-multi", "tensor", "complex-tensor"],
+    ids=[
+        "real", "complex", "real-binary", "real-ternary", "multi", "complex-multi", "tensor", "complex-tensor"
+    ],
 )
 def test_maximizer_is_one_unit_vector_per_block_attaining_the_value(obj):
     res = spectral_value(obj, CFG)
@@ -476,7 +479,7 @@ def test_maximizer_is_one_unit_vector_per_block_attaining_the_value(obj):
         (33, (3, 2, 2, 3), COMPLEX, 3.53098371157758, 14),
         (34, ("kostlan", {"d": 8, "n": 2}), REAL, 1.5682013037252518, 1),
         (35, ("kostlan", {"d": 4, "n": 3}), COMPLEX, 1.7944538740405913, 21),
-        (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 6),
+        (36, ("harmonic", {"d": 6, "n": 3}), REAL, 0.46168710946825325, 1),
         (37, ("kostlan_multi", {"ds": (2, 3), "ns": (2, 2)}), REAL, 2.2952944200632626, 13),
     ],
 )
@@ -754,7 +757,7 @@ def test_edge_order_tensors(field):
 @pytest.mark.parametrize(
     "draw",
     [
-        lambda i: kostlan_form(6, 3, REAL, 40, i),
+        lambda i: kostlan_form(6, 4, REAL, 40, i),
         lambda i: kostlan_form(5, 3, COMPLEX, 41, i),
         lambda i: kostlan_multi((2, 3), (2, 3), REAL, 42, i),
         lambda i: gaussian_tensor((3, 3, 3), REAL, 43, i),
@@ -862,7 +865,7 @@ def test_factor_index_is_built_once_per_batch(monkeypatch, field):
         return factor_index(*args)
 
     monkeypatch.setattr(_kernels, "_factor_index", counted)
-    forms = [kostlan_form(5, 3, field, 70 + i) for i in range(3)]
+    forms = [kostlan_form(5, 4, field, 70 + i) for i in range(3)]
     batch = spectral_value_many(forms, MaximizerConfig(starts=4, max_iters=50), [1, 2, 3])
     assert batch.iterations > 1 and len(built) == 1
 
@@ -1186,13 +1189,15 @@ def test_extremal_2x2x2_ratios(data, field, anchor):
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_twelve_starts_reach_the_48_start_harmonic_maximum(d):
-    # harmonic n=3 forms have many local maxima; the whole-circle search
-    # must not stop on a low one
+    # harmonic n=3 forms have many local maxima; the records, which the
+    # search of S^2 gives without starts, must not stop on a low one of the
+    # 48-start ascent
     params = {"d": d, "n": 3}
     few = estimate_ratio_distribution("harmonic", params, 64, MaximizerConfig(starts=12, max_iters=400), 3000)
-    many = estimate_ratio_distribution("harmonic", params, 64, MaximizerConfig(starts=48, max_iters=400), 3000)
-    for (i, r12, _), (_, r48, _) in zip(few.records, many.records):
-        assert r12 == pytest.approx(r48, rel=1e-9), i
+    forms = [_draw("harmonic", params, 3000, i) for i in range(64)]
+    many, _ = _ascent_results(forms, 48, [_cfg_seed(3000, i) for i in range(64)])
+    for (i, r12, _), f, (v48, *_) in zip(few.records, forms, many):
+        assert r12 == pytest.approx(v48 / total_norm(f), rel=1e-9), i
 
 
 @pytest.mark.parametrize("d, n", [(8, 2), (4, 3)])
@@ -1287,3 +1292,126 @@ def test_complex_binary_search_is_never_below_the_ascent(monkeypatch, field):
             one = spectral_value(forms[k], CFG)
             assert one.value == batch.results[k].value
             assert one.maximizer[0].tobytes() == batch.results[k].maximizer[0].tobytes()
+
+
+def _ternary_search(monkeypatch, f):
+    """``spectral_value`` of a real ternary form, with no start drawn: its
+    result after checking that it is attained at a unit point in one round."""
+    with monkeypatch.context() as m:
+        _no_starts(m)
+        res = spectral_value(f, CFG)
+    (y,) = res.maximizer
+    assert y.dtype == np.float64 and abs(np.linalg.norm(y) - 1.0) <= 1e-15
+    assert abs(poly.evaluate(f, y)) == pytest.approx(res.value, rel=1e-15)
+    assert (res.iterations, res.converged) == (1, True)
+    return res
+
+
+def test_real_ternary_search_of_degree_zero_and_one(monkeypatch):
+    # a constant is its own maximum; a linear form c.x has maximum |c|
+    assert _ternary_search(monkeypatch, poly_from_coeff_dict(3, 0, {(0, 0, 0): -2.5})).value == 2.5
+    c = np.random.default_rng(5).standard_normal(3)
+    f = poly_from_coeff_dict(3, 1, {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2]})
+    res = _ternary_search(monkeypatch, f)
+    assert res.value == pytest.approx(np.linalg.norm(c), rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_ternary_search_of_quadratic_forms(monkeypatch, seed):
+    # x^T Q x on the unit sphere peaks at the largest |eigenvalue| of Q
+    q = np.random.default_rng(seed).standard_normal((3, 3))
+    q += q.T
+    terms = {}
+    for i in range(3):
+        for j in range(i, 3):
+            a = [0, 0, 0]
+            a[i] += 1
+            a[j] += 1
+            terms[tuple(a)] = q[i, j] * (1.0 if i == j else 2.0)
+    res = _ternary_search(monkeypatch, poly_from_coeff_dict(3, 2, terms))
+    assert res.value == pytest.approx(np.abs(np.linalg.eigvalsh(q)).max(), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(3, 0, 0): 1.0}, {(6, 0, 0): -1.0}, {(4, 0, 0): 1.0, (2, 2, 0): 0.1, (2, 0, 2): -0.05}],
+    ids=["cube", "sixth", "perturbed"],
+)
+def test_real_ternary_search_finds_a_maximum_at_the_pole(monkeypatch, terms):
+    # +-x_0^d peaks at the grid's pole e_1; with x_0^2 times terms that
+    # vanish there, |f| <= x_0^2 (x_0^2 + 0.1 x_1^2 + 0.05 x_2^2) <= 1 still
+    # peaks at e_1 alone
+    (d,) = {sum(a) for a in terms}
+    res = _ternary_search(monkeypatch, poly_from_coeff_dict(3, d, terms))
+    assert res.value == pytest.approx(1.0, rel=1e-15)
+    assert abs(res.maximizer[0][0]) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [3, 4, 7])
+@pytest.mark.parametrize("angle", [0.0, 0.5 * math.pi, 1.234])
+def test_real_ternary_search_finds_a_maximum_on_the_equator(monkeypatch, d, angle):
+    # (l.x)^d for l = (0, cos a, sin a) peaks at +-l, on the equator, where
+    # the search cuts the sphere into the hemisphere it searches; a = 0 is
+    # x_1^d, a = 1.234 is off the grid's longitudes
+    a, b = math.cos(angle), math.sin(angle)
+    terms = {(0, d - k, k): math.comb(d, k) * a ** (d - k) * b**k for k in range(d + 1)}
+    res = _ternary_search(monkeypatch, poly_from_coeff_dict(3, d, terms))
+    assert res.value == pytest.approx(1.0, rel=1e-14)
+    assert abs(res.maximizer[0] @ [0.0, a, b]) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_real_ternary_search_takes_one_block_multi_forms(monkeypatch):
+    # a kostlan_multi draw with ns = (3,) is a real ternary form: it is
+    # searched without starts and gets its form's value and point
+    g = kostlan_multi((5,), (3,), REAL, 33000)
+    res = _ternary_search(monkeypatch, g)
+    form = _ternary_search(monkeypatch, poly.HomogPoly(3, 5, g.coeffs, REAL))
+    assert res.value == form.value and res.maximizer[0].tobytes() == form.maximizer[0].tobytes()
+    [(best, *_)], _ = _ascent_results([g], 48, [33000])
+    assert res.value >= best * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("model", ["harmonic", "kostlan"])
+def test_real_ternary_search_is_never_below_the_48_start_ascent(monkeypatch, model):
+    # 64 forms of each degree 3..8: the search of S^2 is never below the
+    # 48-start ascent it replaced beyond rounding, and a batch gives each
+    # form what its own call gives
+    for d in range(3, 9):
+        params = {"d": d, "n": 3, "field": REAL}
+        forms = [_draw(model, params, 33100 + d, i) for i in range(64)]
+        seeds = [_cfg_seed(33100 + d, i) for i in range(64)]
+        ascent, _ = _ascent_results(forms, 48, seeds)
+        with monkeypatch.context() as m:
+            _no_starts(m)
+            batch = spectral_value_many(forms, MaximizerConfig(starts=12, max_iters=400), seeds)
+        assert batch.iterations == 1
+        for f, res, (best, *_) in zip(forms, batch.results, ascent):
+            assert res.value >= best * (1.0 - 1e-12)
+            assert abs(poly.evaluate(f, res.maximizer[0])) == pytest.approx(res.value, rel=1e-15)
+        for k in (0, 63):
+            one = spectral_value(forms[k], CFG)
+            assert one.value == batch.results[k].value
+            assert one.maximizer[0].tobytes() == batch.results[k].maximizer[0].tobytes()
+
+
+def test_newton_refinement_evaluates_only_live_candidates():
+    # L = -(x - c)^2 / s per point: the points reach their maxima after
+    # different numbers of steps, and a point once done is not evaluated
+    # again
+    from rankone import _bloch
+
+    centre = np.array([0.0, 0.3, 1.0 + 1.0j, 2.0, -1.5j])
+    scale = np.array([1.0, 1.0, 3.0, 0.5, 7.0])
+    seen = []
+
+    def at(w, ids):
+        seen.append(ids.copy())
+        d, s = w - centre[ids], scale[ids]
+        return -(d * d.conj()).real / s, -d.conj() / s, np.zeros(len(w), dtype=complex), -1.0 / s
+
+    start = np.zeros(5, dtype=complex)
+    w = _bloch._safeguarded_newton(at, np.add, lambda w: 1.0 + np.abs(w), start, np.full(5, 0.5))
+    np.testing.assert_allclose(w, centre, rtol=0, atol=1e-12)
+    assert len(seen[0]) == 5 and len(seen[-1]) < 5
+    for before, after in zip(seen, seen[1:]):
+        assert set(after) <= set(before)
