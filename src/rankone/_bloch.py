@@ -1,22 +1,35 @@
-"""The searches of a 2-sphere without starts: complex binary forms on the
-Bloch sphere and real ternary forms on S^2.
+"""The searches without starts: real binary forms on the unit circle, complex
+binary forms on the Bloch sphere and real ternary forms on S^2.
 
-|f| on the unit sphere of C^2 does not change with the phase of x, so the
-points x = (cos(theta/2), e^{i phi} sin(theta/2)) of the Bloch sphere meet
-every value it takes, and there f = sum_k a_k cos^(D-k)(theta/2)
-sin^k(theta/2) e^{ik phi} for the coefficients a_k of x_0^(D-k) x_1^k.  A
-real ternary form at x = (cos theta, sin theta cos phi, sin theta sin phi)
-has, with z = e^{i phi}, x_1 = sin theta (z + 1/z) / 2 and x_2 = sin theta
-(z - 1/z) / 2i, so f e^{iD phi} = sum_k F_k(theta) e^{ik phi} is a
-polynomial of degree 2D in z whose |.|^2 is f^2.  Either way one zero-padded
-inverse FFT per latitude gives |f|^2 on a latitude-longitude grid
-(``_grid_peaks``), every local maximum of the grid is refined by safeguarded
-Newton steps (``_safeguarded_newton``): in an affine chart of the Bloch
-sphere (``_chart_ascent``), on S^2 itself with the exact Riemannian Hessian
-(``_sphere_ascent``).  f is evaluated once at every refined point,
-renormalised, and each form keeps the point of largest |f|
-(``binary_maxima``, ``ternary_maxima``).  No start is drawn, so nothing
-depends on a seed.
+These are the only spaces that ``spectral_value_many`` searches without
+starts (``spectral._START_FREE``): forms of one block of two variables over
+either field (the real binary forms that check (d) lifts to C^2 among them)
+and of three over the reals.  Complex forms in three variables (check (d)'s
+lifts of the real ternary ones among them), forms in four or more and
+multi-forms of several blocks take the starts.  Here no start is drawn, so
+nothing depends on a seed: the seeds are checked but draw nothing,
+``starts``, ``max_iters`` and ``tol`` do not apply, every result has
+iterations 1 and is converged, and recertifying such a form with more starts
+would recompute the same value (``spectral._searched_exactly``), so a ratio
+below a lower bound there is a genuine failure.
+
+The unit sphere of R^2 is one great circle, so one circle search per form
+along x = e_1, u = e_2 (``spectral._CircleSearch``) gives |f|^2 on the
+whole sphere, exactly (``circle_maxima``).  |f| on the unit sphere of C^2
+does not change with the phase of x, so the points x = (cos(theta/2),
+e^{i phi} sin(theta/2)) of the Bloch sphere meet every value it takes, and
+there f = sum_k a_k cos^(D-k)(theta/2) sin^k(theta/2) e^{ik phi} for the
+coefficients a_k of x_0^(D-k) x_1^k.  A real ternary form at x = (cos
+theta, sin theta cos phi, sin theta sin phi) has, with z = e^{i phi}, x_1 =
+sin theta (z + 1/z) / 2 and x_2 = sin theta (z - 1/z) / 2i, so f e^{iD phi}
+= sum_k F_k(theta) e^{ik phi} is a polynomial of degree 2D in z whose |.|^2
+is f^2.  Either way one zero-padded inverse FFT per latitude gives |f|^2 on
+a latitude-longitude grid (``_grid_peaks``), every local maximum of the
+grid is refined by safeguarded Newton steps (``_safeguarded_newton``): in an
+affine chart of the Bloch sphere (``_chart_ascent``), on S^2 itself with the
+exact Riemannian Hessian (``_sphere_ascent``).  Every search evaluates f
+once at each refined point, renormalised, and each form keeps the point of
+largest |f| (``_best``).
 """
 
 from functools import lru_cache
@@ -26,6 +39,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import evaluate_poly_many, value_and_gradient_poly_many
+from .spectral import _CircleSearch
 
 _LATITUDES = 4  # latitude steps of the grid per unit of degree
 _CHART_STEPS = 16  # most Newton steps of a candidate maximum
@@ -304,6 +318,36 @@ def _best(coeffs, expo, rows, y):
     order = np.lexsort((-f, rows))
     best = order[np.searchsorted(rows[order], np.arange(len(coeffs)))]
     return f[best], y[best]
+
+
+def circle_maxima(coeffs, expo):
+    """The largest |f| over the unit circle of each real binary form of the
+    rows ``coeffs`` (F, N) on the exponent table ``expo``, and a unit point
+    attaining it: (values (F,), points (F, 2)).
+
+    The circle search along x = e_1, u = e_2 turns f at D + 1 angles, one
+    batched evaluation, into |f|^2 on the whole circle.  Every point of its
+    grid above its left and at least its right neighbour is refined, and
+    each form's best grid point: two peaks closer in height than the grid
+    resolves can put the best grid point in the lower one's basin."""
+    degree, ids = int(expo[0].sum()), np.arange(len(coeffs))
+    circles = _CircleSearch(degree)
+    x = np.zeros((len(coeffs), 2))
+    x[:, 0] = 1.0
+    # f(e_1) is the coefficient of x_1^D
+    fx = coeffs[:, np.flatnonzero(expo[:, 0] == degree)[0]]
+
+    def value(y, rows):
+        return evaluate_poly_many(coeffs, expo, y, rows=rows)
+
+    c = circles.interpolant(circles.samples(x, x[:, ::-1], fx, ids, value))
+    grid = np.fft.irfft(c, n=circles.fine, axis=1)
+    top = (grid > np.roll(grid, 1, axis=1)) & (grid >= np.roll(grid, -1, axis=1))
+    top[ids, grid.argmax(axis=1)] = True
+    rows, i = np.nonzero(top)
+    theta = circles.refine(c[rows], grid, rows, i)
+    y = np.column_stack((np.cos(theta), np.sin(theta)))
+    return _best(coeffs, expo, rows, y / np.sqrt((y * y).sum(axis=1))[:, np.newaxis])
 
 
 def binary_maxima(coeffs, expo):

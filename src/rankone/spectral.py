@@ -30,21 +30,9 @@ the vectors they return, so their values are attained: certified LOWER
 bounds on the true maximum.  A deterministic sphere-grid oracle is provided
 for certification at tiny sizes.
 
-Forms in two variables (one block of two variables, over either field)
-and real forms in three take a search of their whole sphere instead of the
-starts.  Over the reals the unit sphere of R^2 is a single great circle, so
-one circle search per form (``_circle_maxima``) gives |f|^2 on the whole
-sphere.  Over the complex numbers |f| does not depend on the phase of x, so
-a latitude-longitude grid of the Bloch sphere, one inverse FFT per
-latitude, gives |f|^2 everywhere that matters (``_bloch.binary_maxima``).
-On S^2 a real ternary form times e^{iD phi} is a polynomial of degree 2D in
-e^{i phi} on each latitude, so the same grid, one inverse FFT per latitude,
-gives f^2 on the sphere (``_bloch.ternary_maxima``).  Every local maximum of
-the grid is refined by Newton steps, and the largest |f| found is the
-result.  Their seeds are checked but nothing is drawn, ``starts``,
-``max_iters`` and ``tol`` do not apply, and recertifying such a form with
-more starts would give the same value (``_searched_exactly``), so a ratio
-below a lower bound there is a genuine failure.
+A few small spaces of forms take a search of their whole sphere instead of
+the starts (``_START_FREE``); the ``_bloch`` module names them and says what
+holds there.
 """
 
 from dataclasses import dataclass
@@ -360,18 +348,6 @@ class _CircleSearch:
         grid = np.fft.irfft(c, n=self.fine, axis=1)
         return self.refine(c, grid, np.arange(len(c)), grid.argmax(axis=1))
 
-    def peaks(self, c):
-        """Rows and angles (K,) of every local maximum of each row's p: the
-        grid points of ``argmax`` above their left and at least their right
-        neighbour, and each row's best grid point, all refined.  Two peaks
-        closer in height than the grid resolves can put the best grid point
-        in the lower one's basin, so each is refined, not just the best."""
-        grid = np.fft.irfft(c, n=self.fine, axis=1)
-        top = (grid > np.roll(grid, 1, axis=1)) & (grid >= np.roll(grid, -1, axis=1))
-        top[np.arange(len(c)), grid.argmax(axis=1)] = True
-        rows, i = np.nonzero(top)
-        return rows, self.refine(c[rows], grid, rows, i)
-
     def refine(self, c, grid, rows, i):
         """Angles (K,) of the maxima of p near the points i of rows ``rows``
         of the grid, c the coefficients of each (K, D+1): a parabola through
@@ -534,47 +510,18 @@ def _pga_sphere(blocks, degree, value, value_and_grad, tol):
     return start, step
 
 
-def _circle_maxima(forms):
-    """One ``SpectralResult`` per real form of a batch in two variables, by
-    an exact search of the unit circle, which is the whole sphere there.
-
-    Along x = e_1, u = e_2 the circle search (``_CircleSearch``) turns f at
-    the D+1 angles s_j, one batched evaluation, into |f|^2 = p(t) on the
-    whole circle, one row per form.  Each local maximum of its grid is
-    refined (``_CircleSearch.peaks``), f is evaluated once at every refined
-    point, renormalised, and each form keeps the point of largest |f| (the
-    first of equal ones): an attained value with iterations 1, converged.
-    """
-    first = forms[0]
-    coeffs = np.stack([g.coeffs for g in forms])
-    blocks, degree, value, _ = _realified_objective(coeffs, first.exponents, first.ns)
-    circles, ids = _CircleSearch(degree), np.arange(len(forms))
-    x = np.zeros((len(forms), 2))
-    x[:, 0] = 1.0
-    # f(e_1) is the coefficient of x_1^D
-    fx = coeffs[:, np.flatnonzero(first.exponents[:, 0] == degree)[0]]
-    c = circles.interpolant(circles.samples(x, x[:, ::-1], fx, ids, value))
-    rows, theta = circles.peaks(c)
-    y = _Blocks(blocks).unit(np.column_stack((np.cos(theta), np.sin(theta))))
-    f = np.abs(value(y, rows))
-    # rows are sorted, so a stable sort by (row, -|f|) puts each form's best first
-    order = np.lexsort((-f, rows))
-    best = order[np.searchsorted(rows[order], ids)]
-    return tuple(SpectralResult(float(f[b]), (y[b],), 1, True) for b in best)
-
-
 def spectral_norm_symmetric(f, cfg=MaximizerConfig(), over_field=None, seeds=None):
     """Maximize |f(x)| over the unit sphere (realified for complex).
 
     ``over_field=COMPLEX`` maximizes a real form over the complex sphere
     (``FieldError`` for a complex form over the reals); a multi-form is
-    lifted the same way, over its product of spheres.  A form in two
-    variables, lifted or not, and a real form in three are searched without
-    starts (see ``spectral_value_many``).  Without ``seeds`` this returns
-    the one form's ``SpectralResult``.  With ``seeds``, ``f`` is a sequence
-    of forms of one d, n and field, form i draws its starts from
-    ``seeds[i]``, all of them run in one ``spectral_value_many`` batch and
-    its ``SpectralBatch`` is returned.
+    lifted the same way, over its product of spheres.  The forms of the
+    spaces that ``_bloch`` names, lifted or not, are searched without
+    starts.  Without ``seeds`` this returns the one form's
+    ``SpectralResult``.  With ``seeds``, ``f`` is a sequence of forms of one
+    d, n and field, form i draws its starts from ``seeds[i]``, all of them
+    run in one ``spectral_value_many`` batch and its ``SpectralBatch`` is
+    returned.
     """
     forms = [f] if seeds is None else list(f)
     for i, g in enumerate(forms):
@@ -668,8 +615,8 @@ def spectral_value(obj, cfg=MaximizerConfig()):
     """Largest |<T, x^1 (x) ... (x) x^d>| of a tensor over unit vectors by
     alternating maximization, or largest |F(x)| of a polynomial over its
     product of unit spheres by the great-circle ascent (by a search of the
-    whole sphere without starts for a form in two variables, or a real one
-    in three); one object's ``SpectralResult``."""
+    whole sphere without starts in the spaces that ``_bloch`` names); one
+    object's ``SpectralResult``."""
     return spectral_value_many([obj], cfg, [cfg.seed]).results[0]
 
 
@@ -682,11 +629,18 @@ def _space(obj):
     raise TypeError(f"unsupported input {type(obj)!r}")
 
 
+# the spaces (ns, field) of forms that ``_bloch`` searches without starts,
+# and the name of each one's search there
+_START_FREE = {
+    ((2,), REAL): "circle_maxima",
+    ((2,), COMPLEX): "binary_maxima",
+    ((3,), REAL): "ternary_maxima",
+}
+
+
 def _searched_exactly(obj):
-    """Whether ``spectral_value_many`` searches ``obj`` without starts: a
-    form with one block of two variables, over either field, or of three
-    over the reals."""
-    return isinstance(obj, MultiHomogPoly) and (obj.ns == (2,) or obj.ns == (3,) and obj.field == REAL)
+    """Whether ``spectral_value_many`` searches ``obj`` without starts."""
+    return isinstance(obj, MultiHomogPoly) and (obj.ns, obj.field) in _START_FREE
 
 
 def spectral_value_many(objs, cfg, seeds):
@@ -698,16 +652,9 @@ def spectral_value_many(objs, cfg, seeds):
     every start of every object advances in one batch, and each object's
     result is the best of its own starts: the result ``spectral_value``
     gives with ``cfg.seed = seeds[i]``, up to float rounding.  Returns a
-    ``SpectralBatch``.  Forms in two variables and real forms in three are
-    searched without starts: real binary ones one circle each
-    (``_circle_maxima``), complex binary ones (real ones lifted by
-    ``over_field=COMPLEX`` among them) on a grid of their Bloch sphere
-    refined by Newton steps in a chart (``_bloch.binary_maxima``), real
-    ternary ones on a grid of S^2 refined by Riemannian Newton steps
-    (``_bloch.ternary_maxima``).  Their seeds are checked but draw nothing,
-    ``cfg`` is not read and the batch takes 1 round.  Complex forms in three
-    variables (the lifts of real ternary forms to C^3 among them) and forms
-    in four or more take the starts.
+    ``SpectralBatch``.  Forms of the spaces that ``_bloch`` names are
+    searched there without starts (``_START_FREE``): their seeds are checked
+    but draw nothing, ``cfg`` is not read and the batch takes 1 round.
     """
     objs, seeds = tuple(objs), tuple(seeds)
     if not objs or len(seeds) != len(objs):
@@ -721,11 +668,9 @@ def spectral_value_many(objs, cfg, seeds):
         raise ZeroInputError("zero input")
     first, starts = objs[0], cfg.starts
     if _searched_exactly(first):
-        if first.ns == (2,) and first.field == REAL:
-            return SpectralBatch(_circle_maxima(objs), 1)
         from . import _bloch  # only runs that hold such forms compile it
 
-        search = _bloch.binary_maxima if first.ns == (2,) else _bloch.ternary_maxima
+        search = getattr(_bloch, _START_FREE[first.ns, first.field])
         values, points = search(np.stack([o.coeffs for o in objs]), first.exponents)
         return SpectralBatch(tuple(SpectralResult(float(v), (y,), 1, True) for v, y in zip(values, points)), 1)
     which = np.repeat(np.arange(len(objs)), starts)

@@ -240,6 +240,7 @@ _MULTI = [
     "verify", "--model", "kostlan-multi", "--ds", "2,3", "--ns", "2,2",
     "--samples", "20", "--seed", "1", "--starts", "4",
 ]  # fmt: skip
+_TENSOR = ["verify", "--model", "gaussian-tensor", "--shape", "2,2,2", "--samples", "2", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
@@ -266,6 +267,13 @@ _MULTI = [
         ([*_MULTI, "--workers", "2"], "hashlib", False),
         ([*_MULTI, "--workers", "2"], "csv", False),
         ([*_MULTI, "--workers", "2", "--format", "csv"], "csv", True),
+        # rankone._bloch, imported lazily: not by the import, nor by a
+        # verification whose objects all take starts (a two-block multi-form,
+        # a tensor); by a binary form's verification
+        ([], "rankone._bloch", False),
+        (_MULTI, "rankone._bloch", False),
+        (_TENSOR, "rankone._bloch", False),
+        (_KOSTLAN, "rankone._bloch", True),
     ],
     ids=[
         "import-scipy",
@@ -280,6 +288,10 @@ _MULTI = [
         "multi-two-workers-hashlib",
         "multi-two-workers-csv",
         "multi-csv-report-csv",
+        "import-bloch",
+        "multi-bloch",
+        "tensor-bloch",
+        "binary-bloch",
     ],
 )
 def test_fresh_interpreter_loads_only_what_it_uses(argv, module, loaded):

@@ -686,6 +686,19 @@ def test_real_ternary_forms_are_not_recertified(monkeypatch, model, params):
     assert not rep.checks[0].passed and rep.checks[0].lhs == rep.stats[0].min
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"d": 3, "n": 3, "field": COMPLEX}, {"d": 3, "n": 4, "field": REAL}],
+    ids=["complex-ternary", "real-quaternary"],
+)
+def test_forms_outside_the_start_free_spaces_are_recertified(monkeypatch, params):
+    # complex forms in three variables and real ones in four take the starts,
+    # so the samples below the lower bound run again with 4x starts
+    rep, calls = _verify_below_a_high_bound(monkeypatch, "kostlan", params)
+    assert calls == [CFG.starts, 4 * CFG.starts]
+    assert not rep.checks[0].passed
+
+
 def test_record_unpacks_and_pickles_as_a_triple():
     import pickle
 

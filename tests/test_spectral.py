@@ -1112,17 +1112,32 @@ def test_real_binary_search_is_exact_against_the_ascent_and_the_grid():
     assert count >= 200
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("d", [0, 1])
-def test_real_binary_search_of_degree_zero_and_one(d):
+def test_binary_search_of_degree_zero_and_one(d, field):
     # a constant is its own value everywhere; a linear form a x + b y peaks
-    # at +-(a, b) / |(a, b)|
-    f = kostlan_form(d, 2, REAL, 28)
+    # at (a, b) / |(a, b)| (conjugated, over C) up to a unit factor
+    f = kostlan_form(d, 2, field, 28)
     res = spectral_value(f, CFG)
     assert res.value == pytest.approx(np.linalg.norm(f.coeffs), rel=1e-15)
     (y,) = res.maximizer
     assert abs(np.linalg.norm(y) - 1.0) <= 1e-15
     if d == 1:
         assert abs(np.dot(y, f.coeffs)) == pytest.approx(res.value, rel=1e-15)
+
+
+def test_real_binary_search_builds_no_derivative_matrix_or_index(monkeypatch):
+    # the circle search takes no gradient: it builds no derivative matrix,
+    # and its evaluations read the exponent table's kept index
+    forms = [kostlan_form(8, 2, REAL, 33, i) for i in range(4)]
+    first = spectral_value_many(forms, CFG, range(4)).results
+    built = []
+    for name in ("_derivative_matrix", "_factor_index"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
+    again = spectral_value_many(forms, CFG, range(4)).results
+    assert built == []
+    assert [r.value for r in again] == [r.value for r in first]
 
 
 def test_real_binary_batch_matches_single_calls_and_draws_no_starts(monkeypatch):
