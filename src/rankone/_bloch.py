@@ -37,8 +37,7 @@ from math import comb
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import evaluate_poly_many, value_and_gradient_poly_many
+from . import _kernels, poly
 from .spectral import _CircleSearch
 
 _LATITUDES = 4  # latitude steps of the grid per unit of degree
@@ -54,22 +53,22 @@ def _latitudes(degree):
 
 @lru_cache(maxsize=None)
 def _grid(degree):
-    """The grid of ``binary_maxima`` for forms of degree D: the latitudes
-    theta_i = pi i / L (L + 1,), both poles included, and the weights (L +
-    1, D + 1) cos(theta_i/2)^(D-k) sin(theta_i/2)^k."""
+    """The weights (L + 1, D + 1) cos(theta_i/2)^(D-k) sin(theta_i/2)^k of
+    ``binary_maxima`` for forms of degree D on the latitudes theta_i = pi i /
+    L, both poles included."""
     steps = _latitudes(degree)
     half = np.pi * np.arange(steps + 1) / (2 * steps)
     c, s = np.cos(half), np.sin(half)
     c[-1] = 0.0  # cos(pi / 2) exactly: the south pole is x_1 alone
     k = np.arange(degree + 1)
-    return 2.0 * half, c[:, np.newaxis] ** (degree - k) * s[:, np.newaxis] ** k
+    return c[:, np.newaxis] ** (degree - k) * s[:, np.newaxis] ** k
 
 
 @lru_cache(maxsize=16)
-def _sphere_tables(shape, dtype, data):
-    """What ``ternary_maxima`` reads from the exponent table of this shape,
-    dtype and bytes (N, 3) of degree D >= 1: (weights, groups, index,
-    lowered, lowered_index).
+def _sphere_tables(degree):
+    """What ``ternary_maxima`` reads for real ternary forms of degree D >= 1
+    on ``poly``'s monomials (N, 3): (weights, groups, index, lowered,
+    lowered_index).
 
     f e^{iD phi} = sum_j cos^j theta sin^(D-j) theta h_j(z): group j holds
     the monomials a with a_0 = j, each contributing its coefficient times
@@ -81,12 +80,11 @@ def _sphere_tables(shape, dtype, data):
     pairs of floats, so that each group is one real matrix product: on a
     2-vCPU x86 host a complex one took about twice as long, and its first
     call raised the peak resident memory by 0.5 MiB, against 0.1.  The
-    tables hold about 2D^3 / 3 floats.  ``index`` is the table's
+    tables hold about 2D^3 / 3 floats.  ``index`` is the monomials'
     ``_factor_index``; ``lowered`` (N_(D-1), 3) are the monomials of the
-    partials, in the order of the rows of ``_derivative_matrix``, and
-    ``lowered_index`` their index."""
-    expo = np.frombuffer(data, dtype=dtype).reshape(shape)
-    degree = int(expo[0].sum())
+    partials, ``poly``'s monomials of degree D - 1, which are also the rows
+    of ``_derivative_matrix``, and ``lowered_index`` their index."""
+    expo = poly.monomial_exponents(degree, 3)
     steps = _latitudes(degree)
     theta = np.pi * np.arange(steps + 1) / steps
     c, s = np.cos(theta), np.sin(theta)
@@ -103,11 +101,9 @@ def _sphere_tables(shape, dtype, data):
             minus = [comb(e, k) * (-1) ** (e - k) for k in range(e + 1)]
             row[:] = np.convolve(plus, minus) / (2.0**b * (2j) ** e)
         groups.append((rows, laurent.view(np.float64)))
-    index = _kernels._factor_index(expo, 3)
-    ((_, lows, b, col, src, _),) = index[3]
-    lowered = np.zeros((lows.stop - lows.start, 3), dtype=expo.dtype)
-    lowered[b] = expo[src] - np.eye(3, dtype=expo.dtype)[col]
-    return weights, tuple(groups), index, lowered, _kernels._factor_index(lowered, 3)
+    lowered = poly.monomial_exponents(degree - 1, 3)
+    index, lowered_index = _kernels._factor_index(expo, 3), _kernels._factor_index(lowered, 3)
+    return weights, tuple(groups), index, lowered, lowered_index
 
 
 def _fourier_rows(coeffs, weights, groups):
@@ -259,7 +255,7 @@ def _frame(x):
     )
 
 
-def _sphere_ascent(coeffs, expo, tables, owner, x, radius):
+def _sphere_ascent(coeffs, degree, tables, owner, x, radius):
     """The unit points x (K, 3) moved uphill to the maxima of |f| near them,
     f the real ternary form of degree D >= 1 of the row ``owner`` of
     ``coeffs`` (F, N), each step at most ``radius`` (K,) in each
@@ -277,7 +273,6 @@ def _sphere_ascent(coeffs, expo, tables, owner, x, radius):
     t_1 + v_2 t_2 is the complex number v_1 + i v_2, so that g = (g_1 - i
     g_2) / 2, a = (h_11 - h_22 - 2i h_12) / 4 and b = (h_11 + h_22) / 4."""
     _, _, index, lowered, lowered_index = tables
-    degree = int(expo[0].sum())
     (mat,) = _kernels._derivative_matrix(coeffs, index)
     partials = mat.transpose(1, 2, 0).reshape(3 * len(coeffs), len(mat))
     mats = _kernels._derivative_matrix(partials, lowered_index)
@@ -285,7 +280,7 @@ def _sphere_ascent(coeffs, expo, tables, owner, x, radius):
 
     def at(x, ids):
         rows = (3 * owner[ids][:, np.newaxis] + three).ravel()
-        df, ddf = value_and_gradient_poly_many(
+        df, ddf = _kernels.value_and_gradient_poly_many(
             partials, lowered, np.repeat(x, 3, axis=0), index=lowered_index, rows=rows, mats=mats
         )
         df, ddf = df.reshape(-1, 3), ddf.reshape(-1, 3, 3)
@@ -309,50 +304,50 @@ def _sphere_ascent(coeffs, expo, tables, owner, x, radius):
     return _safeguarded_newton(at, move, lambda x: 1.0, x, radius)
 
 
-def _best(coeffs, expo, rows, y):
+def _best(coeffs, degree, rows, y):
     """|f| at the points y (K, n) of the forms ``rows`` (sorted) of
-    ``coeffs``, and each form's point of largest |f| (the first of equal
-    ones): (values (F,), points (F, n))."""
-    f = np.abs(evaluate_poly_many(coeffs, expo, y, rows=rows))
+    ``coeffs`` of degree D, and each form's point of largest |f| (the first
+    of equal ones): (values (F,), points (F, n))."""
+    expo = poly.monomial_exponents(degree, y.shape[1])
+    f = np.abs(_kernels.evaluate_poly_many(coeffs, expo, y, rows=rows))
     # rows are sorted, so a stable sort by (row, -|f|) puts each form's best first
     order = np.lexsort((-f, rows))
     best = order[np.searchsorted(rows[order], np.arange(len(coeffs)))]
     return f[best], y[best]
 
 
-def circle_maxima(coeffs, expo):
-    """The largest |f| over the unit circle of each real binary form of the
-    rows ``coeffs`` (F, N) on the exponent table ``expo``, and a unit point
-    attaining it: (values (F,), points (F, 2)).
+def circle_maxima(coeffs, degree):
+    """The largest |f| over the unit circle of each real binary form of
+    degree D of the rows ``coeffs`` (F, D + 1), in ``poly``'s monomial order,
+    and a unit point attaining it: (values (F,), points (F, 2)).
 
     The circle search along x = e_1, u = e_2 turns f at D + 1 angles, one
     batched evaluation, into |f|^2 on the whole circle.  Every point of its
     grid above its left and at least its right neighbour is refined, and
     each form's best grid point: two peaks closer in height than the grid
     resolves can put the best grid point in the lower one's basin."""
-    degree, ids = int(expo[0].sum()), np.arange(len(coeffs))
-    circles = _CircleSearch(degree)
+    ids, circles = np.arange(len(coeffs)), _CircleSearch(degree)
     x = np.zeros((len(coeffs), 2))
     x[:, 0] = 1.0
-    # f(e_1) is the coefficient of x_1^D
-    fx = coeffs[:, np.flatnonzero(expo[:, 0] == degree)[0]]
 
     def value(y, rows):
-        return evaluate_poly_many(coeffs, expo, y, rows=rows)
+        return _kernels.evaluate_poly_many(coeffs, poly.monomial_exponents(degree, 2), y, rows=rows)
 
-    c = circles.interpolant(circles.samples(x, x[:, ::-1], fx, ids, value))
+    # f(e_1) is the coefficient of x_1^D, the first
+    c = circles.interpolant(circles.samples(x, x[:, ::-1], coeffs[:, 0], ids, value))
     grid = np.fft.irfft(c, n=circles.fine, axis=1)
     top = (grid > np.roll(grid, 1, axis=1)) & (grid >= np.roll(grid, -1, axis=1))
     top[ids, grid.argmax(axis=1)] = True
     rows, i = np.nonzero(top)
     theta = circles.refine(c[rows], grid, rows, i)
     y = np.column_stack((np.cos(theta), np.sin(theta)))
-    return _best(coeffs, expo, rows, y / np.sqrt((y * y).sum(axis=1))[:, np.newaxis])
+    return _best(coeffs, degree, rows, y / np.sqrt((y * y).sum(axis=1))[:, np.newaxis])
 
 
-def binary_maxima(coeffs, expo):
+def binary_maxima(coeffs, degree):
     """The largest |f| over the unit sphere of C^2 of each complex binary
-    form of the rows ``coeffs`` (F, N) on the exponent table ``expo``, and a
+    form of degree D of the rows ``coeffs`` (F, D + 1), in ``poly``'s
+    monomial order (the coefficient of x_0^(D-k) x_1^k in column k), and a
     unit point attaining it: (values (F,), points (F, 2)).
 
     The grid has 4D + 1 latitudes (both poles) and 8D longitudes (the real
@@ -361,26 +356,25 @@ def binary_maxima(coeffs, expo):
     southern half), from a radius of two grid steps, f is evaluated once at
     every refined point, renormalised, and each form keeps the point of
     largest |f|."""
-    a = coeffs[:, np.argsort(expo[:, 1])]
-    lat, weights = _grid(a.shape[1] - 1)
-    rows, i, j = _grid_peaks(a[:, np.newaxis] * weights, len(lat))
-    theta, phi = lat[i], np.pi * j / (len(lat) - 1)
+    steps = _latitudes(degree)
+    rows, i, j = _grid_peaks(coeffs[:, np.newaxis] * _grid(degree), steps + 1)
+    theta, phi = np.pi * i / steps, np.pi * j / steps
     south = theta > 0.5 * np.pi
     half = np.where(south, np.pi - theta, theta) / 2.0
     w = np.tan(half) * np.exp(1j * np.where(south, -phi, phi))
     # d|w| = (1 + |w|^2) / 2 d theta: two grid steps in the chart
-    c = np.where(south[:, np.newaxis], a[rows, ::-1], a[rows])
-    w = _chart_ascent(c, w, lat[1] * (1.0 + np.abs(w) ** 2))
+    c = np.where(south[:, np.newaxis], coeffs[rows, ::-1], coeffs[rows])
+    w = _chart_ascent(c, w, np.pi / steps * (1.0 + np.abs(w) ** 2))
     y = np.ones((len(w), 2), dtype=complex)
     y[np.arange(len(w)), 1 - south] = w
     y /= np.sqrt((y * y.conj()).real.sum(axis=1))[:, np.newaxis]
-    return _best(coeffs, expo, rows, y)
+    return _best(coeffs, degree, rows, y)
 
 
-def ternary_maxima(coeffs, expo):
+def ternary_maxima(coeffs, degree):
     """The largest |f| over the unit sphere of R^3 of each real ternary form
-    of the rows ``coeffs`` (F, N) on the exponent table ``expo``, and a unit
-    point attaining it: (values (F,), points (F, 3)).
+    of degree D of the rows ``coeffs`` (F, N), in ``poly``'s monomial order,
+    and a unit point attaining it: (values (F,), points (F, 3)).
 
     The grid has 4D + 1 latitudes (both poles and the equator) and 8D
     longitudes.  |f(-x)| = |f(x)|, so only the grid peaks of the northern
@@ -388,14 +382,13 @@ def ternary_maxima(coeffs, expo):
     is refined on the sphere (``_sphere_ascent``) from a radius of two grid
     steps, f is evaluated once at every refined point, renormalised, and
     each form keeps the point of largest |f|."""
-    degree = int(expo[0].sum())
     if not degree:  # a constant takes its value everywhere, at e_1 say
         return np.abs(coeffs[:, 0]), np.eye(1, 3).repeat(len(coeffs), axis=0)
     steps = _latitudes(degree)
-    tables = _sphere_tables(expo.shape, expo.dtype.str, expo.tobytes())
+    tables = _sphere_tables(degree)
     rows, i, j = _grid_peaks(_fourier_rows(coeffs, *tables[:2]), steps // 2 + 1)
     theta, phi = np.pi * i / steps, np.pi * j / steps
     s = np.sin(theta)
     x = np.column_stack((np.cos(theta), s * np.cos(phi), s * np.sin(phi)))
-    x = _sphere_ascent(coeffs, expo, tables, rows, x, np.full(len(x), 2.0 * np.pi / steps))
-    return _best(coeffs, expo, rows, x / np.sqrt((x * x).sum(axis=1))[:, np.newaxis])
+    x = _sphere_ascent(coeffs, degree, tables, rows, x, np.full(len(x), 2.0 * np.pi / steps))
+    return _best(coeffs, degree, rows, x / np.sqrt((x * x).sum(axis=1))[:, np.newaxis])

@@ -3,7 +3,7 @@ bases, exact sphere integrals and zonal (reproducing) harmonics.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lgamma, prod
 
 import numpy as np
@@ -110,10 +110,13 @@ class HarmonicBasis:
     dim: int
     basis: tuple  # HomogPoly elements
 
-    @property
+    @cached_property
     def coeff_matrix(self):
-        """Column-per-basis-element coefficient matrix."""
-        return np.column_stack([b.coeffs for b in self.basis])
+        """Column-per-basis-element coefficient matrix, stacked on first use
+        and read-only."""
+        m = np.column_stack([b.coeffs for b in self.basis])
+        m.setflags(write=False)
+        return m
 
 
 def _mgs_bw(columns, d, n):

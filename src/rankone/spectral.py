@@ -671,7 +671,7 @@ def spectral_value_many(objs, cfg, seeds):
         from . import _bloch  # only runs that hold such forms compile it
 
         search = getattr(_bloch, _START_FREE[first.ns, first.field])
-        values, points = search(np.stack([o.coeffs for o in objs]), first.exponents)
+        values, points = search(np.stack([o.coeffs for o in objs]), first.ds[0])
         return SpectralBatch(tuple(SpectralResult(float(v), (y,), 1, True) for v, y in zip(values, points)), 1)
     which = np.repeat(np.arange(len(objs)), starts)
     sizes = first.shape if isinstance(first, Tensor) else first.ns

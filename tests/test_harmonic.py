@@ -28,6 +28,7 @@ from rankone.poly import (
     num_monomials,
     poly_from_coeff_dict,
 )
+from rankone.tensor import COMPLEX, FieldError
 
 
 def test_harmonic_dimension_oracle():
@@ -180,3 +181,26 @@ def test_zonal_rejects_non_unit_pole():
     # a unit pole of the wrong length
     with pytest.raises(ShapeError, match=r"points have shape \(2,\), expected \(3,\)"):
         zonal(basis, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: harmonic_dimension(-1, 3), lambda: harmonic_basis(2, 1)],
+    ids=["negative-degree", "one-variable"],
+)
+def test_domain_refusals(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_sphere_product_refuses_complex_forms():
+    f = poly_from_coeff_dict(2, 1, {(1, 0): 1.0}, COMPLEX)
+    with pytest.raises(FieldError):
+        l2_sphere_inner(f, f)
+
+
+def test_coefficient_matrix_is_stacked_once_and_read_only():
+    basis = harmonic_basis(4, 3)
+    m = basis.coeff_matrix
+    assert basis.coeff_matrix is m and not m.flags.writeable
+    np.testing.assert_array_equal(m, np.column_stack([b.coeffs for b in basis.basis]))

@@ -18,6 +18,7 @@ from rankone.poly import (
     HomogPoly,
     MultiHomogPoly,
     ShapeError,
+    SymmetryError,
     bw_inner,
     bw_norm,
     dump_poly,
@@ -39,6 +40,7 @@ from rankone.poly import (
 from rankone.tensor import (
     COMPLEX,
     REAL,
+    FieldError,
     Tensor,
     dump_tensor,
     frobenius_inner,
@@ -874,3 +876,17 @@ def test_one_point_calls_reuse_the_index_of_their_table(monkeypatch):
             evaluate_poly(c, table, x)
             gradient_poly(c, table, x)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: bw_inner(HomogPoly(2, 2, np.ones(3), REAL), HomogPoly(3, 2, np.ones(6), REAL)), ShapeError),
+        (lambda: bw_inner(HomogPoly(2, 2, np.ones(3), REAL), HomogPoly(2, 2, np.ones(3), COMPLEX)), FieldError),
+        (lambda: poly_from_symmetric_tensor(Tensor(np.arange(4.0).reshape(2, 2), REAL)), SymmetryError),
+    ],
+    ids=["bw-inner-spaces", "bw-inner-fields", "non-symmetric-tensor"],
+)
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

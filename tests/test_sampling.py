@@ -209,3 +209,19 @@ HARMONIC_6_3_5_0 = [
 
 def test_gaussian_harmonic_pinned():
     assert gaussian_harmonic(6, 3, 5, 0).coeffs.tolist() == HARMONIC_6_3_5_0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kostlan_form(2, 2, "quaternion", 1),
+        lambda: kostlan_form(2, 0, REAL, 1),
+        lambda: gaussian_tensor((2, 0), REAL, 1),
+        lambda: kostlan_multi((1, 2), (2,), REAL, 1),
+        lambda: gaussian_multi_harmonic((1, 2), (2,), 1),
+    ],
+    ids=["unknown-field", "no-variables", "zero-length-axis", "kostlan-multi-blocks", "multi-harmonic-blocks"],
+)
+def test_domain_refusals(call):
+    with pytest.raises(DomainError):
+        call()

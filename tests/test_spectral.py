@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -834,6 +836,11 @@ def test_batch_rejects_mixed_inputs():
         spectral_value_many([f, f], cfg, [0])
     with pytest.raises(ValueError):
         spectral_value_many([], cfg, [])
+    # neither a tensor nor a form
+    with pytest.raises(TypeError, match="unsupported input"):
+        spectral_value_many([np.ones(3)], cfg, [0])
+    with pytest.raises(TypeError, match="unsupported input"):
+        total_norm(np.ones(3))
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -1430,3 +1437,69 @@ def test_newton_refinement_evaluates_only_live_candidates():
     assert len(seen[0]) == 5 and len(seen[-1]) < 5
     for before, after in zip(seen, seen[1:]):
         assert set(after) <= set(before)
+
+
+# wraps two kernels with counters before any start-free search has imported
+# rankone._bloch, runs one batch of each start-free space, unwraps them and
+# runs the batches again; prints the calls counted while wrapped and in all
+_WRAP_THEN_UNWRAP = """
+import sys
+from rankone import COMPLEX, REAL, _kernels, spectral
+from rankone.sampling import gaussian_harmonic, kostlan_form
+
+assert "rankone._bloch" not in sys.modules
+calls, originals = [0], {}
+for name in ("evaluate_poly_many", "value_and_gradient_poly_many"):
+    fn = originals[name] = getattr(_kernels, name)
+
+    def counted(*args, fn=fn, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    setattr(_kernels, name, counted)
+batches = [
+    [kostlan_form(8, 2, REAL, 1, i) for i in range(16)],
+    [kostlan_form(8, 2, COMPLEX, 2, i) for i in range(16)],
+    [gaussian_harmonic(6, 3, 3, i) for i in range(16)],
+]
+cfg = spectral.MaximizerConfig()
+
+
+def run():
+    for forms in batches:
+        spectral.spectral_value_many(forms, cfg, range(len(forms)))
+
+
+run()
+wrapped = calls[0]
+for name, fn in originals.items():
+    setattr(_kernels, name, fn)
+run()
+print(wrapped, calls[0])
+"""
+
+
+def test_start_free_searches_look_the_kernels_up_when_called():
+    # a wrapper installed around the kernels while the searches' module is
+    # first imported is gone from them once the kernels are restored
+    proc = subprocess.run([sys.executable, "-c", _WRAP_THEN_UNWRAP], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    wrapped, total = map(int, proc.stdout.split())
+    assert wrapped > 0
+    assert total == wrapped
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_derivative_matrix_rows_are_the_monomials_of_one_degree_less(d):
+    # the real ternary search reads the partials of f off the rows of
+    # _derivative_matrix as forms on poly's monomials of degree d - 1
+    rng = np.random.default_rng(34000 + d)
+    expo, lowered = poly.monomial_exponents(d, 3), poly.monomial_exponents(d - 1, 3)
+    c = rng.standard_normal(len(expo))
+    (mat,) = _kernels._derivative_matrix(c[np.newaxis], _kernels._factor_index(expo, 3))
+    position = poly.monomial_index(d, 3)
+    want = [[(b[i] + 1) * c[position[tuple(b + np.eye(3, dtype=int)[i])]] for i in range(3)] for b in lowered]
+    np.testing.assert_array_equal(mat[:, 0], want)
+    for x in rng.standard_normal((4, 3)):
+        got = [_kernels.evaluate_poly(mat[:, 0, i], lowered, x) for i in range(3)]
+        np.testing.assert_array_equal(got, _kernels.gradient_poly(c, expo, x))

@@ -38,6 +38,10 @@ def test_frobenius_inner_conjugate_linear_first_slot():
 def test_field_inference_and_mismatch():
     assert tensor_from_array(np.ones((2, 2))).field == REAL
     assert tensor_from_array(np.ones((2, 2)) * 1j).field == COMPLEX
+    # a complex array whose imaginary part is zero is a real tensor
+    t = tensor_from_array(np.array([1.0 + 0j, 2.0 - 0j]), REAL)
+    assert t.field == REAL and t.data.dtype == np.float64
+    np.testing.assert_array_equal(t.data, [1.0, 2.0])
     with pytest.raises(FieldError):
         tensor_from_array(np.ones((2, 2)) * 1j, field=REAL)
     with pytest.raises(FieldError):
@@ -201,3 +205,18 @@ def test_tensor_is_immutable():
     t = Tensor(np.ones((2, 2)), REAL)
     with pytest.raises(ValueError):
         t.data[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Tensor(np.ones((2, 0)), REAL), DimensionError),
+        (lambda: frobenius_inner(Tensor(np.ones((2, 2)), REAL), Tensor(np.ones((2, 3)), REAL)), DimensionError),
+        (lambda: row_stack([Tensor(np.ones(2), REAL), Tensor(np.ones(2), COMPLEX)]), FieldError),
+        (lambda: is_symmetric(Tensor(np.ones((2, 3)), REAL)), DimensionError),
+    ],
+    ids=["zero-length-axis", "inner-shapes", "row-stack-fields", "symmetric-non-cubical"],
+)
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
